@@ -68,7 +68,6 @@ class RunConfig:
     base_nodes: int = 16
     rel_tol: float = 1e-9
     max_refinements: int = 30
-    per_channel_xx_width: bool = False
     unprojected: bool = False
     reference: str = "absolute"
     points: int = 4001              # spectrum grid size
@@ -82,7 +81,7 @@ class RunConfig:
     angle_b: float = 22.5
     n: int = 100000                 # sample count
     seed: int = 0
-    workers: int | None = None      # default: POLCASCADE_WORKERS or cpu count
+    workers: int | None = None      # default: POLCASCADE_WORKERS or 1
     out_dir: str = "."
     figures: str = "all"
     svg: bool = True
@@ -94,9 +93,8 @@ _CASTS = {
     "delta_c": float, "rabi": float, "tau_c": float, "tau_xx": float,
     "binding": float, "delta_cx": float, "pairing": str, "width": float,
     "center1": float, "center2": float, "base_nodes": int, "rel_tol": float,
-    "max_refinements": int, "per_channel_xx_width": _as_bool,
-    "unprojected": _as_bool, "reference": str, "points": int,
-    "margin": float, "sweep_lo": float, "sweep_hi": float,
+    "max_refinements": int, "unprojected": _as_bool, "reference": str,
+    "points": int, "margin": float, "sweep_lo": float, "sweep_hi": float,
     "sweep_points": int, "lo": float, "hi": float, "angle_a": float,
     "angle_b": float, "n": int, "seed": int, "workers": int,
     "out_dir": str, "figures": str, "svg": _as_bool,
@@ -168,8 +166,6 @@ def _build_parser() -> _Parser:
         "base_nodes": "quadrature nodes per panel",
         "rel_tol": "quadrature relative tolerance",
         "max_refinements": "quadrature refinement passes",
-        "per_channel_xx_width": "give each channel its own biexciton width "
-                                "instead of the total",
         "unprojected": "gamma command: report the unfiltered coherence",
         "reference": "spectrum energy reference: absolute or "
                      "relative_to_ex_mean",
@@ -184,8 +180,9 @@ def _build_parser() -> _Parser:
         "angle_b": "analyzer B angle, degrees from H",
         "n": "number of coincidence samples",
         "seed": "random seed for sampling",
-        "workers": "process count for sweeps "
-                   "(default: POLCASCADE_WORKERS or all cores)",
+        "workers": "process count for sweeps; more than 1 farms grid "
+                   "chunks out to a process pool "
+                   "(default: POLCASCADE_WORKERS or 1)",
         "out_dir": "directory for output files",
         "figures": "comma-separated figure ids "
                    f"({', '.join(FIGURE_IDS)}) or 'all'",

@@ -1,40 +1,100 @@
-"""Backend selection for the numeric kernels.
+"""NumPy kernels for the window integrals.
 
-The compiled extension is optional.  Selection order:
+Both kernels integrate products of two-photon amplitudes.  In rotated
+coordinates u = k1 + k2, v = k2 the u-integral of the biexciton factor has
+a closed form, so the 2-d window integral reduces to a 1-d v-integral whose
+integrand overlap_integrand evaluates.  midpoint_overlap is the brute-force
+2-d midpoint rule over the original (k1, k2) box, used as a cross check.
 
-* POLCASCADE_BACKEND=python forces the NumPy reference kernels.
-* POLCASCADE_BACKEND=cython requires the compiled extension and raises
-  ImportError if it is missing.
-* unset or POLCASCADE_BACKEND=auto uses the compiled extension when it
-  imports, otherwise falls back silently.
-
-BACKEND names the active choice; both backends satisfy identical contracts
-and agree to floating-point roundoff.
+Pole conventions for the product conj(A_a) * A_b:
+the conjugated factor carries poles in the upper half plane
+(exx_a + i*gxx_a along u, e_a + i*g_a along v), the direct factor in the
+lower half plane (exx_b - i*gxx_b, e_b - i*g_b).
 """
-import os
+import numpy as np
 
-from . import _purekernels
-from .errors import ValidationError
+# Kept for callers that record which implementation ran; NumPy is the only one.
+BACKEND = "python"
 
-_choice = os.environ.get("POLCASCADE_BACKEND", "auto").strip().lower()
-if _choice not in ("auto", "python", "cython"):
-    raise ValidationError(
-        f"POLCASCADE_BACKEND must be auto, python or cython, got {_choice!r}")
 
-if _choice == "python":
-    _impl = _purekernels
-    BACKEND = "python"
-else:
-    try:
-        from . import _fastkernels as _impl
-        BACKEND = "cython"
-    except ImportError:
-        if _choice == "cython":
-            raise
-        _impl = _purekernels
-        BACKEND = "python"
+def _same(x, y) -> bool:
+    eq = x == y
+    return eq if isinstance(eq, bool) else bool(eq.all())
 
-overlap_integrand = _impl.overlap_integrand
-midpoint_overlap = _impl.midpoint_overlap
 
-__all__ = ["BACKEND", "overlap_integrand", "midpoint_overlap"]
+def integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b) -> str:
+    """Which closed form overlap_integrand uses for these pole parameters.
+
+    "self" when both factors share every pole (a real Lorentzian product),
+    "arctan" when only the biexciton poles coincide, otherwise "log".
+    Array parameters select one form for all of their elements.
+    """
+    if not (_same(exx_a, exx_b) and _same(gxx_a, gxx_b)):
+        return "log"
+    if _same(e_a, e_b) and _same(g_a, g_b):
+        return "self"
+    return "arctan"
+
+
+def _u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, log_path):
+    """Closed-form integral of the biexciton factor over u in k1 + v."""
+    u1 = k1_lo + v
+    u2 = k1_hi + v
+    if log_path:
+        p = exx_a + 1j * gxx_a
+        q = exx_b - 1j * gxx_b
+        # Both u-paths stay on one side of each branch cut (Im(u - p) < 0,
+        # Im(u - q) > 0), so principal logs are safe.
+        return (np.log(u2 - p) - np.log(u1 - p)
+                - np.log(u2 - q) + np.log(u1 - q)) / (p - q)
+    # Conjugate u-poles collapse to a real Lorentzian with an arctan
+    # antiderivative.
+    return (np.arctan((u2 - exx_a) / gxx_a)
+            - np.arctan((u1 - exx_a) / gxx_a)) / gxx_a
+
+
+def overlap_integrand(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
+                      e_a, g_a, e_b, g_b, pref):
+    """Closed-form u-integral times the v-pole factors, on an array of v.
+
+    The parameters are scalars or arrays that broadcast against v, so one
+    call can cover panels of many overlaps of the same integrand_kind.
+    Self overlaps come back real.  Every step is elementwise: a value
+    depends on its own v and parameters, not on the rest of the call.
+    """
+    v = np.asarray(v, dtype=float)
+    kind = integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b)
+    fu = _u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
+                     kind == "log")
+    if kind == "self":
+        # |v - (e - i g)|^2 in real arithmetic: no complex rounding residue.
+        return pref * fu / ((v - e_a) ** 2 + g_a * g_a)
+    denom = v - (e_a + 1j * g_a)
+    denom *= v - (e_b - 1j * g_b)
+    return pref * fu / denom
+
+
+def midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2, exx_a, gxx_a,
+                     exx_b, gxx_b, e_a, g_a, e_b, g_b, pref, chunk=256):
+    """Midpoint-rule value of the same window integral on an n1 x n2 grid."""
+    n1 = int(n1)
+    n2 = int(n2)
+    h1 = (k1_hi - k1_lo) / n1
+    h2 = (k2_hi - k2_lo) / n2
+    k1 = k1_lo + (np.arange(n1) + 0.5) * h1
+    same = exx_a == exx_b and gxx_a == gxx_b
+    p = exx_a + 1j * gxx_a
+    q = exx_b - 1j * gxx_b
+    pa = e_a + 1j * g_a
+    pb = e_b - 1j * g_b
+    total = 0.0 + 0.0j
+    for j0 in range(0, n2, chunk):
+        k2 = k2_lo + (np.arange(j0, min(j0 + chunk, n2)) + 0.5) * h2
+        u = k1[:, None] + k2[None, :]
+        if same:
+            fu = 1.0 / ((u - exx_a) ** 2 + gxx_a * gxx_a)
+        else:
+            fu = 1.0 / ((u - p) * (u - q))
+        gv = 1.0 / ((k2 - pa) * (k2 - pb))
+        total += np.sum(fu * gv[None, :])
+    return pref * h1 * h2 * total

@@ -154,78 +154,88 @@ def _gl_nodes(n: int):
     return _GL_CACHE[n]
 
 
-def _eval_panels(f, panels, n):
-    """Gauss-Legendre value of f on each (a, b) panel, one batched call."""
-    xs, ws = _gl_nodes(n)
-    a = np.array([p[0] for p in panels])
-    b = np.array([p[1] for p in panels])
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    vals = np.asarray(f(nodes)).reshape(len(panels), n)
-    return np.sum(vals * ws[None, :], axis=1) * half
+# Panels per kernel call.  Bounds the node temporaries (256 x 32 complex
+# values, 128 kB each) however many overlaps a batch holds.
+_BLOCK_PANELS = 256
+
+_KINDS = ("self", "arctan", "log")
 
 
-def _adaptive_gl(f, lo, hi, seeds, quad: QuadratureSpec) -> complex:
-    """Integrate f over [lo, hi] to quad.rel_tol by panel bisection.
+def _eval_panels(par, kind, ab, owner, n):
+    """Coarse (n-node) and fine (2n-node) Gauss-Legendre values per panel.
 
-    Panels stay sorted and sums run in panel order, so the result is a pure
-    function of (f, lo, hi, seeds, quad).
+    Panel i spans (ab[0, i], ab[1, i]) of overlap owner[i], whose kernel
+    arguments are column owner[i] of par.  Owners ascend and kind[owner]
+    (an index into _KINDS) with them, so each kernel call takes a
+    contiguous run of up to _BLOCK_PANELS panels of one kind, one row of
+    nodes per panel.  A panel's value depends only on its own bounds and
+    arguments: each row is summed on its own, the same way at any block
+    size or position.  Returns the coarse and fine values as two rows.
+    """
+    out = np.empty(ab.shape, dtype=complex)
+    edges = kind[owner].searchsorted(np.arange(len(_KINDS) + 1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for start in range(lo, hi, _BLOCK_PANELS):
+            run = slice(start, min(start + _BLOCK_PANELS, hi))
+            args = par[:, owner[run], None]
+            a, b = ab[:, run]
+            half = 0.5 * (b - a)
+            mid = 0.5 * (a + b)
+            for row, m in enumerate((n, 2 * n)):
+                xs, ws = _gl_nodes(m)
+                vals = kernels.overlap_integrand(
+                    mid[:, None] + half[:, None] * xs, *args)
+                out[row, run] = (vals * ws).sum(axis=1) * half
+    return out
+
+
+def _ordered_sums(x, owner, counts):
+    """Per-overlap sums of panel values, added left to right in panel order.
+
+    Panels are grouped by ascending owner, counts[j] of them for overlap j.
+    Only overlaps that still have panels get a row of the summation table,
+    so its size follows the panels in play; zero padding after a row's
+    last panel leaves its running sum unchanged.  Overlaps without panels
+    sum to 0.
+    """
+    rows = counts.nonzero()[0]
+    width = counts[rows]
+    start = width.cumsum() - width
+    row = np.arange(rows.size).repeat(width)
+    table = np.zeros((rows.size, int(width.max())), dtype=x.dtype)
+    table[row, np.arange(owner.size) - start[row]] = x
+    out = np.zeros(counts.size, dtype=x.dtype)
+    out[rows] = np.add.accumulate(table, axis=1)[:, -1]
+    return out
+
+
+def _panel_bounds(lo, hi, features):
+    """Sorted panel boundaries over [lo, hi], seeded by geometric ladders.
+
+    Each (center, scale) feature cuts at center and center +- scale * 8^k
+    for every step shorter than the span.  Cuts closer than 1e-13 of the
+    span to the previous kept one are dropped.
     """
     span = hi - lo
-    cuts = sorted({float(lo), float(hi), *(float(s) for s in seeds if lo < s < hi)})
-    bounds = [cuts[0]]
-    for c in cuts[1:]:
-        if c - bounds[-1] > 1e-13 * span:
+    cuts = {lo, hi}
+    for center, scale in set(features):
+        if scale <= 0 or not math.isfinite(scale):
+            continue
+        cuts.add(center)
+        step = scale
+        while step < span:
+            cuts.add(center - step)
+            cuts.add(center + step)
+            step *= 8.0
+    eps = 1e-13 * span
+    bounds = [lo]
+    for c in sorted(c for c in cuts if lo < c <= hi):
+        if c - bounds[-1] > eps:
             bounds.append(c)
     if len(bounds) < 2:
         bounds = [lo, hi]
     bounds[-1] = hi
-    panels = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    n = quad.base_nodes
-    coarse = list(_eval_panels(f, panels, n))
-    fine = list(_eval_panels(f, panels, 2 * n))
-    prev = None
-    total = complex(sum(fine))
-    for _ in range(quad.max_refinements + 1):
-        total = complex(sum(fine))
-        errs = [abs(fi - ci) for fi, ci in zip(fine, coarse)]
-        tol = quad.rel_tol * max(abs(total), 1e-300)
-        if sum(errs) <= tol:
-            return total
-        cut = tol / (2 * len(panels))
-        split = [i for i, e in enumerate(errs)
-                 if e > cut and panels[i][0] < 0.5 * (panels[i][0] + panels[i][1]) < panels[i][1]]
-        if not split:
-            # Every offending panel is at float resolution; no progress possible.
-            break
-        children = []
-        for i in split:
-            a0, b0 = panels[i]
-            m = 0.5 * (a0 + b0)
-            children.append((a0, m))
-            children.append((m, b0))
-        ccoarse = list(_eval_panels(f, children, n))
-        cfine = list(_eval_panels(f, children, 2 * n))
-        split_set = set(split)
-        new_panels, new_coarse, new_fine = [], [], []
-        j = 0
-        for i, p in enumerate(panels):
-            if i in split_set:
-                new_panels += children[2 * j:2 * j + 2]
-                new_coarse += ccoarse[2 * j:2 * j + 2]
-                new_fine += cfine[2 * j:2 * j + 2]
-                j += 1
-            else:
-                new_panels.append(p)
-                new_coarse.append(coarse[i])
-                new_fine.append(fine[i])
-        panels, coarse, fine = new_panels, new_coarse, new_fine
-        prev = total
-    raise ConvergenceError(
-        "window overlap quadrature did not converge "
-        f"(rel_tol={quad.rel_tol}, panels={len(panels)})",
-        last_estimates=(prev, complex(sum(fine))))
+    return bounds
 
 
 def _kernel_args(ch_a: CascadeChannel, ch_b: CascadeChannel):
@@ -237,42 +247,115 @@ def _kernel_args(ch_a: CascadeChannel, ch_b: CascadeChannel):
             _amp_prefactor(ch_a) * _amp_prefactor(ch_b))
 
 
-def _seed_points(lo, hi, features):
-    """Geometric ladders of panel boundaries around each (center, scale)."""
-    span = hi - lo
-    pts = []
-    for center, scale in features:
-        if scale <= 0 or not math.isfinite(scale):
+def _overlap_boxes(boxes, quad: QuadratureSpec) -> list:
+    """conj(amplitude_a) * amplitude_b integrated over many open boxes.
+
+    Each box is (ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi).  Returns one
+    entry per box: its complex value, or the ConvergenceError it failed
+    with.  The v-integral runs on adaptive Gauss-Legendre panels seeded
+    around every pole and ridge-edge location; a box passes when the
+    fine-minus-coarse estimates, summed in panel order, reach quad.rel_tol
+    of its fine sum, and only the panels of boxes that miss it are
+    bisected.  Every entry is a pure function of its own box and quad, the
+    same in any batch.
+    """
+    out = [0j] * len(boxes)
+    jobs = []
+    for i, (ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi) in enumerate(boxes):
+        args = _kernel_args(ch_a, ch_b)
+        if args[-1] == 0.0 or k1_hi <= k1_lo or k2_hi <= k2_lo:
             continue
-        pts.append(center)
-        step = scale
-        while step < span:
-            pts.append(center - step)
-            pts.append(center + step)
-            step *= 8.0
-    return [p for p in pts if lo < p < hi]
+        exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, _ = args
+        bounds = _panel_bounds(k2_lo, k2_hi, (
+            (e_a, g_a), (e_b, g_b),
+            # v values where a u-interval edge crosses the biexciton ridge;
+            # the closed-form u-factor has an arctan step of width gxx there.
+            (exx_a - k1_lo, gxx_a), (exx_a - k1_hi, gxx_a),
+            (exx_b - k1_lo, gxx_b), (exx_b - k1_hi, gxx_b),
+        ))
+        kind = _KINDS.index(kernels.integrand_kind(*args[:8]))
+        jobs.append((kind, i, (k1_lo, k1_hi, *args), bounds))
+    if not jobs:
+        return out
+    # Grouped by kind, so _eval_panels finds each kind's panels in one run.
+    jobs.sort(key=lambda job: job[:2])
+    live = [job[1] for job in jobs]
+    kind = np.array([job[0] for job in jobs])
+    par = np.array([job[2] for job in jobs]).T.copy()
+    counts = np.array([len(job[3]) - 1 for job in jobs])
+    ab = np.array([[x for job in jobs for x in job[3][:-1]],
+                   [x for job in jobs for x in job[3][1:]]])
+    owner = np.arange(len(jobs)).repeat(counts)
+    n = quad.base_nodes
+    cf = _eval_panels(par, kind, ab, owner, n)
+    active = np.ones(len(jobs), dtype=bool)
+    prev = [None] * len(jobs)
+
+    def fail(j, total):
+        out[live[j]] = ConvergenceError(
+            "window overlap quadrature did not converge "
+            f"(rel_tol={quad.rel_tol}, panels={counts[j]})",
+            last_estimates=(prev[j], complex(total)))
+
+    for _ in range(quad.max_refinements + 1):
+        totals = _ordered_sums(cf[1], owner, counts)
+        errs = np.abs(cf[1] - cf[0])
+        tol = quad.rel_tol * np.maximum(np.abs(totals), 1e-300)
+        passed = _ordered_sums(errs, owner, counts) <= tol
+        ok = (active & passed).nonzero()[0]
+        for j in ok:
+            out[live[j]] = complex(totals[j])
+        if ok.size:
+            active[ok] = False
+            if not active.any():
+                return out
+            keep = active[owner]
+            ab, cf = ab[:, keep], cf[:, keep]
+            errs, owner = errs[keep], owner[keep]
+            counts[ok] = 0
+        mid = 0.5 * (ab[0] + ab[1])
+        split = ((errs > (tol / (2 * np.maximum(counts, 1)))[owner])
+                 & (ab[0] < mid) & (mid < ab[1]))
+        # Every offending panel is at float resolution: no progress possible.
+        stuck = (active & (np.bincount(owner, weights=split,
+                                       minlength=len(jobs)) == 0)).nonzero()[0]
+        for j in stuck:
+            fail(j, totals[j])
+        if stuck.size:
+            active[stuck] = False
+            if not active.any():
+                return out
+            keep = active[owner]
+            ab, cf = ab[:, keep], cf[:, keep]
+            mid, owner, split = mid[keep], owner[keep], split[keep]
+        # Bisect in place: each split panel becomes two adjacent panels.
+        at = split.nonzero()[0]
+        rep = 1 + split
+        ab = ab.repeat(rep, axis=1)
+        cf = cf.repeat(rep, axis=1)
+        owner = owner.repeat(rep)
+        first = at + np.arange(at.size)
+        ab[1, first] = ab[0, first + 1] = mid[at]
+        children = first.repeat(2)
+        children[1::2] += 1
+        cf[:, children] = _eval_panels(par, kind, ab[:, children],
+                                       owner[children], n)
+        counts = np.bincount(owner, minlength=len(jobs))
+        for j in active.nonzero()[0]:
+            prev[j] = complex(totals[j])
+    totals = _ordered_sums(cf[1], owner, counts)
+    for j in active.nonzero()[0]:
+        fail(j, totals[j])
+    return out
 
 
 def _overlap_box(ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi,
                  quad: QuadratureSpec) -> complex:
     """conj(amplitude_a) * amplitude_b integrated over an open box."""
-    args = _kernel_args(ch_a, ch_b)
-    if args[-1] == 0.0 or k1_hi <= k1_lo or k2_hi <= k2_lo:
-        return 0j
-    exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, _ = args
-    features = [
-        (e_a, g_a), (e_b, g_b),
-        # v values where a u-interval edge crosses the biexciton ridge;
-        # the closed-form u-factor has an arctan step of width gxx there.
-        (exx_a - k1_lo, gxx_a), (exx_a - k1_hi, gxx_a),
-        (exx_b - k1_lo, gxx_b), (exx_b - k1_hi, gxx_b),
-    ]
-    seeds = _seed_points(k2_lo, k2_hi, features)
-
-    def f(v):
-        return kernels.overlap_integrand(v, k1_lo, k1_hi, *args)
-
-    return _adaptive_gl(f, k2_lo, k2_hi, seeds, quad)
+    value = _overlap_boxes([(ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi)], quad)[0]
+    if isinstance(value, ConvergenceError):
+        raise value
+    return value
 
 
 def windowed_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
@@ -298,16 +381,9 @@ def brute_force_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
         k1_lo, k1_hi, n, k2_lo, k2_hi, n, *args))
 
 
-def gamma_prime_from_channels(ch_a: CascadeChannel, ch_b: CascadeChannel,
-                              w: DetectorWindow,
-                              quad: QuadratureSpec = DEFAULT_QUAD,
-                              pairing: str = "") -> PairCoherence:
-    """Filtered coherence of two explicit channels (synthetic-state entry)."""
-    self_a = windowed_overlap(ch_a, ch_a, w, quad).real
-    self_b = windowed_overlap(ch_b, ch_b, w, quad).real
-    if self_a + self_b < 1e-300:
-        raise EmptyWindowError("empty window: no emission inside the acceptance")
-    cross = windowed_overlap(ch_a, ch_b, w, quad)
+def _pair_coherence(ch_a: CascadeChannel, ch_b: CascadeChannel,
+                    self_a: float, self_b: float, cross: complex,
+                    pairing: str) -> PairCoherence:
     label = pairing or f"{ch_a.branch}-{ch_b.branch}"
     return PairCoherence(
         gamma=cross / (self_a + self_b),
@@ -316,6 +392,45 @@ def gamma_prime_from_channels(ch_a: CascadeChannel, ch_b: CascadeChannel,
             f"{ch_b.pol}:{ch_b.branch}": self_b,
         },
         pairing=label)
+
+
+def gamma_prime_from_channels(ch_a: CascadeChannel, ch_b: CascadeChannel,
+                              w: DetectorWindow,
+                              quad: QuadratureSpec = DEFAULT_QUAD,
+                              pairing: str = "") -> PairCoherence:
+    """Filtered coherence of two explicit channels (synthetic-state entry)."""
+    return gamma_prime_batch([(ch_a, ch_b, w, pairing)], quad)[0]
+
+
+def gamma_prime_batch(items, quad: QuadratureSpec = DEFAULT_QUAD) -> list:
+    """Filtered coherence for many (ch_a, ch_b, window, pairing) items.
+
+    All overlaps go through one batched quadrature.  An item fails with
+    the ConvergenceError of its first failing overlap in the order self_a,
+    self_b, cross, or with EmptyWindowError when the window holds no
+    emission; the first failing item's error is raised.
+    """
+    boxes = []
+    for ch_a, ch_b, w, _ in items:
+        k1_lo, k1_hi = w.k1_interval
+        k2_lo, k2_hi = w.k2_interval
+        for x, y in ((ch_a, ch_a), (ch_b, ch_b), (ch_a, ch_b)):
+            boxes.append((x, y, k1_lo, k1_hi, k2_lo, k2_hi))
+    values = _overlap_boxes(boxes, quad)
+    out = []
+    for i, (ch_a, ch_b, _, pairing) in enumerate(items):
+        self_a, self_b, cross = values[3 * i:3 * i + 3]
+        for value in (self_a, self_b):
+            if isinstance(value, ConvergenceError):
+                raise value
+        if self_a.real + self_b.real < 1e-300:
+            raise EmptyWindowError(
+                "empty window: no emission inside the acceptance")
+        if isinstance(cross, ConvergenceError):
+            raise cross
+        out.append(_pair_coherence(ch_a, ch_b, self_a.real, self_b.real,
+                                   cross, pairing))
+    return out
 
 
 def gamma_prime(params: SystemParams, pairing: str, w: DetectorWindow,
@@ -401,17 +516,23 @@ def gamma_unprojected(params: SystemParams,
     else:
         raise ConvergenceError(
             "could not bound the cross-overlap tails below rel_tol")
-    cross = 0j
-    self_sum = 0.0
+    terms = []
     for branch in ("LP", "UP"):
         ch_h = channels[("H", branch)]
         ch_v = channels[("V", branch)]
-        box = boxes[branch]
-        cross += _overlap_box(ch_h, ch_v, *box, quad)
-        for ch in (ch_h, ch_v):
-            norm = norms[(ch.pol, ch.branch)]
-            if norm == 0:
-                continue
-            truncated = _overlap_box(ch, ch, *box, quad).real
-            self_sum += truncated + norm * _outside_fraction(ch, box)
+        terms.append((ch_h, ch_v))
+        terms += [(ch, ch) for ch in (ch_h, ch_v)
+                  if norms[(ch.pol, ch.branch)] != 0]
+    values = _overlap_boxes([(x, y, *boxes[x.branch]) for x, y in terms],
+                            quad)
+    cross = 0j
+    self_sum = 0.0
+    for (ch_a, ch_b), value in zip(terms, values):
+        if isinstance(value, ConvergenceError):
+            raise value
+        if ch_a is not ch_b:
+            cross += value
+        else:
+            self_sum += (value.real + norms[(ch_a.pol, ch_a.branch)]
+                         * _outside_fraction(ch_a, boxes[ch_a.branch]))
     return complex(cross / self_sum)

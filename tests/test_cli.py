@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -73,6 +75,15 @@ def test_unknown_config_key_named_in_error(capsys, tmp_path):
     assert code == 1
     assert "widht" in err
     assert "run.cfg:1" in err
+
+
+def test_removed_per_channel_xx_width_key_is_unknown(capsys, tmp_path):
+    # The key never reached the channel model, so it is no longer accepted.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("per_channel_xx_width = true\n")
+    code, out, err = run_cli(capsys, "gamma", "--config", str(cfg))
+    assert code == 1
+    assert "unknown config key 'per_channel_xx_width'" in err
 
 
 def test_bad_config_value_exits_one(capsys, tmp_path):
@@ -197,6 +208,19 @@ def test_module_entry_point_runs():
 
 
 def test_console_script_on_path():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"polcascade": "polcascade.cli:main"}
+    module, _, attr = scripts["polcascade"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+    # The script itself exists only once the package is installed; a
+    # source-tree run (PYTHONPATH=src) has no distribution metadata.
+    try:
+        importlib.metadata.distribution("polcascade")
+    except importlib.metadata.PackageNotFoundError:
+        return
     proc = subprocess.run(["polcascade", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
