@@ -12,7 +12,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import HBAR_MEV_PS, SystemParams
-from .polariton import PolaritonState, solve_polaritons
+# cascade no longer calls solve_polaritons.  The name stays importable from
+# here only so that the benchmark tracer's (cascade, "solve_polaritons")
+# site resolves; patching it here changes nothing.
+from .polariton import (STATE_ORDER, PolaritonArrays, PolaritonState,  # noqa: F401
+                        per_element, polariton_arrays, solve_polaritons)
 
 
 @dataclass(frozen=True)
@@ -34,17 +38,86 @@ class CascadeChannel:
         return self.photon1 + self.photon2
 
 
-def _paired_photon_energies(e_xx: float, e_pol: float) -> tuple[float, float]:
+def _paired_photon_energies(e_xx: float, e_pol: np.ndarray):
     # Pair the two photon energies so their float sum reproduces e_xx
     # exactly; photon2 may shift from e_pol by at most 1 ulp.
     p2 = e_pol
     p1 = e_xx - p2
     for _ in range(10):
-        if p1 + p2 == e_xx:
-            return p1, p2
-        p2 = e_xx - p1
-        p1 = e_xx - p2
+        off = p1 + p2 != e_xx
+        if not off.any():
+            break
+        p2 = np.where(off, e_xx - p1, p2)
+        p1 = np.where(off, e_xx - p2, p1)
     return p1, p2
+
+
+@dataclass(frozen=True)
+class ChannelArrays:
+    """The four cascade channels at many cavity-mode energies.
+
+    Each field has one row per channel, in the (H,LP), (H,UP), (V,LP),
+    (V,UP) order of STATE_ORDER, and one column per point.  vanished
+    flags the points where every branching weight is zero; their amp
+    entries are NaN.
+    """
+
+    states: PolaritonArrays
+    photon1: np.ndarray
+    photon2: np.ndarray
+    amp: np.ndarray
+    xx_channel_width: np.ndarray
+    xx_total_width: np.ndarray
+    vanished: np.ndarray
+
+    def check(self, i: int) -> None:
+        """Raise ValidationError if every branching weight of point i
+        vanished."""
+        if self.vanished[i]:
+            raise ValidationError("all branching weights vanished")
+
+    def channels(self, i: int) -> list[CascadeChannel]:
+        """The CascadeChannel list of point i."""
+        columns = zip(STATE_ORDER, self.states.states(i),
+                      self.photon1[:, i].tolist(), self.photon2[:, i].tolist(),
+                      self.amp[:, i], self.xx_channel_width[:, i].tolist(),
+                      self.xx_total_width[:, i].tolist())
+        return [CascadeChannel(pol=pol, branch=branch, intermediate=s,
+                               photon1=p1, photon2=p2, amp=amp,
+                               xx_channel_width=own, xx_total_width=total)
+                for (pol, branch), s, p1, p2, amp, own, total in columns]
+
+
+def channel_arrays(params: SystemParams, cav_mean,
+                   per_channel_xx_width: bool = False) -> ChannelArrays:
+    """The four cascade channels at each cavity-mode mean, as arrays.
+
+    cav_mean replaces params.cav_mean, one point per element.  Column i
+    equals enumerate_channels(params.replace(cav_mean=cav_mean[i])) bit
+    for bit; enumerate_channels is the one-point case.
+    """
+    states = polariton_arrays(params, cav_mean)
+    x_ex2, x_ph2 = per_element(pow, np.array([states.x_ex, states.x_ph]), 2.0)
+    raw = x_ex2 * x_ph2 / 4.0
+    widths = x_ex2 * (HBAR_MEV_PS / params.tau_xx)
+    # Pairwise sums keep H/V relabeling bit-exact under a sign flip of
+    # both splittings.
+    pairs = np.array([raw, widths])
+    pairs = pairs[:, :2] + pairs[:, 2:]
+    total, xx_total = pairs[:, 0] + pairs[:, 1]
+    p1, p2 = _paired_photon_energies(params.e_biexciton, states.energy)
+    vanished = total <= 0
+    if per_channel_xx_width:
+        total_width = widths
+    else:
+        total_width = np.empty_like(widths)
+        total_width[:] = xx_total
+    return ChannelArrays(
+        states=states, photon1=p1, photon2=p2,
+        # NaN where the weights vanished, without a 0/0 warning.
+        amp=np.sqrt(raw / np.where(vanished, np.nan, total)),
+        xx_channel_width=widths, xx_total_width=total_width,
+        vanished=vanished)
 
 
 def enumerate_channels(params: SystemParams,
@@ -58,34 +131,9 @@ def enumerate_channels(params: SystemParams,
     per_channel_xx_width assigns each channel's own share of the biexciton
     width to its two-photon resonance instead of the total width.
     """
-    states = solve_polaritons(params)
-    e_xx = params.e_biexciton
-    unit = HBAR_MEV_PS / params.tau_xx
-    raw = {}
-    widths = {}
-    for s in states:
-        raw[(s.pol, s.branch)] = (s.x_ex ** 2 * s.x_ph ** 2) / 4.0
-        widths[(s.pol, s.branch)] = s.x_ex ** 2 * unit
-    # Pairwise sums keep H/V relabeling bit-exact under a sign flip of
-    # both splittings.
-    total = ((raw[("H", "LP")] + raw[("V", "LP")])
-             + (raw[("H", "UP")] + raw[("V", "UP")]))
-    if total <= 0:
-        raise ValidationError("all branching weights vanished")
-    xx_total = ((widths[("H", "LP")] + widths[("V", "LP")])
-                + (widths[("H", "UP")] + widths[("V", "UP")]))
-    channels = []
-    for s in (states.h_lp, states.h_up, states.v_lp, states.v_up):
-        key = (s.pol, s.branch)
-        p1, p2 = _paired_photon_energies(e_xx, s.energy)
-        channels.append(CascadeChannel(
-            pol=s.pol, branch=s.branch, intermediate=s,
-            photon1=p1, photon2=p2,
-            amp=np.sqrt(raw[key] / total),
-            xx_channel_width=widths[key],
-            xx_total_width=widths[key] if per_channel_xx_width else xx_total,
-        ))
-    return channels
+    arrays = channel_arrays(params, [params.cav_mean], per_channel_xx_width)
+    arrays.check(0)
+    return arrays.channels(0)
 
 
 def gamma_xx_total(params: SystemParams) -> float:

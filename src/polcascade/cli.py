@@ -29,7 +29,7 @@ from .experiments import (FIGURE_IDS, SCHEME_PAIRING, _spectrum_grid,
 from .model import SystemParams, scheme_preset
 from .pairstate import (DetectorWindow, QuadratureSpec, gamma_prime,
                         gamma_unprojected)
-from .polariton import anticrossing_sweep
+from .polariton import STATE_ORDER, anticrossing_sweep
 from .svg import line_plot
 
 COMMANDS = ("spectrum", "sweep", "gamma", "entangle", "optimize", "sample",
@@ -310,18 +310,15 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
     return {"outputs": outputs, "channels": channel_table(params)}
 
 
-_STATE_ORDER = (("H", "LP"), ("H", "UP"), ("V", "LP"), ("V", "UP"))
-
-
 def _cmd_sweep(cfg: RunConfig) -> dict:
     params = effective_params(cfg)
     deltas = np.linspace(cfg.sweep_lo, cfg.sweep_hi, cfg.sweep_points)
     rows = anticrossing_sweep(params, deltas)
     columns = (["delta_cx_mev"]
-               + [f"E_{p}_{b}" for p, b in _STATE_ORDER]
-               + [f"xex2_{p}_{b}" for p, b in _STATE_ORDER])
-    data = [[r.delta_cx] + [r.energies[k] for k in _STATE_ORDER]
-            + [r.x_ex2[k] for k in _STATE_ORDER] for r in rows]
+               + [f"E_{p}_{b}" for p, b in STATE_ORDER]
+               + [f"xex2_{p}_{b}" for p, b in STATE_ORDER])
+    data = [[r.delta_cx] + [r.energies[k] for k in STATE_ORDER]
+            + [r.x_ex2[k] for k in STATE_ORDER] for r in rows]
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "anticrossing.csv")
     _write_rows_csv(csv_path, [f"polcascade {__version__}",
@@ -332,7 +329,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
         xs = [r.delta_cx for r in rows]
         line_plot(svg_path,
                   [(f"{p} {b}", xs, [r.energies[(p, b)] for r in rows])
-                   for p, b in _STATE_ORDER],
+                   for p, b in STATE_ORDER],
                   title="Polariton levels",
                   xlabel="cavity-exciton detuning (meV)",
                   ylabel="energy (meV)")

@@ -16,25 +16,29 @@ lines are 0.20-0.45 meV apart.  Such points are computed like any other,
 without a warning.
 
 Grid points are pure, independent computations.  A sweep evaluates them
-in contiguous chunks, each through one batched quadrature; chunks may be
-farmed out to a process pool, and results are identical for any worker
-count or chunk size.
+in contiguous chunks.  Each chunk is one array pass: cascade.channel_arrays
+solves the channels at all of its detunings, the window centers follow
+from those arrays, and pairstate.gamma_prime_arrays puts every self and
+cross overlap of the chunk through one batched quadrature.  Each row
+equals gamma_prime at its detuning bit for bit.  Chunks may be farmed out
+to a process pool, and results are identical for any worker count or
+chunk size.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import enumerate_channels, pl_spectrum, write_spectrum_csv
+from .cascade import (STATE_ORDER, channel_arrays, enumerate_channels,
+                      pl_spectrum, write_spectrum_csv)
 from .errors import ConvergenceError, ValidationError
 from .model import SystemParams, scheme_preset
 from .pairstate import (DEFAULT_QUAD, DetectorWindow, QuadratureSpec,
-                        gamma_prime, gamma_prime_batch, normalize_pairing,
-                        pairing_channels)
+                        gamma_prime, gamma_prime_arrays, normalize_pairing,
+                        pairing_labels)
 from .polariton import _golden_min, anticrossing_sweep, find_crossings
 from .svg import line_plot
 
@@ -66,15 +70,28 @@ def tracked_window(params: SystemParams, pairing: str,
     width is the full width in meV.  The window holds both paired lines
     only while they are at most width apart; otherwise it holds neither.
     """
-    ch_a, ch_b = pairing_channels(enumerate_channels(params), pairing)
-    return _window_on(params, ch_a, ch_b, width)
+    return _tracked_windows(params, channel_arrays(params, [params.cav_mean]),
+                            pairing, width)[0]
 
 
-def _window_on(params: SystemParams, ch_a, ch_b,
-               width: float) -> DetectorWindow:
-    center2 = 0.5 * (ch_a.intermediate.energy + ch_b.intermediate.energy)
-    return DetectorWindow(center1=params.e_biexciton - center2,
-                         center2=center2, width=width)
+def _tracked_windows(params: SystemParams, channels, pairing: str,
+                     width: float) -> list[DetectorWindow]:
+    """The tracked window of every point of a channel array.
+
+    center2 sits at the mean of the two paired polariton energies and
+    center1 at E_XX - center2.  Points are checked in order, each for
+    vanished branching weights before its window.
+    """
+    row_a, row_b = (STATE_ORDER.index(label)
+                    for label in pairing_labels(pairing))
+    energy = channels.states.energy
+    center2 = 0.5 * (energy[row_a] + energy[row_b])
+    center1 = params.e_biexciton - center2
+    windows = []
+    for i, (c1, c2) in enumerate(zip(center1.tolist(), center2.tolist())):
+        channels.check(i)
+        windows.append(DetectorWindow(center1=c1, center2=c2, width=width))
+    return windows
 
 
 @dataclass(frozen=True)
@@ -136,21 +153,21 @@ def _resolve_workers(workers) -> int:
 def _sweep_point(task) -> list[SweepRow]:
     """Rows for one contiguous chunk of grid points (a pool task).
 
-    Channels are enumerated once per point, and the chunk's overlaps go
-    through one batched quadrature.  The name predates chunking; the
-    benchmark's tracer wraps it.
+    One array pass solves the chunk's channels and places its windows, and
+    its overlaps go through one batched quadrature.  The name predates
+    chunking; the benchmark's tracer wraps it.
     """
     params, deltas, pairing, width, quad, window = task
-    items = []
-    for delta in deltas:
-        at = params.with_detuning(delta)
-        ch_a, ch_b = pairing_channels(enumerate_channels(at), pairing)
-        w = window if window is not None else _window_on(at, ch_a, ch_b, width)
-        items.append((ch_a, ch_b, w, pairing))
-    cohs = gamma_prime_batch(items, quad)
-    return [SweepRow(delta_cx=delta, gamma=coh.gamma, window=item[2],
-                     pairing=pairing)
-            for delta, item, coh in zip(deltas, items, cohs)]
+    channels = channel_arrays(params, params.ex_mean + np.array(deltas))
+    if window is None:
+        windows = _tracked_windows(params, channels, pairing, width)
+    else:
+        for i in range(len(deltas)):
+            channels.check(i)
+        windows = [window] * len(deltas)
+    _, _, gammas = gamma_prime_arrays(channels, pairing, windows, quad)
+    return [SweepRow(delta_cx=delta, gamma=gamma, window=w, pairing=pairing)
+            for delta, gamma, w in zip(deltas, gammas.tolist(), windows)]
 
 
 def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
@@ -175,6 +192,10 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
     if workers == 1 or len(tasks) < 2:
         chunks = [_sweep_point(t) for t in tasks]
     else:
+        # Imported here so that importing the package does not load the
+        # pool machinery (concurrent.futures, multiprocessing, logging).
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_point, tasks))
     return SweepCurve(scheme=scheme,
@@ -200,7 +221,8 @@ def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
 
     Returns (delta_cx, abs_gamma).  A flat objective (for instance from a
     fixed window that misses every line) is refused rather than resolved
-    to an arbitrary point.
+    to an arbitrary point.  The scan is one sweep_gamma call; the
+    golden-section steps evaluate one point at a time.
     """
     if scheme not in SCHEME_PAIRING:
         raise ValidationError(f"scheme must be 1, 2, or 3, got {scheme!r}")
@@ -217,7 +239,10 @@ def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
         return abs(gamma_prime(at, pairing, w, quad).gamma)
 
     xs = np.linspace(lo, hi, scan_points)
-    vals = [objective(float(x)) for x in xs]
+    # One array sweep; each row equals objective at its detuning.
+    vals = [abs(row.gamma) for row in sweep_gamma(
+        params, pairing, deltas=xs, width=width, quad=quad, workers=1,
+        window=window).rows]
     if max(vals) - min(vals) < 1e-12:
         raise ConvergenceError(
             "|gamma'| is flat over the scan range; no detuning optimum exists")
@@ -251,18 +276,15 @@ def _write_rows_csv(path, header_lines, columns, rows) -> None:
                               for v in row) + "\n")
 
 
-_STATE_ORDER = (("H", "LP"), ("H", "UP"), ("V", "LP"), ("V", "UP"))
-
-
 def _figure_anticrossing(scheme: int, label: str, out_dir: str,
                          svg: bool) -> list[str]:
     params = scheme_preset(scheme)
     rows = anticrossing_sweep(params, default_delta_grid())
     columns = (["delta_cx_mev"]
-               + [f"E_{p}_{b}" for p, b in _STATE_ORDER]
-               + [f"xex2_{p}_{b}" for p, b in _STATE_ORDER])
-    data = [[r.delta_cx] + [r.energies[k] for k in _STATE_ORDER]
-            + [r.x_ex2[k] for k in _STATE_ORDER] for r in rows]
+               + [f"E_{p}_{b}" for p, b in STATE_ORDER]
+               + [f"xex2_{p}_{b}" for p, b in STATE_ORDER])
+    data = [[r.delta_cx] + [r.energies[k] for k in STATE_ORDER]
+            + [r.x_ex2[k] for k in STATE_ORDER] for r in rows]
     header = _provenance(label, params, (
         f"scheme = {scheme}",
         f"delta_cx grid = {_GRID_POINTS} points over [{_GRID_LO}, {_GRID_HI}] meV",
@@ -275,7 +297,7 @@ def _figure_anticrossing(scheme: int, label: str, out_dir: str,
         svg_path = csv_path[:-4] + ".svg"
         xs = [r.delta_cx for r in rows]
         series = [(f"{p} {b}", xs, [r.energies[(p, b)] for r in rows])
-                  for p, b in _STATE_ORDER]
+                  for p, b in STATE_ORDER]
         line_plot(svg_path, series, title=f"Polariton levels, scheme {scheme}",
                   xlabel="cavity-exciton detuning (meV)", ylabel="energy (meV)")
         paths.append(svg_path)

@@ -17,9 +17,19 @@ import numpy as np
 BACKEND = "python"
 
 
-def _same(x, y) -> bool:
-    eq = x == y
-    return eq if isinstance(eq, bool) else bool(eq.all())
+# The closed forms of overlap_integrand, in the order kind_index numbers
+# them.
+KINDS = ("self", "arctan", "log")
+
+
+def kind_index(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b):
+    """Index into KINDS of the closed form for each element's poles.
+
+    2 ("log") where the biexciton poles differ, else 0 ("self") where the
+    polariton poles coincide too, else 1 ("arctan").
+    """
+    return np.where((exx_a != exx_b) | (gxx_a != gxx_b), 2,
+                    np.where((e_a == e_b) & (g_a == g_b), 0, 1))
 
 
 def integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b) -> str:
@@ -27,20 +37,22 @@ def integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b) -> str:
 
     "self" when both factors share every pole (a real Lorentzian product),
     "arctan" when only the biexciton poles coincide, otherwise "log".
-    Array parameters select one form for all of their elements.
+    Array parameters select one form for all of their elements: the
+    highest kind_index among them.
     """
-    if not (_same(exx_a, exx_b) and _same(gxx_a, gxx_b)):
-        return "log"
-    if _same(e_a, e_b) and _same(g_a, g_b):
-        return "self"
-    return "arctan"
+    return KINDS[int(np.max(kind_index(exx_a, gxx_a, exx_b, gxx_b,
+                                       e_a, g_a, e_b, g_b)))]
 
 
 def _u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, log_path):
-    """Closed-form integral of the biexciton factor over u in k1 + v."""
-    u1 = k1_lo + v
-    u2 = k1_hi + v
+    """Closed-form integral of the biexciton factor over u in k1 + v.
+
+    v has the broadcast shape of all arguments.  The arctan form works in
+    place on two temporaries and returns one of them.
+    """
     if log_path:
+        u1 = k1_lo + v
+        u2 = k1_hi + v
         p = exx_a + 1j * gxx_a
         q = exx_b - 1j * gxx_b
         # Both u-paths stay on one side of each branch cut (Im(u - p) < 0,
@@ -49,26 +61,45 @@ def _u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, log_path):
                 - np.log(u2 - q) + np.log(u1 - q)) / (p - q)
     # Conjugate u-poles collapse to a real Lorentzian with an arctan
     # antiderivative.
-    return (np.arctan((u2 - exx_a) / gxx_a)
-            - np.arctan((u1 - exx_a) / gxx_a)) / gxx_a
+    terms = []
+    for k1 in (k1_hi, k1_lo):
+        x = np.asarray(k1 + v)
+        x -= exx_a
+        x /= gxx_a
+        terms.append(np.arctan(x, out=x))
+    fu, lower = terms
+    fu -= lower
+    fu /= gxx_a
+    return fu
 
 
 def overlap_integrand(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
-                      e_a, g_a, e_b, g_b, pref):
+                      e_a, g_a, e_b, g_b, pref, kind=None):
     """Closed-form u-integral times the v-pole factors, on an array of v.
 
     The parameters are scalars or arrays that broadcast against v, so one
     call can cover panels of many overlaps of the same integrand_kind.
-    Self overlaps come back real.  Every step is elementwise: a value
-    depends on its own v and parameters, not on the rest of the call.
+    kind names that closed form when the caller already knows it; by
+    default integrand_kind derives it.  Self overlaps come back real.
+    Every step is elementwise: a value depends on its own v and
+    parameters, not on the rest of the call.
     """
     v = np.asarray(v, dtype=float)
-    kind = integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b)
+    shape = np.broadcast(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
+                         e_a, g_a, e_b, g_b, pref).shape
+    if v.shape != shape:
+        v = np.broadcast_to(v, shape)
+    if kind is None:
+        kind = integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b)
     fu = _u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
                      kind == "log")
     if kind == "self":
         # |v - (e - i g)|^2 in real arithmetic: no complex rounding residue.
-        return pref * fu / ((v - e_a) ** 2 + g_a * g_a)
+        denom = (v - e_a) ** 2
+        denom += g_a * g_a
+        fu *= pref
+        fu /= denom
+        return fu[()]
     denom = v - (e_a + 1j * g_a)
     denom *= v - (e_b - 1j * g_b)
     return pref * fu / denom

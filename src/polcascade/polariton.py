@@ -6,11 +6,15 @@ branches with Hopfield weights that set radiative linewidths.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, ValidationError
-from .model import BRANCHES, HBAR_MEV_PS, POLARIZATIONS, SystemParams
+from .model import (BRANCHES, HBAR_MEV_PS, POLARIZATIONS, SystemParams,
+                    _require_finite)
 
 
 @dataclass(frozen=True)
@@ -44,36 +48,84 @@ class PolaritonSet:
         return iter((self.h_lp, self.h_up, self.v_lp, self.v_up))
 
 
-def _solve_branch_pair(pol: str, e_exc: float, e_cav: float, rabi: float,
-                       tau_c: float) -> tuple[PolaritonState, PolaritonState]:
+# Rows of the polariton arrays, in PolaritonSet order.
+STATE_ORDER = (("H", "LP"), ("H", "UP"), ("V", "LP"), ("V", "UP"))
+
+
+@dataclass(frozen=True)
+class PolaritonArrays:
+    """The four polariton states at many cavity-mode energies.
+
+    Each field has one row per state in STATE_ORDER and one column per
+    point.
+    """
+
+    energy: np.ndarray
+    x_ex: np.ndarray
+    x_ph: np.ndarray
+    linewidth: np.ndarray
+
+    def states(self, i: int) -> PolaritonSet:
+        """The PolaritonSet of point i."""
+        columns = zip(STATE_ORDER, self.energy[:, i].tolist(),
+                      self.x_ex[:, i].tolist(), self.x_ph[:, i].tolist(),
+                      self.linewidth[:, i].tolist())
+        return PolaritonSet(*(
+            PolaritonState(pol=pol, branch=branch, energy=energy, x_ex=x_ex,
+                           x_ph=x_ph, linewidth=linewidth)
+            for (pol, branch), energy, x_ex, x_ph, linewidth in columns))
+
+
+def per_element(fn, array, *scalars) -> np.ndarray:
+    """fn(x, *scalars) on Python floats, element by element, as an array.
+
+    For the libm functions whose NumPy loops round differently
+    (math.hypot against np.hypot, pow(x, 2.0) against np.square), so that
+    array results equal the scalar formulas bit for bit.
+    """
+    columns = [array.ravel().tolist(), *map(itertools.repeat, scalars)]
+    return np.array(list(map(fn, *columns)), dtype=float).reshape(array.shape)
+
+
+# Signs that turn the LP photon fraction 0.5 (1 + dr) into the photon
+# (first row) and exciton (second row) fractions of LP and UP; a sign
+# flip is exact, so 1 + (-dr) equals the scalar 1 - dr bit for bit.
+_FRACTION_SIGN = np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])[:, None]
+
+
+def polariton_arrays(params: SystemParams, cav_mean) -> PolaritonArrays:
+    """Diagonalize both polarization subsystems at each cavity-mode mean.
+
+    cav_mean replaces params.cav_mean, one point per element; all other
+    parameters are shared.  Column i equals the scalar solve of
+    params.replace(cav_mean=cav_mean[i]) bit for bit, and solve_polaritons
+    is the one-point case.
+    """
+    cav = np.asarray(cav_mean, dtype=float)
+    # Axes (pol, branch, point) from here on, pol in H, V order.
+    e_exc = np.array([params.e_exciton("H"),
+                      params.e_exciton("V")])[:, None, None]
+    e_cav = cav + np.array([params.delta_c / 2,
+                            (-params.delta_c) / 2])[:, None, None]
     mean = 0.5 * (e_exc + e_cav)
     delta = e_exc - e_cav
-    r = math.hypot(delta, rabi)
-    half = 0.5 * r
-    dr = delta / r
+    r = per_element(math.hypot, delta, params.rabi)
     # LP photon fraction grows as the cavity mode dives below the exciton.
-    x_ph2_lp = min(1.0, max(0.0, 0.5 * (1.0 + dr)))
-    x_ex2_lp = min(1.0, max(0.0, 0.5 * (1.0 - dr)))
-    states = []
-    for branch, energy, x_ex2, x_ph2 in (
-        ("LP", mean - half, x_ex2_lp, x_ph2_lp),
-        ("UP", mean + half, x_ph2_lp, x_ex2_lp),
-    ):
-        states.append(PolaritonState(
-            pol=pol, branch=branch, energy=energy,
-            x_ex=math.sqrt(x_ex2), x_ph=math.sqrt(x_ph2),
-            linewidth=x_ph2 * (HBAR_MEV_PS / tau_c),
-        ))
-    return states[0], states[1]
+    x_ph2, x_ex2 = np.minimum(1.0, np.maximum(
+        0.0, 0.5 * (1.0 + _FRACTION_SIGN * (delta / r))))
+    # LP sits half the splitting below the mean and UP above it:
+    # mean - (-half) equals mean + half.
+    energy = mean - _FRACTION_SIGN[0] * (0.5 * r)
+    x_ex, x_ph = np.sqrt([x_ex2, x_ph2])
+    return PolaritonArrays(energy=energy.reshape(4, -1),
+                           x_ex=x_ex.reshape(4, -1), x_ph=x_ph.reshape(4, -1),
+                           linewidth=(x_ph2 * (HBAR_MEV_PS / params.tau_c)
+                                      ).reshape(4, -1))
 
 
 def solve_polaritons(params: SystemParams) -> PolaritonSet:
     """Diagonalize both polarization subsystems."""
-    h_lp, h_up = _solve_branch_pair(
-        "H", params.e_exciton("H"), params.e_cavity("H"), params.rabi, params.tau_c)
-    v_lp, v_up = _solve_branch_pair(
-        "V", params.e_exciton("V"), params.e_cavity("V"), params.rabi, params.tau_c)
-    return PolaritonSet(h_lp=h_lp, h_up=h_up, v_lp=v_lp, v_up=v_up)
+    return polariton_arrays(params, [params.cav_mean]).states(0)
 
 
 def exciton_cavity_detuning(params: SystemParams, pol: str) -> float:
@@ -102,12 +154,16 @@ def _check_pair(pair: StatePair, allow_same_pol: bool) -> StatePair:
     return (pol_a, br_a), (pol_b, br_b)
 
 
-def _gap_function(params: SystemParams, pair: StatePair):
-    (pol_a, br_a), (pol_b, br_b) = pair
+def _gaps(params: SystemParams, pair: StatePair, deltas) -> list[float]:
+    """Energy of the first state minus the second at each detuning."""
+    a, b = (STATE_ORDER.index(label) for label in pair)
+    energy = polariton_arrays(params, params.ex_mean + np.asarray(deltas)).energy
+    return (energy[a] - energy[b]).tolist()
 
+
+def _gap_function(params: SystemParams, pair: StatePair):
     def gap(delta_cx: float) -> float:
-        states = solve_polaritons(params.with_detuning(delta_cx))
-        return states.get(pol_a, br_a).energy - states.get(pol_b, br_b).energy
+        return _gaps(params, pair, [delta_cx])[0]
 
     return gap
 
@@ -141,7 +197,7 @@ def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
     n = max(int(scan_points), 401)
     gap = _gap_function(params, pair)
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    gs = [gap(x) for x in xs]
+    gs = _gaps(params, pair, xs)
     if max(abs(g) for g in gs) < tol:
         return CrossingScan(detunings=(), identically_degenerate=True)
     roots = []
@@ -213,7 +269,7 @@ def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
     n = max(int(scan_points), 401)
     gap = _gap_function(params, pair)
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    gs = [abs(gap(x)) for x in xs]
+    gs = [abs(g) for g in _gaps(params, pair, xs)]
     i_best = min(range(n), key=gs.__getitem__)
     a = xs[max(0, i_best - 1)]
     b = xs[min(n - 1, i_best + 1)]
@@ -236,8 +292,8 @@ class AnticrossingRow:
 def anticrossing_sweep(params: SystemParams, deltas) -> list[AnticrossingRow]:
     """Solve the four polariton states across a detuning grid.
 
-    The grid must be strictly increasing; rows are bit-identical to calling
-    solve_polaritons at each detuning.
+    The grid must be strictly increasing; one array solve covers it, and
+    rows are bit-identical to calling solve_polaritons at each detuning.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -245,13 +301,14 @@ def anticrossing_sweep(params: SystemParams, deltas) -> list[AnticrossingRow]:
     for a, b in zip(deltas, deltas[1:]):
         if not b > a:
             raise ValidationError("detuning grid must be strictly increasing")
-    rows = []
     for d in deltas:
-        states = solve_polaritons(params.with_detuning(d))
-        rows.append(AnticrossingRow(
-            delta_cx=d,
-            energies={(s.pol, s.branch): s.energy for s in states},
-            x_ex2={(s.pol, s.branch): s.x_ex ** 2 for s in states},
-            linewidths={(s.pol, s.branch): s.linewidth for s in states},
-        ))
-    return rows
+        _require_finite("delta_cx", d)
+    states = polariton_arrays(params, params.ex_mean + np.array(deltas))
+    energy = states.energy.T.tolist()
+    x_ex2 = per_element(pow, states.x_ex, 2.0).T.tolist()
+    linewidth = states.linewidth.T.tolist()
+    return [AnticrossingRow(delta_cx=d,
+                            energies=dict(zip(STATE_ORDER, energy[i])),
+                            x_ex2=dict(zip(STATE_ORDER, x_ex2[i])),
+                            linewidths=dict(zip(STATE_ORDER, linewidth[i])))
+            for i, d in enumerate(deltas)]

@@ -169,8 +169,10 @@ def test_mixed_batch_covers_every_kind_and_refinement():
     kinds = {kernels.integrand_kind(*pairstate._kernel_args(x, y)[:8])
              for x, y, *_ in boxes}
     assert kinds == {"self", "arctan", "log"}
+    # One kernel call evaluates both rules, so a box that converges at
+    # once makes one call and a refining box more.
     calls = kernel_calls(boxes, TIGHT)
-    assert min(calls) == 2 and max(calls) > 2
+    assert min(calls) == 1 and max(calls) > 1
     alone = [pairstate._overlap_boxes([box], TIGHT)[0] for box in boxes]
     for block in (1, 97, 4096):
         with mock.patch.object(pairstate, "_BLOCK_PANELS", block):
