@@ -180,9 +180,9 @@ def _build_parser() -> _Parser:
         "angle_b": "analyzer B angle, degrees from H",
         "n": "number of coincidence samples",
         "seed": "random seed for sampling",
-        "workers": "process count for sweeps; more than 1 farms grid "
-                   "chunks out to a process pool "
-                   "(default: POLCASCADE_WORKERS or 1)",
+        "workers": "process count for sweeps; more than 1 splits the "
+                   "grid into at least that many chunks for a process "
+                   "pool (default: POLCASCADE_WORKERS or 1)",
         "out_dir": "directory for output files",
         "figures": "comma-separated figure ids "
                    f"({', '.join(FIGURE_IDS)}) or 'all'",

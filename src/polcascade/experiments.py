@@ -16,13 +16,15 @@ lines are 0.20-0.45 meV apart.  Such points are computed like any other,
 without a warning.
 
 Grid points are pure, independent computations.  A sweep evaluates them
-in contiguous chunks.  Each chunk is one array pass: cascade.channel_arrays
-solves the channels at all of its detunings, the window centers follow
-from those arrays, and pairstate.gamma_prime_arrays puts every self and
-cross overlap of the chunk through one batched quadrature.  Each row
-equals gamma_prime at its detuning bit for bit.  Chunks may be farmed out
-to a process pool, and results are identical for any worker count or
-chunk size.
+in contiguous chunks of up to one standard grid (161 points), so a
+default sweep is a single chunk.  Each chunk is one array pass:
+cascade.channel_arrays solves the channels at all of its detunings, the
+window centers follow from those arrays, and pairstate.gamma_prime_arrays
+puts every self and cross overlap of the chunk through one batched
+quadrature.  Each row equals gamma_prime at its detuning bit for bit.
+With more than one worker the grid is cut into at least one chunk per
+worker and the chunks go to a process pool; results are identical for
+any worker count or chunk size.
 """
 from __future__ import annotations
 
@@ -52,10 +54,12 @@ _GRID_LO = -0.4
 _GRID_HI = 0.4
 _GRID_POINTS = 161
 
-# Grid points per batched quadrature call and per pool task.  Keeps a
-# chunk's panel arrays small (~1k panels) while amortizing the per-call
-# bookkeeping.
-_CHUNK_POINTS = 32
+# Grid points per batched quadrature call: one standard grid, so a
+# default sweep pays the per-call work (channel solve, panel seeding,
+# summation tables, kernel block setup) once.  Longer grids run in
+# chunks of this size, which bounds their memory.  With a process pool
+# the grid is cut into at least one chunk per worker.
+_CHUNK_POINTS = _GRID_POINTS
 
 
 def default_delta_grid() -> np.ndarray:
@@ -176,8 +180,9 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
                 scheme: int = 0) -> SweepCurve:
     """Filtered coherence across a detuning grid for one branch pairing.
 
-    workers defaults to POLCASCADE_WORKERS, else 1; more than one farms
-    the grid chunks out to a process pool.
+    The grid runs in chunks of up to _CHUNK_POINTS points.  workers
+    defaults to POLCASCADE_WORKERS, else 1; more than one cuts the grid
+    into at least that many chunks and farms them out to a process pool.
     """
     pairing = normalize_pairing(pairing)
     grid = default_delta_grid() if deltas is None else np.asarray(deltas, dtype=float)
@@ -187,8 +192,9 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
         raise ValidationError("detuning grid must be strictly increasing")
     workers = _resolve_workers(workers)
     points = [float(d) for d in grid]
-    tasks = [(params, points[i:i + _CHUNK_POINTS], pairing, width, quad,
-              window) for i in range(0, len(points), _CHUNK_POINTS)]
+    size = min(_CHUNK_POINTS, -(-len(points) // workers))
+    tasks = [(params, points[i:i + size], pairing, width, quad, window)
+             for i in range(0, len(points), size)]
     if workers == 1 or len(tasks) < 2:
         chunks = [_sweep_point(t) for t in tasks]
     else:

@@ -91,6 +91,14 @@ def overlap_integrand(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
         v = np.broadcast_to(v, shape)
     if kind is None:
         kind = integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b)
+    if kind != "self":
+        # (v - pole_a) * (v - pole_b) on one complex copy of v, built
+        # before fu so that fewer node-sized arrays are alive at once.
+        denom = v.astype(complex)
+        pole_b = denom - (e_b - 1j * g_b)
+        np.subtract(denom, e_a + 1j * g_a, out=denom)
+        denom *= pole_b
+        del pole_b
     fu = _u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
                      kind == "log")
     if kind == "self":
@@ -100,9 +108,9 @@ def overlap_integrand(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
         fu *= pref
         fu /= denom
         return fu[()]
-    denom = v - (e_a + 1j * g_a)
-    denom *= v - (e_b - 1j * g_b)
-    return pref * fu / denom
+    # pref * fu / denom, in that order.
+    fu *= pref
+    return np.divide(fu, denom, out=denom)[()]
 
 
 def midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2, exx_a, gxx_a,

@@ -205,16 +205,21 @@ def _eval_panels(par, kind, ab, owner, n):
             run = slice(start, min(start + _BLOCK_PANELS, hi))
             a, b = ab[:, run]
             half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
             # Nodes run down the columns, so the pole parameters broadcast
             # along contiguous rows; the weighted products are laid out
             # one panel per row again before the row sums.
-            vals = kernels.overlap_integrand(
-                mid + half * xs[:, None], *par[:, owner[run]], kind=name)
+            v = xs[:, None] * half
+            v += 0.5 * (a + b)
+            vals = kernels.overlap_integrand(v, *par[:, owner[run]],
+                                             kind=name)
+            del v
             out[0, run] = np.multiply(vals[:n].T, ws_c, order="C").sum(
                 axis=1) * half
             out[1, run] = np.multiply(vals[n:].T, ws_f, order="C").sum(
                 axis=1) * half
+            # Node arrays are freed as soon as they are used, so that a
+            # block's arrays are not alive next to the next block's.
+            del vals
     return out
 
 
@@ -304,21 +309,26 @@ def _seed_panels(lo, hi, centers, scales):
     step = scales[:, :, None] * rungs
     step[~((step < span[:, :, None]) & valid[:, :, None])] = np.nan
     ladder = centers[:, :, None]
-    cuts = np.concatenate([hi[:, None], np.where(valid, centers, np.nan),
-                           (ladder - step).reshape(lo.size, -1),
-                           (ladder + step).reshape(lo.size, -1)], axis=1)
-    inside = (lo[:, None] < cuts) & (cuts <= hi[:, None])
-    # NaN pads each row after its cuts.
-    bounds = np.concatenate(
-        [lo[:, None], np.sort(np.where(inside, cuts, np.nan), axis=1)], axis=1)
+    bounds = np.concatenate([lo[:, None], hi[:, None],
+                             np.where(valid, centers, np.nan),
+                             (ladder - step).reshape(lo.size, -1),
+                             (ladder + step).reshape(lo.size, -1)], axis=1)
+    del step
+    # Cuts outside (lo, hi] become NaN, which sorts after the rest; lo,
+    # below every kept cut, leads each row.
+    cuts = bounds[:, 1:]
+    cuts[~((lo[:, None] < cuts) & (cuts <= hi[:, None]))] = np.nan
+    bounds.sort(axis=1)
     gap = bounds[:, 1:] - bounds[:, :-1]
     # First occurrences of the values: lo leads every row, and hi, its
     # largest cut, ends it.
     keep = np.ones(bounds.shape, dtype=bool)
     keep[:, 1:] = gap > 0
     close = (gap <= 1e-13 * span).any(axis=1, where=keep[:, 1:])
+    del gap
     fast = (~close).nonzero()[0]
-    bounds, keep = bounds[fast], keep[fast]
+    if fast.size < lo.size:
+        bounds, keep = bounds[fast], keep[fast]
     upper = bounds[:, 1:][keep[:, 1:]]
     top = keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)
     keep[np.arange(fast.size), top] = False
@@ -402,8 +412,8 @@ def _integrate(boxes, quad: QuadratureSpec):
     live = live[np.argsort(kind[live], kind="stable")]
     kind = kind[live]
     par = boxes[:11, live]
-    (k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, _,
-     k2_lo, k2_hi) = boxes[:, live]
+    k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, _ = par
+    k2_lo, k2_hi = boxes[11:, live]
     ab, counts = _seed_panels(k2_lo, k2_hi, np.array([
         e_a, e_b,
         # v values where a u-interval edge crosses the biexciton ridge;

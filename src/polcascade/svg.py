@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ValidationError
 
 _WIDTH = 720
@@ -47,8 +49,8 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
 
     series: iterable of (label, xs, ys) with equal-length sequences.
     """
-    series = [(str(lbl), [float(x) for x in xs], [float(y) for y in ys])
-              for lbl, xs, ys in series]
+    series = [(str(lbl), np.asarray(xs, float).tolist(),
+               np.asarray(ys, float).tolist()) for lbl, xs, ys in series]
     if not series or not any(s[1] for s in series):
         raise ValidationError("nothing to plot")
     for lbl, xs, ys in series:
@@ -95,7 +97,11 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
                      f'text-anchor="end" fill="#333">{_fmt(t)}</text>')
     for idx, (lbl, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        # sx and sy on whole arrays, in the same operation order.
+        px = _MARGIN_L + (np.array(xs) - x_lo) / (x_hi - x_lo) * plot_w
+        py = _MARGIN_T + (y_hi - np.array(ys)) / (y_hi - y_lo) * plot_h
+        pts = " ".join(map("%.2f,%.2f".__mod__,
+                           zip(px.tolist(), py.tolist())))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = _MARGIN_T + 16 + 16 * idx

@@ -3,6 +3,7 @@
 Each test prints the measured numbers it judged, so a bare `pytest -v`
 run gives one pass/fail line per claim plus the evidence on failure.
 """
+import hashlib
 import math
 import os
 import subprocess
@@ -390,3 +391,32 @@ def test_criterion_10_figures_deterministic_across_worker_counts(figures_runs):
                  if (out2 / name).read_bytes() != (out4 / name).read_bytes()]
     print(f"{len(names2)} CSV files, {len(differing)} differing: {differing}")
     assert differing == []
+
+
+# SHA-256 of every `figures --all` file.  Figure bytes change only on
+# purpose; a change that alters them updates these digests and says why.
+FIGURE_SHA256 = {
+    "fig1c.csv": "c93c60781d3abd0c715c94cbc517ac9aecde56d6b946fe8f1b3eb7df19f03a0a",
+    "fig1c.svg": "362e6f321af298653cc87715f1f66277041bfbb1b3e0824e00ab5667092d9239",
+    "fig2a.csv": "d14cfd5184b81946465cbafe4bf58938848b1716590c9fe6006672a613d24d6c",
+    "fig2a.svg": "e997a644aa7570a953fe1d4a322b95527e68ba181c26c0b46a789c2004b41932",
+    "fig2c.csv": "850e1fd20cc7b640a3e07189d5e981026669ce4d256b6e25165999caf35c67b9",
+    "fig2c.svg": "0c89f54502f1e1cdc6cb229437979aa7877d1f9adc2f1f6ff26abc352f91b839",
+    "fig3a.csv": "6018d9c15fd0b811bd8e3cd093b0a1783bff6da3ae0b4ce0a2d338c3259fe97f",
+    "fig3a.svg": "e82ab8e658ce97f1e498df76a7ada4b11bd2f1f5051592c8b9bf01a79a6aedda",
+    "fig3c.csv": "1a99d0f350ab09e4f6d88b2fd054b94acff8dbdd34cd4bcc66a8502bf79355da",
+    "fig3c.svg": "68fcf5046e83b74d32796b13b55a884fedc473bdc53a36217911ace63d9cd6e0",
+    "fig4.svg": "58231c2978e0979c0fffef8fa4c621d1086ac538c2bc0212c8f7d97901305553",
+    "fig4_scheme1.csv": "aee620014a4810c820ded6756cc4609e2e41a55f9e8094c18aba1eb44907db47",
+    "fig4_scheme2.csv": "ade90598c973f8cd8fe9ff0e05851835c089419298eadfae84caf598e0029fea",
+    "fig4_scheme3.csv": "540dca25ff8e4dd4eb185c0ae83537dca1bca2c8e70b7431cc37d2c2ab26aace",
+}
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+def test_figure_bytes_match_pinned_digests(figures_runs, workers):
+    out, _ = figures_runs[workers]
+    assert sorted(f.name for f in out.iterdir()) == sorted(FIGURE_SHA256)
+    for name, digest in FIGURE_SHA256.items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, f"{name} changed at workers={workers}: sha256 {got}"

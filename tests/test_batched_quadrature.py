@@ -6,6 +6,7 @@ the error it fails with, does not depend on what else shares its batch,
 how the batch is cut into kernel blocks, how a sweep is chunked, or how
 many worker processes run it.
 """
+import concurrent.futures
 import tracemalloc
 from unittest import mock
 
@@ -115,11 +116,46 @@ def test_fixed_window_sweep_equals_gamma_prime_bitwise():
        grid=grids(max_points=70))
 def test_sweep_independent_of_chunk_size(params, pairing, grid):
     gammas = {}
-    for chunk in (1, 7, 32):
+    for chunk in (1, 7, 32, 161):
         with mock.patch.object(experiments, "_CHUNK_POINTS", chunk):
             curve = sweep_gamma(params, pairing, deltas=grid, workers=1)
         gammas[chunk] = [r.gamma for r in curve.rows]
-    assert gammas[1] == gammas[7] == gammas[32]
+    assert gammas[1] == gammas[7] == gammas[32] == gammas[161]
+
+
+def test_default_grid_is_one_chunk_and_a_pool_gets_one_per_worker(
+        monkeypatch):
+    chunks = []
+    sweep_point = experiments._sweep_point
+
+    def counted(task):
+        chunks.append(len(task[1]))
+        return sweep_point(task)
+
+    class InlinePool:
+        """Runs the pool's tasks in this process, in order."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "_sweep_point", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    p = scheme_preset(2)
+    rows = {}
+    for workers in (1, 3):
+        chunks.clear()
+        rows[workers] = sweep_gamma(p, "LP-UP", workers=workers).rows
+        assert chunks == {1: [161], 3: [54, 54, 53]}[workers]
+    assert rows[1] == rows[3]
 
 
 def test_sweep_independent_of_worker_count():
