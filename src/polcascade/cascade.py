@@ -150,9 +150,6 @@ class Spectrum:
     intensity_v: np.ndarray
     reference: str  # "absolute" or "relative_to_ex_mean"
 
-    def to_csv(self, path) -> None:
-        write_spectrum_csv(path, self)
-
 
 def _lorentzian(grid: np.ndarray, center: float, halfwidth: float) -> np.ndarray:
     # Unit-area line; halfwidth is the HWHM.
@@ -224,12 +221,22 @@ def channel_table(params: SystemParams) -> dict:
     }
 
 
-def write_spectrum_csv(path, spectrum: Spectrum, header_lines=()) -> None:
-    """Write energy_mev,intensity_H,intensity_V rows (repr formatting)."""
+def _write_rows_csv(path, header_lines, columns, rows) -> None:
+    """Write "# " header lines, then CSV rows: strings as they are,
+    numbers as the repr of their float."""
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write("energy_mev,intensity_H,intensity_V\n")
-        for e, ih, iv in zip(spectrum.energy_grid, spectrum.intensity_h,
-                             spectrum.intensity_v):
-            fh.write(f"{float(e)!r},{float(ih)!r},{float(iv)!r}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else repr(float(v))
+                               for v in row]) + "\n")
+
+
+def write_spectrum_csv(path, spectrum: Spectrum, header_lines=()) -> None:
+    """Write energy_mev,intensity_H,intensity_V rows (repr formatting)."""
+    _write_rows_csv(path, header_lines,
+                    ["energy_mev", "intensity_H", "intensity_V"],
+                    zip(spectrum.energy_grid.tolist(),
+                        spectrum.intensity_h.tolist(),
+                        spectrum.intensity_v.tolist()))

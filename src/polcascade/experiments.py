@@ -15,16 +15,15 @@ default 0.2 meV width does this for negative detunings, where its two LP
 lines are 0.20-0.45 meV apart.  Such points are computed like any other,
 without a warning.
 
-Grid points are pure, independent computations.  A sweep evaluates them
-in contiguous chunks of up to one standard grid (161 points), so a
-default sweep is a single chunk.  Each chunk is one array pass:
-cascade.channel_arrays solves the channels at all of its detunings, the
-window centers follow from those arrays, and pairstate.gamma_prime_arrays
-puts every self and cross overlap of the chunk through one batched
-quadrature.  Each row equals gamma_prime at its detuning bit for bit.
-With more than one worker the grid is cut into at least one chunk per
-worker and the chunks go to a process pool; results are identical for
-any worker count or chunk size.
+A sweep runs in contiguous chunks of up to one standard grid (161
+points), so a default sweep is one chunk and one array pass:
+cascade.channel_arrays solves the channels, the window-center arrays and
+their validity follow from them, and pairstate.gamma_prime_arrays puts
+every overlap through one batched quadrature.  A SweepCurve keeps these
+arrays; its rows view builds SweepRows on demand, each equal to
+gamma_prime at its detuning bit for bit.  With more than one worker the
+grid is cut into at least one chunk per worker for a process pool;
+results are identical for any worker count or chunk size.
 """
 from __future__ import annotations
 
@@ -34,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import (STATE_ORDER, channel_arrays, enumerate_channels,
-                      pl_spectrum, write_spectrum_csv)
+from .cascade import (STATE_ORDER, _write_rows_csv, channel_arrays,
+                      enumerate_channels, pl_spectrum, write_spectrum_csv)
 from .errors import ConvergenceError, ValidationError
 from .model import SystemParams, scheme_preset
 from .pairstate import (DEFAULT_QUAD, DetectorWindow, QuadratureSpec,
-                        gamma_prime, gamma_prime_arrays, normalize_pairing,
-                        pairing_labels)
+                        gamma_prime, gamma_prime_arrays, invalid_windows,
+                        normalize_pairing, pairing_labels)
 from .polariton import _golden_min, anticrossing_sweep, find_crossings
 from .svg import line_plot
 
@@ -74,28 +73,33 @@ def tracked_window(params: SystemParams, pairing: str,
     width is the full width in meV.  The window holds both paired lines
     only while they are at most width apart; otherwise it holds neither.
     """
-    return _tracked_windows(params, channel_arrays(params, [params.cav_mean]),
-                            pairing, width)[0]
+    center1, center2 = _tracked_windows(
+        params, channel_arrays(params, [params.cav_mean]), pairing, width)
+    return DetectorWindow(center1=center1.item(), center2=center2.item(),
+                          width=width)
 
 
-def _tracked_windows(params: SystemParams, channels, pairing: str,
-                     width: float) -> list[DetectorWindow]:
-    """The tracked window of every point of a channel array.
+def _tracked_windows(params: SystemParams, channels, pairing: str, width):
+    """The center1 and center2 arrays of the tracked window at every point
+    of a channel array.
 
     center2 sits at the mean of the two paired polariton energies and
-    center1 at E_XX - center2.  Points are checked in order, each for
-    vanished branching weights before its window.
+    center1 at E_XX - center2.  The first point with vanished branching
+    weights or an invalid window raises, weights first.
     """
     row_a, row_b = (STATE_ORDER.index(label)
                     for label in pairing_labels(pairing))
     energy = channels.states.energy
     center2 = 0.5 * (energy[row_a] + energy[row_b])
     center1 = params.e_biexciton - center2
-    windows = []
-    for i, (c1, c2) in enumerate(zip(center1.tolist(), center2.tolist())):
+    bad = channels.vanished | invalid_windows(center1, center2, width)
+    if bad.any():
+        i = int(bad.argmax())
         channels.check(i)
-        windows.append(DetectorWindow(center1=c1, center2=c2, width=width))
-    return windows
+        # Fails with the window's own ValidationError.
+        DetectorWindow(center1=center1.item(i), center2=center2.item(i),
+                       width=width)
+    return center1, center2
 
 
 @dataclass(frozen=True)
@@ -112,31 +116,42 @@ class SweepRow:
         return abs(self.gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepCurve:
-    """|gamma'| versus detuning for one scheme."""
+    """|gamma'| versus detuning for one scheme.  Point i has detuning
+    deltas[i], coherence gamma[i] and the window with centers center1[i],
+    center2[i] and full width width[i]."""
 
-    scheme: int
-    rows: tuple
+    deltas: np.ndarray
+    gamma: np.ndarray
+    center1: np.ndarray
+    center2: np.ndarray
+    width: np.ndarray
+    pairing: str
+    scheme: int = 0
 
     def __post_init__(self):
-        deltas = [r.delta_cx for r in self.rows]
-        if any(b <= a for a, b in zip(deltas, deltas[1:])):
+        if np.any(np.diff(self.deltas) <= 0):
             raise ValidationError("sweep rows must be sorted by detuning")
-        if any(r.abs_gamma > 0.5 + 1e-9 for r in self.rows):
+        if np.any(self.abs_gamma > 0.5 + 1e-9):
             raise ValidationError("a sweep row violates the |gamma'| <= 1/2 bound")
 
     @property
-    def deltas(self) -> np.ndarray:
-        return np.array([r.delta_cx for r in self.rows])
+    def abs_gamma(self) -> np.ndarray:
+        # hypot, as Python's abs of a complex; np.abs differs in the last bit.
+        return np.hypot(self.gamma.real, self.gamma.imag)
 
     @property
-    def abs_gamma(self) -> np.ndarray:
-        return np.array([r.abs_gamma for r in self.rows])
+    def rows(self) -> tuple:
+        """The points as SweepRows, built on each access."""
+        windows = map(DetectorWindow, self.center1.tolist(),
+                      self.center2.tolist(), self.width.tolist())
+        return tuple(map(SweepRow, self.deltas.tolist(), self.gamma.tolist(),
+                         windows, [self.pairing] * self.deltas.size))
 
     def peak(self) -> SweepRow:
         """Row with the largest |gamma'|."""
-        return max(self.rows, key=lambda r: r.abs_gamma)
+        return self.rows[int(self.abs_gamma.argmax())]
 
 
 def _resolve_workers(workers) -> int:
@@ -154,8 +169,9 @@ def _resolve_workers(workers) -> int:
     return workers
 
 
-def _sweep_point(task) -> list[SweepRow]:
-    """Rows for one contiguous chunk of grid points (a pool task).
+def _sweep_point(task):
+    """The gamma', center1, center2 and width arrays of one contiguous
+    chunk of grid points (a pool task).
 
     One array pass solves the chunk's channels and places its windows, and
     its overlaps go through one batched quadrature.  The name predates
@@ -164,14 +180,16 @@ def _sweep_point(task) -> list[SweepRow]:
     params, deltas, pairing, width, quad, window = task
     channels = channel_arrays(params, params.ex_mean + np.array(deltas))
     if window is None:
-        windows = _tracked_windows(params, channels, pairing, width)
+        center1, center2 = _tracked_windows(params, channels, pairing, width)
     else:
-        for i in range(len(deltas)):
-            channels.check(i)
-        windows = [window] * len(deltas)
-    _, _, gammas = gamma_prime_arrays(channels, pairing, windows, quad)
-    return [SweepRow(delta_cx=delta, gamma=gamma, window=w, pairing=pairing)
-            for delta, gamma, w in zip(deltas, gammas.tolist(), windows)]
+        # Raises for the first point whose weights vanished, if any.
+        channels.check(int(channels.vanished.argmax()))
+        center1, center2 = (np.full(len(deltas), c)
+                            for c in (window.center1, window.center2))
+        width = window.width
+    _, _, gamma = gamma_prime_arrays(channels, pairing, center1, center2,
+                                     width, quad)
+    return gamma, center1, center2, np.broadcast_to(width, gamma.shape)
 
 
 def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
@@ -185,7 +203,7 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
     into at least that many chunks and farms them out to a process pool.
     """
     pairing = normalize_pairing(pairing)
-    grid = default_delta_grid() if deltas is None else np.asarray(deltas, dtype=float)
+    grid = default_delta_grid() if deltas is None else np.array(deltas, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValidationError("detuning grid must be a finite 1-d array")
     if np.any(np.diff(grid) <= 0):
@@ -204,8 +222,8 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_point, tasks))
-    return SweepCurve(scheme=scheme,
-                      rows=tuple(row for chunk in chunks for row in chunk))
+    return SweepCurve(grid, *map(np.concatenate, zip(*chunks)), pairing,
+                      scheme)
 
 
 def fig4_sweep(scheme: int, deltas=None, width: float = 0.2,
@@ -245,10 +263,9 @@ def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
         return abs(gamma_prime(at, pairing, w, quad).gamma)
 
     xs = np.linspace(lo, hi, scan_points)
-    # One array sweep; each row equals objective at its detuning.
-    vals = [abs(row.gamma) for row in sweep_gamma(
-        params, pairing, deltas=xs, width=width, quad=quad, workers=1,
-        window=window).rows]
+    # One array sweep; each point equals objective at its detuning.
+    vals = sweep_gamma(params, pairing, deltas=xs, width=width, quad=quad,
+                       workers=1, window=window).abs_gamma.tolist()
     if max(vals) - min(vals) < 1e-12:
         raise ConvergenceError(
             "|gamma'| is flat over the scan range; no detuning optimum exists")
@@ -272,73 +289,58 @@ def _provenance(figure: str, params: SystemParams, extra=()) -> list[str]:
     return lines
 
 
-def _write_rows_csv(path, header_lines, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else repr(float(v))
-                              for v in row) + "\n")
+def write_anticrossing_files(csv_path: str, params: SystemParams, deltas,
+                             header_lines, title: str,
+                             svg: bool = True) -> tuple[list[str], list]:
+    """Write the four polariton energies and exciton fractions across a
+    detuning grid to csv_path and, with svg, plot the energies beside it.
 
-
-def _figure_anticrossing(scheme: int, label: str, out_dir: str,
-                         svg: bool) -> list[str]:
-    params = scheme_preset(scheme)
-    rows = anticrossing_sweep(params, default_delta_grid())
+    Returns the written paths and the AnticrossingRows.
+    """
+    rows = anticrossing_sweep(params, deltas)
     columns = (["delta_cx_mev"]
                + [f"E_{p}_{b}" for p, b in STATE_ORDER]
                + [f"xex2_{p}_{b}" for p, b in STATE_ORDER])
     data = [[r.delta_cx] + [r.energies[k] for k in STATE_ORDER]
             + [r.x_ex2[k] for k in STATE_ORDER] for r in rows]
-    header = _provenance(label, params, (
-        f"scheme = {scheme}",
-        f"delta_cx grid = {_GRID_POINTS} points over [{_GRID_LO}, {_GRID_HI}] meV",
-        "columns: absolute polariton energies and exciton fractions",
-    ))
-    csv_path = os.path.join(out_dir, f"{label}.csv")
-    _write_rows_csv(csv_path, header, columns, data)
+    _write_rows_csv(csv_path, header_lines, columns, data)
     paths = [csv_path]
     if svg:
         svg_path = csv_path[:-4] + ".svg"
         xs = [r.delta_cx for r in rows]
         series = [(f"{p} {b}", xs, [r.energies[(p, b)] for r in rows])
                   for p, b in STATE_ORDER]
-        line_plot(svg_path, series, title=f"Polariton levels, scheme {scheme}",
+        line_plot(svg_path, series, title=title,
                   xlabel="cavity-exciton detuning (meV)", ylabel="energy (meV)")
         paths.append(svg_path)
-    return paths
+    return paths, rows
 
 
-def _spectrum_grid(params: SystemParams, margin: float = 0.5,
-                   points: int = 4001) -> np.ndarray:
+def spectrum_grid(params: SystemParams, margin: float = 0.5,
+                  points: int = 4001) -> np.ndarray:
+    """Energy grid from margin meV below the lowest line to above the
+    highest."""
     lines = []
     for ch in enumerate_channels(params):
         lines.extend((ch.photon1, ch.photon2))
     return np.linspace(min(lines) - margin, max(lines) + margin, points)
 
 
-def _figure_spectrum(scheme: int, delta: float, label: str, out_dir: str,
-                     svg: bool) -> list[str]:
-    params = scheme_preset(scheme).with_detuning(delta)
-    grid = _spectrum_grid(params)
-    spectrum = pl_spectrum(params, grid)
-    header = _provenance(label, params, (
-        f"scheme = {scheme}",
-        f"delta_cx = {delta!r}",
-        f"energy grid = {grid.size} points over "
-        f"[{float(grid[0])!r}, {float(grid[-1])!r}] meV",
-    ))
-    csv_path = os.path.join(out_dir, f"{label}.csv")
-    write_spectrum_csv(csv_path, spectrum, header_lines=header)
+def write_spectrum_files(csv_path: str, params: SystemParams, grid,
+                         header_lines, title: str, svg: bool = True,
+                         reference: str = "absolute") -> list[str]:
+    """Write the emission spectrum on grid to csv_path and, with svg, plot
+    it beside it.  Returns the written paths."""
+    spectrum = pl_spectrum(params, grid, reference=reference)
+    write_spectrum_csv(csv_path, spectrum, header_lines=header_lines)
     paths = [csv_path]
     if svg:
         svg_path = csv_path[:-4] + ".svg"
         line_plot(svg_path, [
             ("H", grid, spectrum.intensity_h),
             ("V", grid, spectrum.intensity_v),
-        ], title=f"Emission spectrum, scheme {scheme}",
-            xlabel="photon energy (meV)", ylabel="intensity (1/meV)")
+        ], title=title, xlabel="photon energy (meV)",
+            ylabel="intensity (1/meV)")
         paths.append(svg_path)
     return paths
 
@@ -361,9 +363,10 @@ def _figure_gamma_curves(out_dir: str, svg: bool, quad: QuadratureSpec,
         curves.append(curve)
         columns = ["delta_cx_mev", "abs_gamma_prime", "re_gamma", "im_gamma",
                    "center1", "center2", "width", "pairing"]
-        data = [[r.delta_cx, abs(r.gamma), r.gamma.real, r.gamma.imag,
-                 r.window.center1, r.window.center2, r.window.width,
-                 r.pairing] for r in curve.rows]
+        data = zip(curve.deltas.tolist(), curve.abs_gamma.tolist(),
+                   curve.gamma.real.tolist(), curve.gamma.imag.tolist(),
+                   curve.center1.tolist(), curve.center2.tolist(),
+                   curve.width.tolist(), [curve.pairing] * curve.deltas.size)
         header = _provenance("fig4", scheme_preset(scheme), (
             f"scheme = {scheme}",
             f"pairing = {SCHEME_PAIRING[scheme]}",
@@ -400,17 +403,32 @@ def reproduce_figure(fig: str, out_dir: str = ".",
             f"unknown figure {fig!r}; expected one of {', '.join(FIGURE_IDS)}")
     os.makedirs(out_dir, exist_ok=True)
     try:
-        if fig == "2a":
-            return _figure_anticrossing(2, "fig2a", out_dir, svg)
-        if fig == "3a":
-            return _figure_anticrossing(3, "fig3a", out_dir, svg)
-        if fig == "1c":
-            return _figure_spectrum(1, 0.0, "fig1c", out_dir, svg)
-        if fig == "2c":
-            return _figure_spectrum(2, 0.0, "fig2c", out_dir, svg)
-        if fig == "3c":
-            return _figure_spectrum(3, _scheme3_crossing(), "fig3c", out_dir, svg)
-        return _figure_gamma_curves(out_dir, svg, quad, workers)
+        if fig == "4":
+            return _figure_gamma_curves(out_dir, svg, quad, workers)
+        # The other ids are <scheme><panel>: a for levels, c for spectra.
+        scheme, label = int(fig[0]), f"fig{fig}"
+        csv_path = os.path.join(out_dir, f"{label}.csv")
+        if fig.endswith("a"):
+            params = scheme_preset(scheme)
+            header = _provenance(label, params, (
+                f"scheme = {scheme}",
+                f"delta_cx grid = {_GRID_POINTS} points over [{_GRID_LO}, {_GRID_HI}] meV",
+                "columns: absolute polariton energies and exciton fractions",
+            ))
+            return write_anticrossing_files(
+                csv_path, params, default_delta_grid(), header,
+                f"Polariton levels, scheme {scheme}", svg)[0]
+        delta = _scheme3_crossing() if fig == "3c" else 0.0
+        params = scheme_preset(scheme).with_detuning(delta)
+        grid = spectrum_grid(params)
+        header = _provenance(label, params, (
+            f"scheme = {scheme}",
+            f"delta_cx = {delta!r}",
+            f"energy grid = {grid.size} points over "
+            f"[{float(grid[0])!r}, {float(grid[-1])!r}] meV",
+        ))
+        return write_spectrum_files(csv_path, params, grid, header,
+                                    f"Emission spectrum, scheme {scheme}", svg)
     except OSError as exc:
         raise OSError(f"writing figure {fig} under {out_dir!r}: {exc}") from exc
 

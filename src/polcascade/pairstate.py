@@ -17,8 +17,8 @@ boxes arrives as one array of pole parameters and window bounds (built by
 _box_args), the panels of a large batch are seeded in array passes, and
 each kernel call evaluates both Gauss-Legendre rules on a block of panels.
 Channel objects reach it through _overlap_boxes (windowed_overlap,
-gamma_unprojected) and gamma_prime_batch; detuning sweeps reach it
-through gamma_prime_arrays, straight from cascade.channel_arrays.
+gamma_unprojected) and gamma_prime_from_channels; detuning sweeps reach
+it through gamma_prime_arrays, straight from cascade.channel_arrays.
 """
 from __future__ import annotations
 
@@ -65,6 +65,31 @@ def pairing_channels(channels, pairing: str) -> tuple[CascadeChannel, CascadeCha
     return by_label[label_a], by_label[label_b]
 
 
+def _window_checks(center1, center2, width):
+    """The window-validity rule on numbers or arrays: each check (true
+    where it fails) with its message, in order of precedence.  A
+    non-number fails as non-finite (x - x is 0 exactly when x is finite),
+    and photon energies are positive, so a window reaching k <= 0 fails.
+    """
+    c1, c2, w = (v if isinstance(v, (int, float, np.ndarray)) else math.nan
+                 for v in (center1, center2, width))
+    return ((c1 - c1 != 0, "center1 must be finite, got {center1!r}"),
+            (c2 - c2 != 0, "center2 must be finite, got {center2!r}"),
+            (w - w != 0, "width must be finite, got {width!r}"),
+            (w <= 0, "width must be > 0, got {width!r}"),
+            ((c1 - w / 2 <= 0) | (c2 - w / 2 <= 0),
+             "window extends to non-positive photon energy"))
+
+
+def invalid_windows(center1, center2, width) -> np.ndarray:
+    """Where windows given as center and width arrays fail the rule."""
+    bad = False
+    with np.errstate(invalid="ignore"):
+        for failed, _ in _window_checks(center1, center2, width):
+            bad = bad | failed
+    return bad
+
+
 @dataclass(frozen=True)
 class DetectorWindow:
     """Square spectral acceptance window for the photon pair."""
@@ -74,15 +99,10 @@ class DetectorWindow:
     width: float    # FULL width; acceptance is center +- width/2, meV
 
     def __post_init__(self):
-        for name in ("center1", "center2", "width"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValidationError(f"{name} must be finite, got {v!r}")
-        if self.width <= 0:
-            raise ValidationError(f"width must be > 0, got {self.width!r}")
-        # Photon energies are positive; a window reaching k <= 0 is unphysical.
-        if self.center1 - self.width / 2 <= 0 or self.center2 - self.width / 2 <= 0:
-            raise ValidationError("window extends to non-positive photon energy")
+        for failed, message in _window_checks(self.center1, self.center2,
+                                              self.width):
+            if failed:
+                raise ValidationError(message.format(**vars(self)))
 
     @property
     def k1_interval(self) -> tuple[float, float]:
@@ -581,19 +601,15 @@ def _pair_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi,
     return self_a, self_b, gamma
 
 
-def _window_bounds(windows):
-    """k1_lo, k1_hi, k2_lo, k2_hi arrays of a sequence of windows."""
-    return np.array([(*w.k1_interval, *w.k2_interval) for w in windows]).T
-
-
-def gamma_prime_arrays(channels: ChannelArrays, pairing: str, windows,
-                       quad: QuadratureSpec = DEFAULT_QUAD):
+def gamma_prime_arrays(channels: ChannelArrays, pairing: str, center1,
+                       center2, width, quad: QuadratureSpec = DEFAULT_QUAD):
     """Self overlaps and gamma' of a pairing at every point of a channel
     array.
 
-    windows holds one DetectorWindow per point.  Returns the self_a,
-    self_b and gamma arrays; errors are raised in the order of
-    gamma_prime_batch.
+    Point i's window has centers center1[i], center2[i] and full width
+    width, one number for all points or an array of one per point.
+    Returns the self_a, self_b and gamma arrays; errors are raised in the
+    order of _pair_overlaps.
     """
     def side(row):
         """The _side rows of one channel at every point."""
@@ -604,8 +620,9 @@ def gamma_prime_arrays(channels: ChannelArrays, pairing: str, windows,
 
     row_a, row_b = (STATE_ORDER.index(label)
                     for label in pairing_labels(pairing))
-    return _pair_overlaps(side(row_a), side(row_b), *_window_bounds(windows),
-                          quad)
+    half = np.divide(width, 2)
+    return _pair_overlaps(side(row_a), side(row_b), center1 - half,
+                          center1 + half, center2 - half, center2 + half, quad)
 
 
 def gamma_prime_from_channels(ch_a: CascadeChannel, ch_b: CascadeChannel,
@@ -613,30 +630,14 @@ def gamma_prime_from_channels(ch_a: CascadeChannel, ch_b: CascadeChannel,
                               quad: QuadratureSpec = DEFAULT_QUAD,
                               pairing: str = "") -> PairCoherence:
     """Filtered coherence of two explicit channels (synthetic-state entry)."""
-    return gamma_prime_batch([(ch_a, ch_b, w, pairing)], quad)[0]
-
-
-def gamma_prime_batch(items, quad: QuadratureSpec = DEFAULT_QUAD) -> list:
-    """Filtered coherence for many (ch_a, ch_b, window, pairing) items.
-
-    All overlaps go through one batched quadrature.  An item fails with
-    the ConvergenceError of its first failing overlap in the order self_a,
-    self_b, cross, or with EmptyWindowError when the window holds no
-    emission; the first failing item's error is raised.
-    """
-    if not items:
-        return []
-    chans_a, chans_b, windows, pairings = zip(*items)
-    self_a, self_b, gamma = _pair_overlaps(
-        _sides(chans_a), _sides(chans_b), *_window_bounds(windows), quad)
-    return [PairCoherence(
-                gamma=g,
-                channel_norms={f"{ch_a.pol}:{ch_a.branch}": norm_a,
-                               f"{ch_b.pol}:{ch_b.branch}": norm_b},
-                pairing=pairing or f"{ch_a.branch}-{ch_b.branch}")
-            for ch_a, ch_b, pairing, norm_a, norm_b, g in zip(
-                chans_a, chans_b, pairings, self_a.tolist(), self_b.tolist(),
-                gamma.tolist())]
+    bounds = ([b] for b in (*w.k1_interval, *w.k2_interval))
+    self_a, self_b, gamma = _pair_overlaps(_sides([ch_a]), _sides([ch_b]),
+                                           *bounds, quad)
+    return PairCoherence(
+        gamma=complex(gamma[0]),
+        channel_norms={f"{ch_a.pol}:{ch_a.branch}": float(self_a[0]),
+                       f"{ch_b.pol}:{ch_b.branch}": float(self_b[0])},
+        pairing=pairing or f"{ch_a.branch}-{ch_b.branch}")
 
 
 def gamma_prime(params: SystemParams, pairing: str, w: DetectorWindow,
@@ -649,7 +650,9 @@ def gamma_prime(params: SystemParams, pairing: str, w: DetectorWindow,
     key = normalize_pairing(pairing)
     channels = channel_arrays(params, [params.cav_mean])
     channels.check(0)
-    self_a, self_b, gamma = gamma_prime_arrays(channels, key, [w], quad)
+    self_a, self_b, gamma = gamma_prime_arrays(
+        channels, key, np.array([w.center1]), np.array([w.center2]), w.width,
+        quad)
     (pol_a, branch_a), (pol_b, branch_b) = pairing_labels(key)
     return PairCoherence(gamma=complex(gamma[0]),
                          channel_norms={f"{pol_a}:{branch_a}": float(self_a[0]),

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from polcascade import experiments, kernels, pairstate
 from polcascade.cascade import enumerate_channels
-from polcascade.errors import ConvergenceError
+from polcascade.errors import ConvergenceError, ValidationError
 from polcascade.experiments import sweep_gamma, tracked_window
 from polcascade.model import SystemParams, scheme_preset
 from polcascade.pairstate import (DEFAULT_QUAD, QuadratureSpec, gamma_prime,
@@ -253,6 +253,71 @@ def test_sweep_raises_the_error_of_the_first_failing_point():
         gamma_prime(at, "LP-LP", tracked_window(at, "LP-LP", 0.2), strict)
     assert str(batched.value) == str(alone.value)
     assert batched.value.last_estimates == alone.value.last_estimates
+
+
+def first_point_error(p, pairing, grid, width):
+    """The ValidationError message tracked_window gives at the first grid
+    point where it fails."""
+    for delta in grid:
+        try:
+            tracked_window(p.with_detuning(float(delta)), pairing, width)
+        except ValidationError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("width", [0, -0.2, float("nan"), float("inf"), "wide"])
+def test_sweep_raises_the_window_error_of_a_bad_width(width):
+    p = scheme_preset(1)
+    grid = np.linspace(-0.1, 0.1, 9)
+    expected = first_point_error(p, "LP-LP", grid, width)
+    with pytest.raises(ValidationError) as swept:
+        sweep_gamma(p, "LP-LP", deltas=grid, width=width, workers=1)
+    assert str(swept.value) == expected
+
+
+def test_sweep_raises_the_window_error_of_the_first_failing_point():
+    # A window this wide reaches k1 <= 0 only where center1 is low, which
+    # happens in the middle of the grid, not at its first point.
+    p = scheme_preset(2)
+    grid = np.linspace(-0.3, 0.3, 31)
+    curve = sweep_gamma(p, "LP-UP", deltas=grid, workers=1)
+    width = 2 * float(np.median(curve.center1))
+    first = int(np.argmax(curve.center1 - width / 2 <= 0))
+    assert 0 < first
+    expected = first_point_error(p, "LP-UP", grid, width)
+    at = p.with_detuning(float(grid[first]))
+    with pytest.raises(ValidationError) as alone:
+        tracked_window(at, "LP-UP", width)
+    assert str(alone.value) == expected == (
+        "window extends to non-positive photon energy")
+    with pytest.raises(ValidationError) as swept:
+        sweep_gamma(p, "LP-UP", deltas=grid, width=width, workers=1)
+    assert str(swept.value) == expected
+
+
+@pytest.mark.parametrize("vanish_at, message", [
+    (3, "all branching weights vanished"),
+    (20, "window extends to non-positive photon energy"),
+])
+def test_sweep_checks_weights_before_the_window_of_each_point(
+        monkeypatch, vanish_at, message):
+    p = scheme_preset(2)
+    grid = np.linspace(-0.3, 0.3, 31)
+    curve = sweep_gamma(p, "LP-UP", deltas=grid, workers=1)
+    width = 2 * float(np.median(curve.center1))
+    first_bad_window = int(np.argmax(curve.center1 - width / 2 <= 0))
+    assert 3 < first_bad_window < 20
+    channel_arrays = experiments.channel_arrays
+
+    def vanishing(params, cav_mean):
+        arrays = channel_arrays(params, cav_mean)
+        arrays.vanished[vanish_at] = True
+        return arrays
+
+    monkeypatch.setattr(experiments, "channel_arrays", vanishing)
+    with pytest.raises(ValidationError, match=message):
+        sweep_gamma(p, "LP-UP", deltas=grid, width=width, workers=1)
 
 
 def test_self_kernel_is_real_and_matches_complex_form():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import importlib.metadata
 import json
@@ -193,6 +194,37 @@ def test_sample_different_seed_differs(capsys, tmp_path):
                        "--seed", seed, "--out-dir", str(d))
         counts[seed] = data["counts"]
     assert counts["7"] != counts["8"]
+
+
+# SHA-256 of the files the file-writing commands leave in --out-dir.  Like
+# the figure digests in test_acceptance, they change only on purpose.
+CLI_OUTPUT_SHA256 = {
+    ("sweep", "--scheme", "2"): {
+        "anticrossing.csv": "2856b1adb916f24276b811ce37bf1c0095395ade5feffb43bf0cd2a6877b5687",
+        "anticrossing.svg": "f45a210c5978839b88c9316cee808d413df8e9742154f0ac4f8b5a3968033689",
+    },
+    ("spectrum", "--scheme", "3", "--reference", "absolute"): {
+        "spectrum.csv": "b106f63bd2aae3f885dbce58297374c84de5a0b537dfb8984dcf0a1875a1633c",
+        "spectrum.svg": "801ef47c13d3ea9fb27ec35b2d1a713edd61b9f26e2b285bf7f68ff29c7a3810",
+    },
+    ("spectrum", "--scheme", "3", "--reference", "relative_to_ex_mean"): {
+        "spectrum.csv": "062b49cfad4fa08036b73b8b7136cca434860a427ddb12e312e135f5f7137e9a",
+        "spectrum.svg": "4c51e7991a07614fc8ab47d2cb2458d82a97ecbf33ccb7b333169a81b6bbfae7",
+    },
+    ("sample", "--scheme", "1", "--seed", "7"): {
+        "counts.csv": "a0df28bb747411676fef19d975b9f37ce3375c3b358c2a65875d5c23e8dae8da",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_OUTPUT_SHA256), ids=" ".join)
+def test_command_output_bytes_match_pinned_digests(capsys, tmp_path, argv):
+    payload(capsys, *argv, "--out-dir", str(tmp_path))
+    expected = CLI_OUTPUT_SHA256[argv]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, digest in expected.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, f"{name} changed: sha256 {got}"
 
 
 # ------------------------------------------------------------ end to end

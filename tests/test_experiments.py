@@ -71,17 +71,43 @@ def test_sweep_rows_sorted_and_bounded():
 
 
 def test_sweep_curve_validation():
-    row = SweepRow(delta_cx=0.0, gamma=0.1 + 0j,
-                   window=DetectorWindow(center1=997.0, center2=1000.0,
-                                         width=0.2), pairing="LP-LP")
-    later = SweepRow(delta_cx=-0.1, gamma=0.1 + 0j, window=row.window,
-                     pairing="LP-LP")
-    with pytest.raises(ValidationError):
-        SweepCurve(scheme=1, rows=(row, later))
-    bad = SweepRow(delta_cx=0.1, gamma=0.52 + 0j, window=row.window,
-                   pairing="LP-LP")
-    with pytest.raises(ValidationError):
-        SweepCurve(scheme=1, rows=(row, bad))
+    def curve(deltas, gammas):
+        n = len(deltas)
+        return SweepCurve(deltas=np.array(deltas), gamma=np.array(gammas),
+                          center1=np.full(n, 997.0),
+                          center2=np.full(n, 1000.0), width=np.full(n, 0.2),
+                          pairing="LP-LP", scheme=1)
+
+    ok = curve([0.0, 0.1], [0.1 + 0j, 0.2j])
+    assert ok.rows[1] == SweepRow(
+        delta_cx=0.1, gamma=0.2j, pairing="LP-LP",
+        window=DetectorWindow(center1=997.0, center2=1000.0, width=0.2))
+    assert ok.peak() == ok.rows[1]
+    with pytest.raises(ValidationError, match="sorted"):
+        curve([0.0, -0.1], [0.1 + 0j, 0.1 + 0j])
+    with pytest.raises(ValidationError, match="bound"):
+        curve([0.0, 0.1], [0.1 + 0j, 0.52 + 0j])
+
+
+def test_fig4_sweep_builds_no_window_or_row_objects(monkeypatch):
+    built = []
+    window_init = DetectorWindow.__post_init__
+    row_init = SweepRow.__init__
+
+    def counted_window(self):
+        built.append("window")
+        window_init(self)
+
+    def counted_row(self, *args, **kwargs):
+        built.append("row")
+        row_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DetectorWindow, "__post_init__", counted_window)
+    monkeypatch.setattr(SweepRow, "__init__", counted_row)
+    curve = fig4_sweep(2)
+    assert built == []
+    assert len(curve.rows) == 161       # the view builds them on demand
+    assert built.count("row") == built.count("window") == 161
 
 
 def test_sweep_parallel_matches_serial_bitwise():
