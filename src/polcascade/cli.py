@@ -5,7 +5,8 @@ Settings come from defaults, then an optional flat ``key = value`` config
 file, then flags, in that order of precedence.  Every run prints a
 single-line JSON summary (with the full effective config echoed) to
 stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 validation
-error, 2 numerical non-convergence.
+error, 2 numerical non-convergence: gamma --unprojected could not bound
+its truncated tails, or optimize found a flat objective.
 """
 from __future__ import annotations
 
@@ -69,9 +70,7 @@ class RunConfig:
     width: float = 0.2              # window full width, meV
     center1: float | None = None    # fixed window override, meV
     center2: float | None = None
-    base_nodes: int = 16
-    rel_tol: float = 1e-9
-    max_refinements: int = 30
+    rel_tol: float = 1e-9           # gamma --unprojected truncation tolerance
     unprojected: bool = False
     reference: str = "absolute"
     points: int = 4001              # spectrum grid size
@@ -96,8 +95,8 @@ _CASTS = {
     "scheme": int, "ex_mean": float, "delta_x": float, "cav_mean": float,
     "delta_c": float, "rabi": float, "tau_c": float, "tau_xx": float,
     "binding": float, "delta_cx": float, "pairing": str, "width": float,
-    "center1": float, "center2": float, "base_nodes": int, "rel_tol": float,
-    "max_refinements": int, "unprojected": _as_bool, "reference": str,
+    "center1": float, "center2": float, "rel_tol": float,
+    "unprojected": _as_bool, "reference": str,
     "points": int, "margin": float, "sweep_lo": float, "sweep_hi": float,
     "sweep_points": int, "lo": float, "hi": float, "angle_a": float,
     "angle_b": float, "n": int, "seed": int, "workers": int,
@@ -167,9 +166,7 @@ def _build_parser() -> _Parser:
         "center1": "fixed first-photon window center, meV "
                    "(needs --center2; default: track the paired lines)",
         "center2": "fixed second-photon window center, meV",
-        "base_nodes": "quadrature nodes per panel",
-        "rel_tol": "quadrature relative tolerance",
-        "max_refinements": "quadrature refinement passes",
+        "rel_tol": "gamma --unprojected: truncated-tail bound, relative",
         "unprojected": "gamma command: report the unfiltered coherence",
         "reference": "spectrum energy reference: absolute or "
                      "relative_to_ex_mean",
@@ -257,11 +254,6 @@ def effective_params(cfg: RunConfig) -> SystemParams:
     return params
 
 
-def effective_quad(cfg: RunConfig) -> QuadratureSpec:
-    return QuadratureSpec(base_nodes=cfg.base_nodes, rel_tol=cfg.rel_tol,
-                          max_refinements=cfg.max_refinements)
-
-
 def effective_pairing(cfg: RunConfig) -> str:
     return cfg.pairing if cfg.pairing is not None else SCHEME_PAIRING[cfg.scheme]
 
@@ -314,14 +306,13 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
 
 def _cmd_gamma(cfg: RunConfig) -> dict:
     params = effective_params(cfg)
-    quad = effective_quad(cfg)
     if cfg.unprojected:
-        g = gamma_unprojected(params, quad)
+        g = gamma_unprojected(params, QuadratureSpec(rel_tol=cfg.rel_tol))
         return {"gamma": {"re": g.real, "im": g.imag, "abs": abs(g)},
                 "projected": False}
     pairing = effective_pairing(cfg)
     w = effective_window(cfg, params)
-    coh = gamma_prime(params, pairing, w, quad)
+    coh = gamma_prime(params, pairing, w)
     return {"gamma": {"re": coh.gamma.real, "im": coh.gamma.imag,
                       "abs": abs(coh.gamma)},
             "projected": True, "pairing": coh.pairing,
@@ -333,7 +324,7 @@ def _cmd_entangle(cfg: RunConfig) -> dict:
     params = effective_params(cfg)
     pairing = effective_pairing(cfg)
     w = effective_window(cfg, params)
-    rho = projected_state(params, pairing, w, effective_quad(cfg))
+    rho = projected_state(params, pairing, w)
     report = peres_test(rho)
     return {"report": report.as_dict(), "pairing": pairing,
             "window": asdict(w)}
@@ -345,8 +336,7 @@ def _cmd_optimize(cfg: RunConfig) -> dict:
         window = DetectorWindow(center1=cfg.center1, center2=cfg.center2,
                                 width=cfg.width)
     delta, value = optimize_detuning(cfg.scheme, lo=cfg.lo, hi=cfg.hi,
-                                     width=cfg.width,
-                                     quad=effective_quad(cfg), window=window)
+                                     width=cfg.width, window=window)
     return {"delta_cx": delta, "abs_gamma": value,
             "pairing": SCHEME_PAIRING[cfg.scheme]}
 
@@ -355,7 +345,7 @@ def _cmd_sample(cfg: RunConfig) -> dict:
     params = effective_params(cfg)
     pairing = effective_pairing(cfg)
     w = effective_window(cfg, params)
-    rho = projected_state(params, pairing, w, effective_quad(cfg))
+    rho = projected_state(params, pairing, w)
     angles = (math.radians(cfg.angle_a), math.radians(cfg.angle_b))
     counts = sample_coincidences(rho, angles, cfg.n, cfg.seed)
     probs = born_probabilities(rho, *angles)
@@ -380,9 +370,8 @@ def _cmd_figures(cfg: RunConfig) -> dict:
         wanted = [f.strip() for f in cfg.figures.split(",") if f.strip()]
     outputs = []
     for fig in wanted:
-        outputs.extend(reproduce_figure(fig, cfg.out_dir,
-                                        quad=effective_quad(cfg),
-                                        workers=cfg.workers, svg=cfg.svg))
+        outputs.extend(reproduce_figure(fig, cfg.out_dir, workers=cfg.workers,
+                                        svg=cfg.svg))
     return {"figures": wanted, "outputs": outputs}
 
 

@@ -10,10 +10,10 @@ class EmptyWindowError(ValidationError):
 
 
 class ConvergenceError(RuntimeError):
-    """A refinement loop hit its iteration cap before reaching tolerance.
+    """A numerical search stopped short of its target.
 
-    Carries the last two estimates so callers can judge how far apart
-    they still were.
+    Carries the last two estimates, where the search has them, so callers
+    can judge how far apart they still were.
     """
 
     def __init__(self, message, last_estimates=None):

@@ -18,12 +18,12 @@ without a warning.
 A sweep runs in contiguous chunks of up to one standard grid (161
 points), so a default sweep is one chunk and one array pass:
 cascade.channel_arrays solves the channels, the window-center arrays and
-their validity follow from them, and pairstate.gamma_prime_arrays puts
-every overlap through one batched quadrature.  A SweepCurve keeps these
-arrays; its rows view builds SweepRows on demand, each equal to
-gamma_prime at its detuning bit for bit.  With more than one worker the
-grid is cut into at least one chunk per worker for a process pool;
-results are identical for any worker count or chunk size.
+their validity follow from them, and pairstate.gamma_prime_arrays
+integrates every overlap in one exact kernels.window_overlaps call.  A
+SweepCurve keeps these arrays; its rows view builds SweepRows on demand,
+each equal to gamma_prime at its detuning bit for bit.  With more than
+one worker the grid is cut into at least one chunk per worker for a
+process pool; results are identical for any worker count or chunk size.
 """
 from __future__ import annotations
 
@@ -37,9 +37,8 @@ from .cascade import (STATE_ORDER, _write_rows_csv, channel_arrays,
                       enumerate_channels, pl_spectrum, write_spectrum_csv)
 from .errors import ConvergenceError, ValidationError
 from .model import SystemParams, scheme_preset
-from .pairstate import (DEFAULT_QUAD, DetectorWindow, QuadratureSpec,
-                        gamma_prime, gamma_prime_arrays, invalid_windows,
-                        normalize_pairing, pairing_labels)
+from .pairstate import (DetectorWindow, gamma_prime, gamma_prime_arrays,
+                        invalid_windows, normalize_pairing, pairing_labels)
 from .polariton import _golden_min, anticrossing_sweep, find_crossings
 from .svg import line_plot
 
@@ -53,11 +52,11 @@ _GRID_LO = -0.4
 _GRID_HI = 0.4
 _GRID_POINTS = 161
 
-# Grid points per batched quadrature call: one standard grid, so a
-# default sweep pays the per-call work (channel solve, panel seeding,
-# summation tables, kernel block setup) once.  Longer grids run in
-# chunks of this size, which bounds their memory.  With a process pool
-# the grid is cut into at least one chunk per worker.
+# Grid points per batched overlap call: one standard grid, so a default
+# sweep pays the per-call work (channel solve, window checks, kernel
+# setup) once.  Longer grids run in chunks of this size, which bounds
+# their memory.  With a process pool the grid is cut into at least one
+# chunk per worker.
 _CHUNK_POINTS = _GRID_POINTS
 
 
@@ -174,10 +173,10 @@ def _sweep_point(task):
     chunk of grid points (a pool task).
 
     One array pass solves the chunk's channels and places its windows, and
-    its overlaps go through one batched quadrature.  The name predates
-    chunking; the benchmark's tracer wraps it.
+    its overlaps go through one kernels.window_overlaps call.  The name
+    predates chunking; the benchmark's tracer wraps it.
     """
-    params, deltas, pairing, width, quad, window = task
+    params, deltas, pairing, width, window = task
     channels = channel_arrays(params, params.ex_mean + np.array(deltas))
     if window is None:
         center1, center2 = _tracked_windows(params, channels, pairing, width)
@@ -188,13 +187,13 @@ def _sweep_point(task):
                             for c in (window.center1, window.center2))
         width = window.width
     _, _, gamma = gamma_prime_arrays(channels, pairing, center1, center2,
-                                     width, quad)
+                                     width)
     return gamma, center1, center2, np.broadcast_to(width, gamma.shape)
 
 
 def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
-                width: float = 0.2, quad: QuadratureSpec = DEFAULT_QUAD,
-                workers=None, window: DetectorWindow | None = None,
+                width: float = 0.2, workers=None,
+                window: DetectorWindow | None = None,
                 scheme: int = 0) -> SweepCurve:
     """Filtered coherence across a detuning grid for one branch pairing.
 
@@ -211,7 +210,7 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
     workers = _resolve_workers(workers)
     points = [float(d) for d in grid]
     size = min(_CHUNK_POINTS, -(-len(points) // workers))
-    tasks = [(params, points[i:i + size], pairing, width, quad, window)
+    tasks = [(params, points[i:i + size], pairing, width, window)
              for i in range(0, len(points), size)]
     if workers == 1 or len(tasks) < 2:
         chunks = [_sweep_point(t) for t in tasks]
@@ -227,19 +226,18 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
 
 
 def fig4_sweep(scheme: int, deltas=None, width: float = 0.2,
-               quad: QuadratureSpec = DEFAULT_QUAD, workers=None) -> SweepCurve:
+               workers=None) -> SweepCurve:
     """The |gamma'|-versus-detuning curve for one scheme preset."""
     if scheme not in SCHEME_PAIRING:
         raise ValidationError(f"scheme must be 1, 2, or 3, got {scheme!r}")
     return sweep_gamma(scheme_preset(scheme), SCHEME_PAIRING[scheme],
-                       deltas=deltas, width=width, quad=quad,
-                       workers=workers, scheme=scheme)
+                       deltas=deltas, width=width, workers=workers,
+                       scheme=scheme)
 
 
 def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
-                      width: float = 0.2,
-                      quad: QuadratureSpec = DEFAULT_QUAD,
-                      scan_points: int = 50, xtol: float = 1e-4,
+                      width: float = 0.2, scan_points: int = 50,
+                      xtol: float = 1e-4,
                       window: DetectorWindow | None = None) -> tuple[float, float]:
     """Detuning maximizing |gamma'| for a scheme: scan, then golden section.
 
@@ -260,12 +258,12 @@ def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
     def objective(delta: float) -> float:
         at = params.with_detuning(delta)
         w = window if window is not None else tracked_window(at, pairing, width)
-        return abs(gamma_prime(at, pairing, w, quad).gamma)
+        return abs(gamma_prime(at, pairing, w).gamma)
 
     xs = np.linspace(lo, hi, scan_points)
     # One array sweep; each point equals objective at its detuning.
-    vals = sweep_gamma(params, pairing, deltas=xs, width=width, quad=quad,
-                       workers=1, window=window).abs_gamma.tolist()
+    vals = sweep_gamma(params, pairing, deltas=xs, width=width, workers=1,
+                       window=window).abs_gamma.tolist()
     if max(vals) - min(vals) < 1e-12:
         raise ConvergenceError(
             "|gamma'| is flat over the scan range; no detuning optimum exists")
@@ -354,12 +352,11 @@ def _scheme3_crossing() -> float:
     return scan.detunings[0]
 
 
-def _figure_gamma_curves(out_dir: str, svg: bool, quad: QuadratureSpec,
-                         workers) -> list[str]:
+def _figure_gamma_curves(out_dir: str, svg: bool, workers) -> list[str]:
     paths = []
     curves = []
     for scheme in (1, 2, 3):
-        curve = fig4_sweep(scheme, quad=quad, workers=workers)
+        curve = fig4_sweep(scheme, workers=workers)
         curves.append(curve)
         columns = ["delta_cx_mev", "abs_gamma_prime", "re_gamma", "im_gamma",
                    "center1", "center2", "width", "pairing"]
@@ -374,8 +371,6 @@ def _figure_gamma_curves(out_dir: str, svg: bool, quad: QuadratureSpec,
             "center1 = E_XX - center2, tracked per point",
             "window width = 0.2 meV (full)",
             f"delta_cx grid = {_GRID_POINTS} points over [{_GRID_LO}, {_GRID_HI}] meV",
-            f"quadrature: base_nodes = {quad.base_nodes}, rel_tol = {quad.rel_tol!r}, "
-            f"max_refinements = {quad.max_refinements}",
         ))
         csv_path = os.path.join(out_dir, f"fig4_scheme{scheme}.csv")
         _write_rows_csv(csv_path, header, columns, data)
@@ -390,8 +385,7 @@ def _figure_gamma_curves(out_dir: str, svg: bool, quad: QuadratureSpec,
     return paths
 
 
-def reproduce_figure(fig: str, out_dir: str = ".",
-                     quad: QuadratureSpec = DEFAULT_QUAD, workers=None,
+def reproduce_figure(fig: str, out_dir: str = ".", workers=None,
                      svg: bool = True) -> list[str]:
     """Write the CSV (and SVG) file set for one figure id.
 
@@ -404,7 +398,7 @@ def reproduce_figure(fig: str, out_dir: str = ".",
     os.makedirs(out_dir, exist_ok=True)
     try:
         if fig == "4":
-            return _figure_gamma_curves(out_dir, svg, quad, workers)
+            return _figure_gamma_curves(out_dir, svg, workers)
         # The other ids are <scheme><panel>: a for levels, c for spectra.
         scheme, label = int(fig[0]), f"fig{fig}"
         csv_path = os.path.join(out_dir, f"{label}.csv")
@@ -433,11 +427,10 @@ def reproduce_figure(fig: str, out_dir: str = ".",
         raise OSError(f"writing figure {fig} under {out_dir!r}: {exc}") from exc
 
 
-def reproduce_all(out_dir: str = ".", quad: QuadratureSpec = DEFAULT_QUAD,
-                  workers=None, svg: bool = True) -> list[str]:
+def reproduce_all(out_dir: str = ".", workers=None,
+                  svg: bool = True) -> list[str]:
     """All six figure file sets."""
     paths = []
     for fig in FIGURE_IDS:
-        paths.extend(reproduce_figure(fig, out_dir, quad=quad, workers=workers,
-                                      svg=svg))
+        paths.extend(reproduce_figure(fig, out_dir, workers=workers, svg=svg))
     return paths

@@ -1,116 +1,318 @@
-"""NumPy kernels for the window integrals.
+"""Exact window integrals of two-photon amplitude products.
 
-Both kernels integrate products of two-photon amplitudes.  In rotated
-coordinates u = k1 + k2, v = k2 the u-integral of the biexciton factor has
-a closed form, so the 2-d window integral reduces to a 1-d v-integral whose
-integrand overlap_integrand evaluates.  midpoint_overlap is the brute-force
-2-d midpoint rule over the original (k1, k2) box, used as a cross check.
+A window overlap integrates conj(A_a) * A_b over a box k1 in
+[k1_lo, k1_hi], k2 in [k2_lo, k2_hi].  In rotated coordinates u = k1 + k2,
+v = k2 the integrand is
 
-Pole conventions for the product conj(A_a) * A_b:
-the conjugated factor carries poles in the upper half plane
-(exx_a + i*gxx_a along u, e_a + i*g_a along v), the direct factor in the
-lower half plane (exx_b - i*gxx_b, e_b - i*g_b).
+    pref / ((u - p) (u - q) (v - pa) (v - pb)),
+
+with the conjugated factor's poles in the upper half plane
+(p = exx_a + i gxx_a along u, pa = e_a + i g_a along v) and the direct
+factor's in the lower half plane (q = exx_b - i gxx_b, pb = e_b - i g_b).
+Integrating one pair of poles over a segment gives logs (_pair_integral);
+overlap_integrand is the v-integrand the u-integral leaves.
+midpoint_overlap is the brute-force 2-d midpoint rule over the original
+(k1, k2) box, used as a cross check.
+
+window_overlaps integrates a batch of boxes exactly.  Partial fractions
+in u and v turn a box into eight integrals J(s, r) = int log(v - s) /
+(v - r) dv, each a difference of complex dilogarithms ('t Hooft and
+Veltman, Nucl. Phys. B153 (1979) 365): _dilog_form, which takes every
+tracked window.  The sum cancels by about how far the poles lie outside
+the box over their spacing (3 meV off the ridge, 7 digits were left), so
+such boxes go to a 64-node Gauss-Legendre rule instead: over v when the
+ridge lies outside the window (_ridge_rule), over u when the polariton
+poles do (_sheared_rule), with the poles near the window subtracted and
+integrated in closed form.
+
+Boxes are integrated relative to their corner (k1_lo, k2_lo), so window
+widths enter exactly, and each value depends only on its own box.
+Results do not depend on the host's SIMD: the arithmetic is complex log,
+complex divide, abs, and real add, subtract, multiply and divide, whose
+results NumPy's CPU dispatch does not change.  Complex products are
+spelled out in real arithmetic (_mul), because a fused multiply-add would
+round them differently; a product with a real factor rounds the same
+either way.
 """
+import math
+from functools import cache
+
 import numpy as np
 
 # Kept for callers that record which implementation ran; NumPy is the only one.
 BACKEND = "python"
 
+_PI2_6 = math.pi ** 2 / 6
 
-# The closed forms of overlap_integrand, in the order kind_index numbers
-# them.
-KINDS = ("self", "arctan", "log")
+# B_2k / (2k + 1)! for k = 1..12: the even Bernoulli terms of the series
+# of Li2 in -log(1 - z), whose argument stays within |u| <= 1.05 after the
+# region maps of _dilog; the first term left out is below 1e-17.
+_LI2_TERMS = tuple(b / math.factorial(2 * k + 1) for k, b in enumerate((
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+    -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+    -236364091 / 2730), start=1))
+
+# Gauss-Legendre nodes of the rules, and the margin that admits them: a
+# pole whose real part lies outside [a - m, b + m], m = (b - a) / 32, is
+# outside the Bernstein ellipse of parameter 1.42 around [a, b], where the
+# 64-node rule errs by about 1.42^-128 = 3e-20 relative.
+_NODES = 64
+_MARGIN = 1 / 32
+
+# Boxes go to the rules where the dilogarithm sum would cancel by more
+# than this factor and a rule applies.
+_DILOG_CANCELLATION = 64.0
 
 
-def kind_index(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b):
-    """Index into KINDS of the closed form for each element's poles.
+def _join(re, im):
+    """The complex array re + i im, built without arithmetic."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
-    2 ("log") where the biexciton poles differ, else 0 ("self") where the
-    polariton poles coincide too, else 1 ("arctan").
+
+def _mul(x, y):
+    """Complex product from separate real products and sums."""
+    return _join(x.real * y.real - x.imag * y.imag,
+                 x.real * y.imag + x.imag * y.real)
+
+
+def _log1p_over(x):
+    """log(1 + x) / x on complex arrays, accurate for small |x|: with
+    u = 1 + x rounded, log(u) / (u - 1) is the same function at the x
+    that u represents exactly."""
+    u = 1.0 + x
+    d = u - 1.0
+    exact = d == 0
+    return np.where(exact, 1.0, np.log(u) / np.where(exact, 1.0, d))
+
+
+def _pair_integral(lo_p, lo_q, width, pq):
+    """Integral of 1 / ((x - p)(x - q)) from lo to lo + width, given
+    lo - p, lo - q, width and p - q.
+
+    log((hi - p) / (lo - p)) - log((hi - q) / (lo - q)) is the integral's
+    log for real x with p above and q below the axis, and its continuation
+    elsewhere.  Where its imaginary part, the angle the path subtends, is
+    under pi/2, the log of the product of the two ratios, log1p(X), is the
+    same value, and it keeps the digits that the difference of two close
+    logs loses.
     """
-    return np.where((exx_a != exx_b) | (gxx_a != gxx_b), 2,
-                    np.where((e_a == e_b) & (g_a == g_b), 0, 1))
-
-
-def integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b) -> str:
-    """Which closed form overlap_integrand uses for these pole parameters.
-
-    "self" when both factors share every pole (a real Lorentzian product),
-    "arctan" when only the biexciton poles coincide, otherwise "log".
-    Array parameters select one form for all of their elements: the
-    highest kind_index among them.
-    """
-    return KINDS[int(np.max(kind_index(exx_a, gxx_a, exx_b, gxx_b,
-                                       e_a, g_a, e_b, g_b)))]
-
-
-def _u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, log_path):
-    """Closed-form integral of the biexciton factor over u in k1 + v.
-
-    v has the broadcast shape of all arguments.  The arctan form works in
-    place on two temporaries and returns one of them.
-    """
-    if log_path:
-        u1 = k1_lo + v
-        u2 = k1_hi + v
-        p = exx_a + 1j * gxx_a
-        q = exx_b - 1j * gxx_b
-        # Both u-paths stay on one side of each branch cut (Im(u - p) < 0,
-        # Im(u - q) > 0), so principal logs are safe.
-        return (np.log(u2 - p) - np.log(u1 - p)
-                - np.log(u2 - q) + np.log(u1 - q)) / (p - q)
-    # Conjugate u-poles collapse to a real Lorentzian with an arctan
-    # antiderivative.
-    terms = []
-    for k1 in (k1_hi, k1_lo):
-        x = np.asarray(k1 + v)
-        x -= exx_a
-        x /= gxx_a
-        terms.append(np.arctan(x, out=x))
-    fu, lower = terms
-    fu -= lower
-    fu /= gxx_a
-    return fu
+    over_p = width / lo_p
+    over_q = width / lo_q
+    logs = (_mul(over_p, _log1p_over(over_p))
+            - _mul(over_q, _log1p_over(over_q)))
+    # X = width (p - q) / ((lo - p)(hi - q)).
+    span = width / _mul(lo_p, lo_q + width)
+    single = _mul(span, _log1p_over(_mul(span, pq)))
+    return np.where(np.abs(logs.imag) < 0.5 * math.pi, single, logs / pq)
 
 
 def overlap_integrand(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
-                      e_a, g_a, e_b, g_b, pref, kind=None):
+                      e_a, g_a, e_b, g_b, pref):
     """Closed-form u-integral times the v-pole factors, on an array of v.
 
-    The parameters are scalars or arrays that broadcast against v, so one
-    call can cover panels of many overlaps of the same integrand_kind.
-    kind names that closed form when the caller already knows it; by
-    default integrand_kind derives it.  Self overlaps come back real.
-    Every step is elementwise: a value depends on its own v and
-    parameters, not on the rest of the call.
+    The parameters are scalars or arrays that broadcast against v.  Every
+    step is elementwise: a value depends on its own v and parameters, not
+    on the rest of the call.
     """
     v = np.asarray(v, dtype=float)
-    shape = np.broadcast(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
-                         e_a, g_a, e_b, g_b, pref).shape
-    if v.shape != shape:
-        v = np.broadcast_to(v, shape)
-    if kind is None:
-        kind = integrand_kind(exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b)
-    if kind != "self":
-        # (v - pole_a) * (v - pole_b) on one complex copy of v, built
-        # before fu so that fewer node-sized arrays are alive at once.
-        denom = v.astype(complex)
-        pole_b = denom - (e_b - 1j * g_b)
-        np.subtract(denom, e_a + 1j * g_a, out=denom)
-        denom *= pole_b
-        del pole_b
-    fu = _u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
-                     kind == "log")
-    if kind == "self":
-        # |v - (e - i g)|^2 in real arithmetic: no complex rounding residue.
-        denom = (v - e_a) ** 2
-        denom += g_a * g_a
-        fu *= pref
-        fu /= denom
-        return fu[()]
-    # pref * fu / denom, in that order.
-    fu *= pref
-    return np.divide(fu, denom, out=denom)[()]
+    p, q = exx_a + 1j * gxx_a, exx_b - 1j * gxx_b
+    lo = k1_lo + v
+    fu = _pair_integral(lo - p, lo - q, k1_hi - k1_lo, p - q)
+    fu = fu / (v - (e_a + 1j * g_a)) / (v - (e_b - 1j * g_b))
+    return (fu * pref)[()]
+
+
+def _dilog(z):
+    """Li2(z), the principal dilogarithm, on complex arrays.
+
+    Maps z into |z| <= 1, Re z <= 1/2 with Li2(z) = -Li2(1/z) - pi^2/6 -
+    log^2(-z) / 2 and Li2(z) = -Li2(1 - z) + pi^2/6 - log(z) log(1 - z),
+    then sums the Bernoulli series in u = -log(1 - z) (Vollinga and
+    Weinzierl, Comput. Phys. Commun. 167 (2005) 177).  z must be off the
+    cut z > 1 and away from 0 and 1.
+    """
+    inv = np.abs(z) > 1
+    z1 = np.where(inv, 1.0 / np.where(inv, z, 1.0), z)
+    refl = z1.real > 0.5
+    z2 = np.where(refl, 1.0 - z1, z1)
+    u = -np.log(1.0 - z2)
+    u2 = _mul(u, u)
+    tail = np.full(u.shape, _LI2_TERMS[-1], dtype=complex)
+    for c in _LI2_TERMS[-2::-1]:
+        tail = _mul(tail, u2) + c
+    value = u - 0.25 * u2 + _mul(u, _mul(u2, tail))
+    # Where refl, log(z1) = log(1 - z2) = -u.
+    reflected = _PI2_6 - value + _mul(u, np.log(np.where(refl, z2, 1.0)))
+    value = np.where(refl, reflected, value)
+    log_minus_z = np.log(-np.where(inv, z, -1.0))
+    inverted = -value - _PI2_6 - 0.5 * _mul(log_minus_z, log_minus_z)
+    return np.where(inv, inverted, value)
+
+
+def _dilog_form(w1, w2, p, q, pa, pb):
+    """The box integral (pref 1) as sum J(s, r) / ((p - q)(pa - pb)).
+
+    Coordinates are relative to the box corner: v runs over [0, w2], the
+    u-poles p, q sit at p - k1_lo - k2_lo, and the partial fractions put
+    s at p - w1, p, q - w1 and q, and r at pa and pb.  For w = v - s and
+    d = r - s, J(s, r) is [log w log(1 - w/d) + Li2(w/d)] between the
+    window edges, minus sign(Im 1/d) 2 pi i (log x - log w*) when w/d
+    crosses the cut of both functions at x > 1 (w* is w there).  An edge
+    exactly on the real axis counts as lying on the side the path leaves
+    it by.  d = 0 gives log^2(w) / 2.
+    """
+    s = np.array([p - w1, p, q - w1, q])[:, None]
+    d = np.array([pa, pb])[None] - s
+    degenerate = d == 0
+    d = np.where(degenerate, 1.0, d)
+    # One window edge at a time, which halves the temporaries.
+    f, im = [], []
+    for edge, side in ((0.0, -d.imag), (w2, d.imag)):
+        w = edge - s
+        z = w / d
+        # Im z along the path runs with Im(1/d), of sign opposite to Im d.
+        z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
+        log_w = np.log(w)
+        f.append(np.where(degenerate, 0.5 * _mul(log_w, log_w),
+                          _mul(log_w, np.log(1.0 - z)) + _dilog(z)))
+        im.append(z.imag.copy())
+    j = f[1] - f[0]
+    # The path crosses the real axis of z where Im z changes sign, at the
+    # fraction t of the window; w* shares the path's Im w = -Im s.
+    im_lo, im_hi = im
+    crosses = (im_lo < 0) != (im_hi < 0)
+    t = im_lo / np.where(crosses, im_lo - im_hi, 1.0)
+    w_cross = _join(t * w2 - s.real, -s.imag)
+    x = (w_cross / d).real
+    cut = crosses & (x > 1) & ~degenerate
+    if cut.any():
+        log_ratio = np.log(np.where(cut, x, 1.0) + 0j) - np.log(w_cross)
+        jump = 2 * math.pi * _join(-log_ratio.imag, log_ratio.real)
+        j -= np.where(cut, np.copysign(1.0, im_hi - im_lo) * jump, 0)
+    total = ((j[0, 0] - j[0, 1]) - (j[1, 0] - j[1, 1])
+             - ((j[2, 0] - j[2, 1]) - (j[3, 0] - j[3, 1])))
+    return total / (p - q) / (pa - pb)
+
+
+def _gap(lo, hi, a, b):
+    """How far the interval [lo, hi] lies outside [a, b]."""
+    return np.maximum(np.maximum(lo - b, a - hi), 0.0)
+
+
+@cache
+def _gauss_legendre():
+    return np.polynomial.legendre.leggauss(_NODES)
+
+
+def _pole_rule(lo, hi, inner, r1, r2, s1, s2):
+    """int F(x) / ((x - r1)(x - r2)) dx over [lo, hi], where F(x) is the
+    _pair_integral with poles s1, s2 over [a, b] = [off_a + slope_a x,
+    off_b + slope_b x], inner = (off_a, slope_a, off_b, slope_b), and has
+    no singularity within _MARGIN (hi - lo) of [lo, hi].
+
+    A pole r within that margin is subtracted with its residue
+    c = F(r) / (r - other) and integrated in closed form,
+    c log((hi - r) / (lo - r)); the rest goes to the Gauss-Legendre rule,
+    summed node by node in a fixed order.
+    """
+    off_a, slope_a, off_b, slope_b = inner
+
+    def smooth(x):
+        a = off_a + slope_a * x
+        width = (off_b - off_a) + (slope_b - slope_a) * x
+        return _pair_integral(a - s1, a - s2, width, s1 - s2)
+
+    half = 0.5 * (hi - lo)
+    center = 0.5 * (lo + hi)
+    nodes, weights = (rule.reshape((-1,) + (1,) * np.ndim(half))
+                      for rule in _gauss_legendre())
+    x = center + half * nodes
+    f = smooth(x) / (x - r1) / (x - r2)
+    total = 0j
+    for r, other in ((r1, r2), (r2, r1)):
+        near = _gap(r.real, r.real, lo, hi) < _MARGIN * (hi - lo)
+        if near.any():
+            c = np.where(near, smooth(np.where(near, r, center)) / (r - other),
+                         0)
+            f -= c / (x - r)
+            total = total + _mul(c, np.log((hi - r) / (lo - r)))
+    # accumulate adds the nodes' terms one after another.
+    return total + half * np.add.accumulate(weights * f)[-1]
+
+
+def _ridge_rule(w1, w2, p, q, pa, pb):
+    """The box integral (pref 1) by the rule over v, where the u-segment
+    at v runs from v to v + w1; coordinates as in _dilog_form."""
+    return _pole_rule(0.0, w2, (0.0, 1.0, w1, 1.0), pa, pb, p, q)
+
+
+def _sheared_rule(w1, w2, p, q, pa, pb):
+    """The box integral (pref 1) by the rule over u, for boxes far from
+    the polariton poles; corner-relative coordinates as in _dilog_form.
+
+    u runs over [0, w1 + w2] in three pieces between the corners 0, w1,
+    w2 and w1 + w2, and at each u the v-integral runs from max(0, u - w1)
+    to min(w2, u), one formula per piece.
+    """
+    corners = np.sort([np.zeros_like(w1), w1, w2, w1 + w2], axis=0)
+    lo, hi = corners[:-1], corners[1:]
+    mid = 0.5 * (lo + hi)
+    from_u = mid - w1 > 0
+    to_u = mid < w2
+    inner = (np.where(from_u, -w1, 0.0), from_u * 1.0,
+             np.where(to_u, 0.0, w2), to_u * 1.0)
+    pieces = _pole_rule(lo, hi, inner, p, q, pa, pb)
+    return (pieces[0] + pieces[1]) + pieces[2]
+
+
+def window_overlaps(boxes):
+    """conj(amplitude_a) * amplitude_b integrated exactly over many boxes.
+
+    Column i of boxes holds box i's rows: k1_lo, k1_hi, the nine
+    overlap_integrand pole parameters (exx_a, gxx_a, exx_b, gxx_b, e_a,
+    g_a, e_b, g_b, pref), k2_lo and k2_hi.  Returns one complex value per
+    box: 0 for an empty box or a vanishing amplitude, and a real value
+    where both factors share every pole (a self overlap).
+    """
+    (k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, pref,
+     k2_lo, k2_hi) = boxes
+    w1 = k1_hi - k1_lo
+    w2 = k2_hi - k2_lo
+    # Each difference of two nearby energies is exact.
+    p = _join((exx_a - k1_lo) - k2_lo, gxx_a)
+    q = _join((exx_b - k1_lo) - k2_lo, -gxx_b)
+    pa = _join(e_a - k2_lo, g_a)
+    pb = _join(e_b - k2_lo, -g_b)
+    # How far outside [0, w2] the real parts lie: of the v at which k1 + v
+    # meets p or q (segments [p - w1, p]), and of the polariton poles.
+    ridge_gap = np.minimum(_gap(p.real - w1, p.real, 0.0, w2),
+                           _gap(q.real - w1, q.real, 0.0, w2))
+    pole_gap = np.minimum(_gap(pa.real, pa.real, 0.0, w2),
+                          _gap(pb.real, pb.real, 0.0, w2))
+    # The dilogarithm sum cancels by about each gap over the spacing of its
+    # poles and over the window width.  Empty boxes and vanishing
+    # amplitudes divide by zero here; they are not live.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cancellation = ((1 + ridge_gap / np.abs(p - q)) * (1 + ridge_gap / w1)
+                        * (1 + pole_gap / np.abs(pa - pb))
+                        * (1 + pole_gap / w2))
+    margin = _MARGIN * w2
+    dilog = ((cancellation <= _DILOG_CANCELLATION)
+             | ((ridge_gap < margin) & (pole_gap < margin)))
+    live = ~((pref == 0.0) | (w1 <= 0) | (w2 <= 0))
+    values = np.zeros(w1.shape, dtype=complex)
+    for form, chosen in ((_dilog_form, dilog),
+                         (_ridge_rule, ~dilog & (ridge_gap >= margin)),
+                         (_sheared_rule, ~dilog & (ridge_gap < margin))):
+        i = (live & chosen).nonzero()[0]
+        if i.size:
+            values[i] = form(w1[i], w2[i], p[i], q[i], pa[i], pb[i])
+    values *= pref
+    values.imag[(p == q.conj()) & (pa == pb.conj())] = 0.0
+    return values
 
 
 def midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2, exx_a, gxx_a,

@@ -21,9 +21,8 @@ from polcascade.entanglement import (born_probabilities, chsh_value,
                                      sample_coincidences, x_state)
 from polcascade.experiments import tracked_window
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
-from polcascade.pairstate import (DEFAULT_QUAD, DetectorWindow,
-                                  brute_force_overlap, channel_norm,
-                                  gamma_prime, windowed_overlap)
+from polcascade.pairstate import (DetectorWindow, brute_force_overlap,
+                                  channel_norm, gamma_prime, windowed_overlap)
 from polcascade.polariton import find_crossings, min_gap, solve_polaritons
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -174,12 +173,12 @@ def test_criterion_04_packet_norm_and_integrator_oracles():
         hw = ch.xx_total_width + ch.intermediate.linewidth
         w = DetectorWindow(center1=ch.photon1, center2=ch.photon2,
                            width=2 * 200 * hw)
-        got = windowed_overlap(ch, ch, w, DEFAULT_QUAD).real
+        got = windowed_overlap(ch, ch, w).real
         worst_norm = max(worst_norm, abs(got / channel_norm(ch) - 1.0))
 
     worst_case = ("", 0.0)
     for label, ca, cb, w in overlap_corpus():
-        q = windowed_overlap(ca, cb, w, DEFAULT_QUAD)
+        q = windowed_overlap(ca, cb, w)
         b = brute_force_overlap(ca, cb, w, n=4000)
         rel = abs(q - b) / max(abs(q), abs(b))
         if rel > worst_case[1]:
@@ -196,13 +195,11 @@ def test_criterion_04_packet_norm_and_integrator_oracles():
 def test_criterion_05_scheme1_coherence_magnitude():
     t0 = time.perf_counter()
     p = scheme_preset(1)
-    coh = gamma_prime(p, "LP-LP", tracked_window(p, "LP-LP", 0.2),
-                      DEFAULT_QUAD)
+    coh = gamma_prime(p, "LP-LP", tracked_window(p, "LP-LP", 0.2))
     sym = SystemParams(ex_mean=1000.0, delta_x=0.0, cav_mean=1000.0,
                        delta_c=0.0, rabi=0.22, tau_c=15.0, tau_xx=500.0,
                        binding=3.0)
-    coh_sym = gamma_prime(sym, "LP-LP", tracked_window(sym, "LP-LP", 0.2),
-                          DEFAULT_QUAD)
+    coh_sym = gamma_prime(sym, "LP-LP", tracked_window(sym, "LP-LP", 0.2))
     elapsed = time.perf_counter() - t0
     print(f"|gamma'| scheme 1 at zero: {abs(coh.gamma):.9f}, symmetric "
           f"channels: {abs(coh_sym.gamma):.12f}, {elapsed:.2f} s")
@@ -407,9 +404,9 @@ FIGURE_SHA256 = {
     "fig3c.csv": "1a99d0f350ab09e4f6d88b2fd054b94acff8dbdd34cd4bcc66a8502bf79355da",
     "fig3c.svg": "68fcf5046e83b74d32796b13b55a884fedc473bdc53a36217911ace63d9cd6e0",
     "fig4.svg": "58231c2978e0979c0fffef8fa4c621d1086ac538c2bc0212c8f7d97901305553",
-    "fig4_scheme1.csv": "aee620014a4810c820ded6756cc4609e2e41a55f9e8094c18aba1eb44907db47",
-    "fig4_scheme2.csv": "ade90598c973f8cd8fe9ff0e05851835c089419298eadfae84caf598e0029fea",
-    "fig4_scheme3.csv": "540dca25ff8e4dd4eb185c0ae83537dca1bca2c8e70b7431cc37d2c2ab26aace",
+    "fig4_scheme1.csv": "fd0c676509d6451c0f628042b84c487bb7a9cbdf7bb3f97aba4b2bacd6170040",
+    "fig4_scheme2.csv": "5e5c650e1f8895465d69d829ddc5c86c776ad4d410d0b6c1ecebd80d13781373",
+    "fig4_scheme3.csv": "bb682eb9922107b32420303c2dd78114ba24499cdb85f926e7d215503d2e21bb",
 }
 
 

@@ -1,33 +1,24 @@
 """The array passes of a sweep equal the scalar code they replace.
 
 A sweep chunk solves its channels in one array pass
-(cascade.channel_arrays), seeds the panels of all its overlaps at once
-(pairstate._seed_panels) and evaluates both Gauss-Legendre rules of a
-block of panels in one kernel call.  Each is checked bit for bit against
-a scalar reference: the per-point solve kept here, the _panel_bounds loop
-and per-panel kernel calls.  Also here: the Hermitian symmetry of the
-overlaps, the panel cap that stops runaway refinement, and the lazy
-import of the process pool.
+(cascade.channel_arrays), checked bit for bit against the per-point solve
+kept here.  Also here: the Hermitian symmetry of the overlaps, a box with
+a 5e-8 meV line against 40-digit arithmetic, and the lazy import of the
+process pool.
 """
 import math
 import os
 import subprocess
 import sys
-import tracemalloc
-from unittest import mock
 
 import numpy as np
-import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import polcascade
-from polcascade import kernels, pairstate
 from polcascade.cascade import channel_arrays, enumerate_channels
-from polcascade.errors import ConvergenceError
 from polcascade.experiments import tracked_window
-from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
-from polcascade.pairstate import (QuadratureSpec, pairing_channels,
-                                  windowed_overlap)
+from polcascade.model import HBAR_MEV_PS, SystemParams
+from polcascade.pairstate import pairing_channels, windowed_overlap
 
 PAIRINGS = ("LP-LP", "UP-UP", "LP-UP")
 
@@ -108,122 +99,6 @@ def test_channel_arrays_equal_the_scalar_solve(params, per_channel, deltas):
         assert channel_rows(enumerate_channels(at, per_channel)) == expected
 
 
-# ------------------------------------------------------- panel seeding
-
-@st.composite
-def seed_boxes(draw):
-    """A v-range and six (center, scale) features, often with cuts that
-    land on, or within 1e-13 of the span of, one another or the ends: the
-    rows that array seeding hands to _panel_bounds."""
-    lo = draw(st.floats(1.0, 1010.0))
-    span = 10.0 ** draw(st.floats(-4.0, 1.0))
-    hi = lo + span
-    centers, scales = [], []
-    for _ in range(6):
-        kind = draw(st.sampled_from(("free", "lo", "hi", "copy")))
-        if kind == "lo" or kind == "hi":
-            end = lo if kind == "lo" else hi
-            center = end + draw(st.integers(-3, 3)) * math.ulp(end)
-        elif kind == "copy" and centers:
-            base = draw(st.sampled_from(centers))
-            center = base + (draw(st.integers(-4, 4)) * math.ulp(base)
-                             * draw(st.sampled_from((1.0, 100.0, 1e3))))
-        else:
-            center = lo + draw(st.floats(-0.5, 1.5)) * span
-        centers.append(center)
-        scales.append(draw(st.one_of(
-            st.floats(1e-9, 1.0),
-            # Ladders whose first rungs sit within 1e-13 of the span.
-            st.floats(-15.0, -12.0).map(lambda e: span * 10.0 ** e),
-            st.sampled_from((0.0, -1e-3, math.inf)),
-            st.sampled_from(scales or [1e-3]))))
-    return lo, hi, centers, scales
-
-
-def panel_rows(boxes):
-    rows = [pairstate._panel_bounds(lo, hi, zip(centers, scales))
-            for lo, hi, centers, scales in boxes]
-    return ([x for r in rows for x in r[:-1]], [x for r in rows for x in r[1:]],
-            [len(r) - 1 for r in rows])
-
-
-def seed(boxes, threshold):
-    lo, hi, centers, scales = (np.array(x, dtype=float) for x in zip(*boxes))
-    with mock.patch.object(pairstate, "_SEED_ARRAY_MIN_BOXES", threshold):
-        ab, counts = pairstate._seed_panels(lo, hi, centers, scales)
-    return ab[0].tolist(), ab[1].tolist(), counts.tolist()
-
-
-@settings(max_examples=150, deadline=None)
-@given(boxes=st.lists(seed_boxes(), min_size=1, max_size=12))
-# A cut exactly 1e-13 of the span above lo, which the loop drops.
-@example(boxes=[(0.0, 1.0, [1e-13, 0.5], [1.0, 1.0])])
-def test_array_seeding_equals_panel_bounds(boxes):
-    expected = panel_rows(boxes)
-    assert seed(boxes, 1) == expected
-    assert seed(boxes, pairstate._SEED_ARRAY_MIN_BOXES) == expected
-
-
-# ------------------------------------------------------ kernel blocks
-
-def kernel_boxes():
-    """Boxes of all three kernel kinds, seeded by the _panel_bounds loop."""
-    p = scheme_preset(2).with_detuning(0.05)
-    boxes = []
-    for per_channel in (False, True):
-        chans = enumerate_channels(p, per_channel_xx_width=per_channel)
-        for pairing in PAIRINGS:
-            a, b = pairing_channels(chans, pairing)
-            w = tracked_window(p, pairing, 0.3)
-            for x, y in ((a, a), (b, b), (a, b)):
-                boxes.append((x, y, *w.k1_interval, *w.k2_interval))
-    par, kinds, bounds = [], [], []
-    for x, y, k1_lo, k1_hi, k2_lo, k2_hi in boxes:
-        args = pairstate._kernel_args(x, y)
-        par.append((k1_lo, k1_hi, *args))
-        kinds.append(int(kernels.kind_index(*args[:8])))
-        bounds.append(pairstate._panel_bounds(k2_lo, k2_hi, (
-            (args[4], args[5]), (args[6], args[7]),
-            (args[0] - k1_lo, args[1]), (args[0] - k1_hi, args[1]),
-            (args[2] - k1_lo, args[3]), (args[2] - k1_hi, args[3]))))
-    order = np.argsort(kinds, kind="stable")
-    par = np.array(par)[order].T.copy()
-    bounds = [bounds[i] for i in order]
-    ab = np.array([[x for r in bounds for x in r[:-1]],
-                   [x for r in bounds for x in r[1:]]])
-    owner = np.arange(len(bounds)).repeat([len(r) - 1 for r in bounds])
-    return par, np.array(kinds)[order], ab, owner
-
-
-@pytest.mark.parametrize("block", [1, 7, 256])
-def test_one_kernel_call_per_block_equals_per_panel_rules(block):
-    par, kind, ab, owner = kernel_boxes()
-    assert set(kind.tolist()) == {0, 1, 2}
-    n = 16
-    with mock.patch.object(pairstate, "_BLOCK_PANELS", block):
-        got = pairstate._eval_panels(par, kind, ab, owner, n)
-    for i in range(ab.shape[1]):
-        a, b = ab[:, i]
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        for row, m in enumerate((n, 2 * n)):
-            xs, ws = np.polynomial.legendre.leggauss(m)
-            vals = kernels.overlap_integrand(mid + half * xs, *par[:, owner[i]])
-            assert got[row, i] == (vals * ws).sum() * half
-
-
-@pytest.mark.parametrize("kind", kernels.KINDS)
-def test_passing_the_kind_changes_no_value(kind):
-    par, kinds, ab, owner = kernel_boxes()
-    j = kernels.KINDS.index(kind)
-    args = par[:, kinds.tolist().index(j)]
-    v = np.linspace(args[6] - 0.2, args[6] + 0.2, 101)
-    assert kernels.integrand_kind(*args[2:10]) == kind
-    derived = kernels.overlap_integrand(v, *args)
-    given_kind = kernels.overlap_integrand(v, *args, kind=kind)
-    assert derived.dtype == given_kind.dtype
-    assert np.array_equal(derived, given_kind)
-
-
 # ---------------------------------------------------------- Hermitian
 
 @settings(max_examples=25, deadline=None)
@@ -239,41 +114,29 @@ def test_windowed_overlap_is_hermitian(params, detuning, width, per_channel,
     w = tracked_window(at, pairing, width)
     ab = windowed_overlap(a, b, w)
     ba = windowed_overlap(b, a, w)
-    # Same panels either way; only the kernel's rounding differs.
+    # The two boxes differ only in the order of their arithmetic.
     scale = math.sqrt(windowed_overlap(a, a, w).real
                       * windowed_overlap(b, b, w).real)
     assert abs(ab - ba.conjugate()) <= 1e-12 * scale
 
 
-# ----------------------------------------------------------- panel cap
+# ------------------------------------------------------- near-bare line
 
-def test_refinement_stops_at_the_panel_cap():
+def test_near_bare_exciton_self_overlap_is_exact():
     # 73.5 meV below resonance, the H upper polariton is almost a bare
-    # exciton with a 5e-8 meV linewidth.  With its own share of the
-    # biexciton width, its self overlap in a 0.5 meV window cannot reach
-    # rel_tol 1e-13: the estimates are roundoff-limited, so refinement
-    # splits most panels on every pass, and max_refinements = 30 alone
-    # would let the panels grow 2^30-fold.
-    quad = QuadratureSpec(rel_tol=1e-13)
-    assert quad.max_refinements == 30
+    # exciton with a 5e-8 meV linewidth, and it carries its own share of
+    # the biexciton width.  Its self overlap in a 0.5 meV window is
+    # 4.13288156855377e-7: mpmath.quad at 40 digits, split at the poles and
+    # ridge edges (tests/test_exact_overlaps.py has the oracle).
     p = SystemParams(ex_mean=1000.0, delta_x=0.45, cav_mean=926.5,
                      delta_c=0.45, rabi=0.19, tau_c=24.0, tau_xx=845.0,
                      binding=4.2)
     a, _ = pairing_channels(enumerate_channels(p, per_channel_xx_width=True),
                             "UP-UP")
-    w = tracked_window(p, "UP-UP", 0.5)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ConvergenceError) as err:
-            windowed_overlap(a, a, w, quad)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    panels = int(str(err.value).split("panels=")[1].rstrip(")"))
-    assert pairstate._MAX_PANELS // 2 < panels <= pairstate._MAX_PANELS
-    previous, last = err.value.last_estimates
-    assert isinstance(previous, complex) and isinstance(last, complex)
-    assert peak < 32_000_000, f"peak traced memory {peak / 1e6:.1f} MB"
+    assert a.intermediate.linewidth < 5e-8
+    value = windowed_overlap(a, a, tracked_window(p, "UP-UP", 0.5))
+    assert value.imag == 0.0
+    assert abs(value.real - 4.1328815685537765e-7) <= 1e-12 * 4.13e-7
 
 
 # --------------------------------------------------------- lazy import

@@ -1,10 +1,10 @@
-"""The batched overlap quadrature gives every overlap the value it gets alone.
+"""The batched window overlaps give every overlap the value it gets alone.
 
 A sweep chunk, a gamma_prime call and an unprojected box all go through
-pairstate._overlap_boxes.  These tests check that an overlap's value, or
-the error it fails with, does not depend on what else shares its batch,
-how the batch is cut into kernel blocks, how a sweep is chunked, or how
-many worker processes run it.
+kernels.window_overlaps.  These tests check that an overlap's value, or
+the error its point fails with, does not depend on what else shares its
+batch, which form integrates its neighbours, how a sweep is chunked, or
+how many worker processes run it.
 """
 import concurrent.futures
 import tracemalloc
@@ -16,17 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from polcascade import experiments, kernels, pairstate
 from polcascade.cascade import enumerate_channels
-from polcascade.errors import ConvergenceError, ValidationError
+from polcascade.errors import EmptyWindowError, ValidationError
 from polcascade.experiments import sweep_gamma, tracked_window
 from polcascade.model import SystemParams, scheme_preset
-from polcascade.pairstate import (DEFAULT_QUAD, QuadratureSpec, gamma_prime,
+from polcascade.pairstate import (DetectorWindow, gamma_prime,
                                   pairing_channels)
 
 PAIRINGS = ("LP-LP", "UP-UP", "LP-UP")
-
-# Tight enough that wide boxes refine while narrow ones converge at once.
-# Near roundoff a pass can split every panel, so the pass cap stays small.
-TIGHT = QuadratureSpec(rel_tol=1e-13, max_refinements=6)
 
 params_st = st.builds(
     SystemParams,
@@ -49,37 +45,36 @@ def grids(draw, max_points=40):
     return start + step * np.arange(n)
 
 
-def same_outcome(x, y):
-    """Bitwise equal values, or the same error with the same estimates."""
-    if isinstance(x, ConvergenceError) or isinstance(y, ConvergenceError):
-        return (type(x) is type(y) and str(x) == str(y)
-                and x.last_estimates == y.last_estimates)
-    return x == y
-
-
-def boxes_for(params, width, per_channel_xx_width=False):
-    """Self and cross boxes of every pairing, on tracked windows."""
+def boxes_for(params, width, per_channel_xx_width=False, offset=(0, 0)):
+    """Self and cross boxes of every pairing, on tracked windows moved by
+    offset (meV along k1, k2)."""
     chans = enumerate_channels(params,
                                per_channel_xx_width=per_channel_xx_width)
     boxes = []
     for pairing in PAIRINGS:
         ch_a, ch_b = pairing_channels(chans, pairing)
         w = tracked_window(params, pairing, width)
+        k1 = [k + offset[0] for k in w.k1_interval]
+        k2 = [k + offset[1] for k in w.k2_interval]
         for x, y in ((ch_a, ch_a), (ch_b, ch_b), (ch_a, ch_b)):
-            boxes.append((x, y, *w.k1_interval, *w.k2_interval))
+            boxes.append((x, y, *k1, *k2))
     return boxes
 
 
-def kernel_calls(boxes, quad):
-    """Kernel calls each box makes on its own."""
-    calls = []
-    with mock.patch.object(kernels, "overlap_integrand",
-                           wraps=kernels.overlap_integrand) as spy:
-        for box in boxes:
-            spy.reset_mock()
-            pairstate._overlap_boxes([box], quad)
-            calls.append(spy.call_count)
-    return calls
+def forms_used(boxes):
+    """The kernels form each box goes through on its own."""
+    used = []
+    forms = ("_ridge_rule", "_sheared_rule", "_dilog_form")
+    for box in boxes:
+        spies = {name: mock.patch.object(kernels, name,
+                                         wraps=getattr(kernels, name))
+                 for name in forms}
+        with spies["_ridge_rule"] as a, spies["_sheared_rule"] as b, \
+                spies["_dilog_form"] as c:
+            pairstate._overlap_boxes([box])
+        used.append(tuple(name for name, spy in zip(forms, (a, b, c))
+                          if spy.called))
+    return used
 
 
 # ------------------------------------------------- sweep = point by point
@@ -95,7 +90,7 @@ def test_sweep_rows_equal_gamma_prime_bitwise(params, pairing, width, grid):
         w = tracked_window(at, pairing, width)
         assert row.delta_cx == float(delta)
         assert row.window == w
-        assert row.gamma == gamma_prime(at, pairing, w, DEFAULT_QUAD).gamma
+        assert row.gamma == gamma_prime(at, pairing, w).gamma
 
 
 def test_fixed_window_sweep_equals_gamma_prime_bitwise():
@@ -180,79 +175,58 @@ def test_workers_default_to_one(monkeypatch):
     assert experiments._resolve_workers(None) == 3
 
 
-# ------------------------------------------------ mixed batches and blocks
+# ------------------------------------------------- mixed batches and forms
 
 @settings(max_examples=15, deadline=None)
 @given(params=params_st, width=st.floats(0.05, 0.5),
        narrow=st.floats(1e-4, 1e-3), per_channel=st.booleans(),
-       block=st.sampled_from([1, 97, 1024]))
+       offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
 def test_mixed_batch_matches_single_boxes(params, width, narrow, per_channel,
-                                          block):
+                                          offset):
     boxes = (boxes_for(params, width, per_channel)
-             + boxes_for(params, narrow, per_channel))
-    alone = [pairstate._overlap_boxes([box], TIGHT)[0] for box in boxes]
-    with mock.patch.object(pairstate, "_BLOCK_PANELS", block):
-        batched = pairstate._overlap_boxes(boxes, TIGHT)
-    assert all(same_outcome(x, y) for x, y in zip(batched, alone))
+             + boxes_for(params, narrow, per_channel)
+             + boxes_for(params, width, per_channel, offset))
+    alone = [pairstate._overlap_boxes([box])[0] for box in boxes]
+    assert pairstate._overlap_boxes(boxes) == alone
 
 
-def test_mixed_batch_covers_every_kind_and_refinement():
-    # The case the property above samples: converged and refining boxes,
-    # self, arctan and log kernels, all in one batch.
+def test_mixed_batch_covers_every_form():
+    # The case the property above samples: tracked windows (dilogarithms),
+    # windows moved off the ridge (the rule over v) and windows moved
+    # along it, off the polariton lines (the rule over u), in one batch.
     p = scheme_preset(2).with_detuning(0.05)
     boxes = (boxes_for(p, 0.2) + boxes_for(p, 2e-4)
-             + boxes_for(p, 0.3, per_channel_xx_width=True))
-    kinds = {kernels.integrand_kind(*pairstate._kernel_args(x, y)[:8])
-             for x, y, *_ in boxes}
-    assert kinds == {"self", "arctan", "log"}
-    # One kernel call evaluates both rules, so a box that converges at
-    # once makes one call and a refining box more.
-    calls = kernel_calls(boxes, TIGHT)
-    assert min(calls) == 1 and max(calls) > 1
-    alone = [pairstate._overlap_boxes([box], TIGHT)[0] for box in boxes]
-    for block in (1, 97, 4096):
-        with mock.patch.object(pairstate, "_BLOCK_PANELS", block):
-            batched = pairstate._overlap_boxes(boxes, TIGHT)
-        assert all(same_outcome(x, y) for x, y in zip(batched, alone))
+             + boxes_for(p, 0.3, per_channel_xx_width=True)
+             + boxes_for(p, 0.1, offset=(0.5, 0.5))
+             + boxes_for(p, 0.1, offset=(-0.5, 0.5)))
+    assert set(forms_used(boxes)) == {("_ridge_rule",), ("_sheared_rule",),
+                                      ("_dilog_form",)}
+    alone = [pairstate._overlap_boxes([box])[0] for box in boxes]
+    assert pairstate._overlap_boxes(boxes) == alone
+    assert pairstate._overlap_boxes(boxes[::-1]) == alone[::-1]
 
 
 def test_batch_skips_empty_boxes():
     ch = enumerate_channels(scheme_preset(1))[0]
     box = (ch, ch, 996.9, 997.1, 999.9, 1000.1)
     empty = (ch, ch, 996.9, 996.9, 999.9, 1000.1)
-    values = pairstate._overlap_boxes([empty, box, empty], DEFAULT_QUAD)
+    values = pairstate._overlap_boxes([empty, box, empty])
     assert values[0] == values[2] == 0j
-    assert values[1] == pairstate._overlap_boxes([box], DEFAULT_QUAD)[0]
+    assert values[1] == pairstate._overlap_boxes([box])[0]
 
 
 # ------------------------------------------------------------- failures
 
-def test_failures_match_single_box_failures():
-    p = scheme_preset(1)
-    strict = QuadratureSpec(base_nodes=8, rel_tol=1e-13, max_refinements=1)
-    boxes = boxes_for(p, 0.2) + boxes_for(p, 1e-4)
-    alone = [pairstate._overlap_boxes([box], strict)[0] for box in boxes]
-    assert any(isinstance(x, ConvergenceError) for x in alone)
-    assert any(not isinstance(x, ConvergenceError) for x in alone)
-    batched = pairstate._overlap_boxes(boxes, strict)
-    assert all(same_outcome(x, y) for x, y in zip(batched, alone))
-    for value in batched:
-        if isinstance(value, ConvergenceError):
-            previous, last = value.last_estimates
-            assert isinstance(previous, complex) and isinstance(last, complex)
-
-
 def test_sweep_raises_the_error_of_the_first_failing_point():
     p = scheme_preset(1)
-    strict = QuadratureSpec(base_nodes=8, rel_tol=1e-15, max_refinements=1)
+    far = DetectorWindow(center1=1e150, center2=1e150, width=0.2)
     grid = np.linspace(-0.1, 0.1, 9)
-    with pytest.raises(ConvergenceError) as batched:
-        sweep_gamma(p, "LP-LP", deltas=grid, quad=strict, workers=1)
+    with pytest.raises(EmptyWindowError) as batched:
+        sweep_gamma(p, "LP-LP", deltas=grid, window=far, workers=1)
     at = p.with_detuning(float(grid[0]))
-    with pytest.raises(ConvergenceError) as alone:
-        gamma_prime(at, "LP-LP", tracked_window(at, "LP-LP", 0.2), strict)
+    with pytest.raises(EmptyWindowError) as alone:
+        gamma_prime(at, "LP-LP", far)
     assert str(batched.value) == str(alone.value)
-    assert batched.value.last_estimates == alone.value.last_estimates
 
 
 def first_point_error(p, pairing, grid, width):
@@ -322,17 +296,20 @@ def test_sweep_checks_weights_before_the_window_of_each_point(
 
 def test_self_kernel_is_real_and_matches_complex_form():
     ch = enumerate_channels(scheme_preset(1))[0]
-    args = pairstate._kernel_args(ch, ch)
+    args = pairstate._box_args(*pairstate._sides([ch, ch]).T, 0, 0, 0, 0)[2:11]
     v = np.linspace(ch.intermediate.energy - 0.1,
                     ch.intermediate.energy + 0.1, 257)
     k1_lo, k1_hi = ch.photon1 - 0.1, ch.photon1 + 0.1
     got = kernels.overlap_integrand(v, k1_lo, k1_hi, *args)
-    assert got.dtype == np.float64
+    # Real up to roundoff: both factors share every pole.
+    assert np.all(np.abs(got.imag) <= 1e-14 * np.abs(got.real))
     exx, gxx, _, _, e, g, _, _, pref = args
     fu = (np.arctan((k1_hi + v - exx) / gxx)
           - np.arctan((k1_lo + v - exx) / gxx)) / gxx
     expected = pref * fu / ((v - (e + 1j * g)) * (v - (e - 1j * g)))
-    np.testing.assert_allclose(got, expected.real, rtol=1e-14)
+    # k1 + v rounds to 2.3e-13 meV against steps 0.0026 meV wide, so each
+    # form is within 1.5e-11 of 40-digit arithmetic, not closer.
+    np.testing.assert_allclose(got.real, expected.real, rtol=1e-10)
 
 
 # ---------------------------------------------------------------- memory
@@ -349,42 +326,3 @@ def test_long_sweep_memory_stays_bounded():
         tracemalloc.stop()
     assert len(curve.rows) == grid.size
     assert peak < 2_000_000, f"peak traced memory {peak / 1e6:.2f} MB"
-
-
-def traced_peak(boxes, quad):
-    tracemalloc.start()
-    try:
-        values = pairstate._overlap_boxes(boxes, quad)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, values
-
-
-def test_refining_box_in_a_large_batch_keeps_its_own_memory():
-    # 95 narrow boxes converge within a few passes; a cross box 2 meV off
-    # the lines keeps splitting to ~2000 panels and fails.  Once the
-    # others are done, each pass should cost what that box costs alone.
-    quad = QuadratureSpec(rel_tol=1e-13, max_refinements=10)
-    p = scheme_preset(2)
-    h, v = pairing_channels(enumerate_channels(p), "LP-LP")
-    c1, c2 = h.photon1 + 2.0, h.photon2 + 2.0
-    far = (h, v, c1 - 0.005, c1 + 0.005, c2 - 0.005, c2 + 0.005)
-    others = []
-    for delta in np.linspace(-0.3, 0.32, 32):
-        at = p.with_detuning(float(delta))
-        ch_a, ch_b = pairing_channels(enumerate_channels(at), "LP-LP")
-        w = tracked_window(at, "LP-LP", 2e-4)
-        for x, y in ((ch_a, ch_a), (ch_b, ch_b), (ch_a, ch_b)):
-            others.append((x, y, *w.k1_interval, *w.k2_interval))
-    others = others[:95]
-    pairstate._overlap_boxes(others[:3], quad)  # warm node cache
-    peak_others, alone = traced_peak(others, quad)
-    peak_far, far_alone = traced_peak([far], quad)
-    peak_both, both = traced_peak(others + [far], quad)
-    assert isinstance(far_alone[0], ConvergenceError)
-    assert "panels=2" in str(far_alone[0])  # refined to thousands of panels
-    assert all(same_outcome(x, y) for x, y in zip(both, alone + far_alone))
-    assert peak_both < peak_others + peak_far, (
-        f"batch peak {peak_both / 1e6:.2f} MB, parts "
-        f"{peak_others / 1e6:.2f} + {peak_far / 1e6:.2f} MB")

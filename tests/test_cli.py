@@ -87,6 +87,19 @@ def test_removed_per_channel_xx_width_key_is_unknown(capsys, tmp_path):
     assert "unknown config key 'per_channel_xx_width'" in err
 
 
+@pytest.mark.parametrize("key", ["base_nodes", "max_refinements"])
+def test_removed_quadrature_keys_are_unknown(capsys, tmp_path, key):
+    # Window overlaps are exact, so these settings no longer exist.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 8\n")
+    code, out, err = run_cli(capsys, "gamma", "--config", str(cfg))
+    assert code == 1
+    assert f"unknown config key {key!r}" in err
+    code, out, err = run_cli(capsys, "gamma", f"--{key.replace('_', '-')}", "8")
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_bad_config_value_exits_one(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("points = many\n")
@@ -200,19 +213,19 @@ def test_sample_different_seed_differs(capsys, tmp_path):
 # the figure digests in test_acceptance, they change only on purpose.
 CLI_OUTPUT_SHA256 = {
     ("sweep", "--scheme", "2"): {
-        "anticrossing.csv": "2856b1adb916f24276b811ce37bf1c0095395ade5feffb43bf0cd2a6877b5687",
+        "anticrossing.csv": "626d83bc5ac83b25c2695dbdc6bd514495dcb80a018d504a65d63070da4b0e5c",
         "anticrossing.svg": "f45a210c5978839b88c9316cee808d413df8e9742154f0ac4f8b5a3968033689",
     },
     ("spectrum", "--scheme", "3", "--reference", "absolute"): {
-        "spectrum.csv": "b106f63bd2aae3f885dbce58297374c84de5a0b537dfb8984dcf0a1875a1633c",
+        "spectrum.csv": "aa42a05193bfe4ba1a33c571fd5b37f03a64ea34db64855e8ec4242a0a6fdcbc",
         "spectrum.svg": "801ef47c13d3ea9fb27ec35b2d1a713edd61b9f26e2b285bf7f68ff29c7a3810",
     },
     ("spectrum", "--scheme", "3", "--reference", "relative_to_ex_mean"): {
-        "spectrum.csv": "062b49cfad4fa08036b73b8b7136cca434860a427ddb12e312e135f5f7137e9a",
+        "spectrum.csv": "315846f8547cb62e5f5f41bc137b4b5edf9bc6b0e8dede0e8d4942006eb798f7",
         "spectrum.svg": "4c51e7991a07614fc8ab47d2cb2458d82a97ecbf33ccb7b333169a81b6bbfae7",
     },
     ("sample", "--scheme", "1", "--seed", "7"): {
-        "counts.csv": "a0df28bb747411676fef19d975b9f37ce3375c3b358c2a65875d5c23e8dae8da",
+        "counts.csv": "0d3ef469217fd433e951c11213f1994e103733c468e4d7af0bb7f7d61ab1698a",
     },
 }
 

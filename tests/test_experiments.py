@@ -14,7 +14,7 @@ from polcascade.experiments import (FIGURE_IDS, SCHEME_PAIRING, SweepCurve,
                                     optimize_detuning, reproduce_figure,
                                     sweep_gamma, tracked_window)
 from polcascade.model import scheme_preset
-from polcascade.pairstate import (DEFAULT_QUAD, DetectorWindow, gamma_prime,
+from polcascade.pairstate import (DetectorWindow, gamma_prime,
                                   pairing_channels)
 
 
@@ -187,7 +187,7 @@ def test_window_doubling_at_scheme1_optimum_barely_matters():
     delta, best = optimize_detuning(1, lo=-0.1, hi=0.1)
     p = scheme_preset(1).with_detuning(delta)
     wide = tracked_window(p, "LP-LP", 0.4)
-    at_wide = abs(gamma_prime(p, "LP-LP", wide, DEFAULT_QUAD).gamma)
+    at_wide = abs(gamma_prime(p, "LP-LP", wide).gamma)
     assert abs(at_wide - best) < 0.05
 
 

@@ -1,0 +1,102 @@
+"""Output bytes do not depend on the SIMD level NumPy dispatches to.
+
+NumPy picks a SIMD implementation of each ufunc at run time from the CPU's
+features, and NPY_DISABLE_CPU_FEATURES narrows that choice for one
+process.  Some ufuncs round differently from level to level (real log,
+arctan and log1p without AVX-512; complex multiply without AVX2), so the
+program avoids them on every path that reaches a file.  This test runs
+`figures --all` and one `sample` command in subprocesses at three levels:
+the default, without AVX-512, and the X86_V2 baseline, and requires the
+same output bytes and the same JSON summaries at each.
+
+A level is skipped only when the running NumPy cannot disable its
+features.  What stays untested: levels above the features of the host
+that runs the test, other glibc (libm) versions, and non-x86 hosts.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import polcascade
+
+LEVELS = {
+    "no AVX-512": "X86_V4 AVX512_ICL AVX512_SPR",
+    "X86_V2 baseline": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+
+COMMANDS = (
+    ("figures", "--all", "--out-dir", "figures"),
+    ("sample", "--scheme", "1", "--seed", "7", "--n", "1000",
+     "--out-dir", "sample"),
+)
+
+PROBE = """
+import json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+names = sys.argv[1].split()
+print(json.dumps(all(n in __cpu_dispatch__ and not __cpu_features__[n]
+                     for n in names)))
+"""
+
+
+def child_env(disabled):
+    src = os.path.dirname(os.path.dirname(polcascade.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    return env
+
+
+def run_level(disabled, cwd):
+    """The JSON summary of each command and the bytes of every file they
+    wrote, run with the given features disabled."""
+    env = child_env(disabled)
+    summaries = []
+    for argv in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "polcascade", *argv],
+                              cwd=cwd, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        summaries.append(json.loads(proc.stdout))
+    files = {}
+    for root, _, names in os.walk(cwd):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, cwd)] = fh.read()
+    return summaries, files
+
+
+def can_disable(disabled):
+    proc = subprocess.run([sys.executable, "-c", PROBE, disabled],
+                          env=child_env(disabled), capture_output=True,
+                          text=True, timeout=60)
+    return proc.returncode == 0 and json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    return run_level(None, tmp_path_factory.mktemp("default"))
+
+
+@pytest.mark.parametrize("level", list(LEVELS))
+def test_outputs_identical_at_every_dispatch_level(level, default_outputs,
+                                                   tmp_path):
+    disabled = LEVELS[level]
+    if not can_disable(disabled):
+        pytest.skip(f"this NumPy cannot disable {disabled}")
+    summaries, files = run_level(disabled, tmp_path)
+    expected_summaries, expected_files = default_outputs
+    assert len(expected_files) == 15
+    assert summaries == expected_summaries
+    assert sorted(files) == sorted(expected_files)
+    changed = [name for name in files if files[name] != expected_files[name]]
+    assert changed == []

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from polcascade import kernels
@@ -72,74 +71,3 @@ def test_midpoint_matches_amplitude_product_sum():
 def test_active_backend_is_exported():
     assert kernels.BACKEND == "python"
     assert kernels.overlap_integrand is not None
-
-
-def reference_cross(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
-                    e_a, g_a, e_b, g_b, pref, kind):
-    """The non-self integrand on fresh temporaries:
-    pref * fu / ((v - (e_a + 1j g_a)) * (v - (e_b - 1j g_b))).
-
-    The product is formed as denom *= ..., because NumPy's complex
-    multiply takes a different loop for a one-element operand when the
-    output is the first input, and that loop can round differently.
-    """
-    v = np.asarray(v, dtype=float)
-    v = np.broadcast_to(v, np.broadcast(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b,
-                                        gxx_b, e_a, g_a, e_b, g_b,
-                                        pref).shape)
-    fu = kernels._u_integral(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
-                             kind == "log")
-    denom = v - (e_a + 1j * g_a)
-    denom *= v - (e_b - 1j * g_b)
-    return pref * fu / denom
-
-
-@st.composite
-def cross_calls(draw):
-    """A non-self overlap_integrand call: v and its eleven parameters.
-
-    Scalar calls use floats; 1-d calls an array of v with scalar
-    parameters; block calls a (3n, panels) v against per-panel
-    parameter rows, as pairstate._eval_panels makes them.
-    """
-    kind = draw(st.sampled_from(("arctan", "log")))
-    layout = draw(st.sampled_from(("scalar", "1d", "block")))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    panels = draw(st.integers(1, 40)) if layout == "block" else 1
-
-    def par(lo, hi):
-        x = rng.uniform(lo, hi, panels)
-        return x if layout == "block" else float(x[0])
-
-    exx_a, gxx_a = par(1996.0, 1998.0), par(1e-4, 1e-2)
-    if kind == "log":
-        exx_b, gxx_b = par(1996.0, 1998.0), par(1e-4, 1e-2)
-    else:
-        exx_b, gxx_b = exx_a, gxx_a
-    e_a, g_a = par(999.5, 1000.5), par(1e-3, 0.05)
-    e_b, g_b = par(999.5, 1000.5), par(1e-3, 0.05)
-    center = par(996.5, 997.5)
-    half = par(1e-3, 0.5)
-    k1_lo, k1_hi = center - half, center + half
-    pref = par(1e-4, 1.0)
-    if layout == "scalar":
-        v = float(rng.uniform(999.0, 1001.0))
-    elif layout == "1d":
-        v = rng.uniform(999.0, 1001.0, draw(st.integers(1, 64)))
-    else:
-        v = rng.uniform(999.0, 1001.0, (3 * draw(st.integers(1, 16)), panels))
-    return (v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b,
-            pref), kind
-
-
-@settings(max_examples=1000, deadline=None)
-@given(cross_calls())
-def test_cross_kernel_equals_the_plain_expression_bitwise(call):
-    args, kind = call
-    got = kernels.overlap_integrand(*args, kind=kind)
-    want = reference_cross(*args, kind)
-    if np.ndim(args[0]) == 0:
-        assert not isinstance(got, np.ndarray)
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(np.atleast_1d(got).view(np.int64),
-                          np.atleast_1d(want).view(np.int64))
