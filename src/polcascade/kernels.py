@@ -18,12 +18,12 @@ window_overlaps integrates a batch of boxes exactly.  Partial fractions
 in u and v turn a box into eight integrals J(s, r) = int log(v - s) /
 (v - r) dv, each a difference of complex dilogarithms ('t Hooft and
 Veltman, Nucl. Phys. B153 (1979) 365): _dilog_form, which takes every
-tracked window.  The sum cancels by about how far the poles lie outside
-the box over their spacing (3 meV off the ridge, 7 digits were left), so
-such boxes go to a 64-node Gauss-Legendre rule instead: over v when the
-ridge lies outside the window (_ridge_rule), over u when the polariton
-poles do (_sheared_rule), with the poles near the window subtracted and
-integrated in closed form.
+tracked window.  The sum cancels once poles lie outside the box (3 meV
+off the ridge, 7 digits were left), so a box whose sum cancels by more
+than _DILOG_CANCELLATION goes to a 64-node Gauss-Legendre rule instead:
+over v when the ridge lies outside the window (_ridge_rule), over u when
+the polariton poles do (_sheared_rule), with the poles near the window
+subtracted and integrated in closed form.
 
 Boxes are integrated relative to their corner (k1_lo, k2_lo), so window
 widths enter exactly, and each value depends only on its own box.
@@ -59,9 +59,10 @@ _LI2_TERMS = tuple(b / math.factorial(2 * k + 1) for k, b in enumerate((
 _NODES = 64
 _MARGIN = 1 / 32
 
-# Boxes go to the rules where the dilogarithm sum would cancel by more
-# than this factor and a rule applies.
-_DILOG_CANCELLATION = 64.0
+# Boxes go to a rule where the dilogarithm sum cancels by more than this
+# factor (its error is about 1e-16 times the factor) and a rule applies.
+# The fig4 sweeps' tracked windows cancel by at most 32.
+_DILOG_CANCELLATION = 256.0
 
 
 def _join(re, im):
@@ -83,9 +84,13 @@ def _log1p_over(x):
     u = 1 + x rounded, log(u) / (u - 1) is the same function at the x
     that u represents exactly."""
     u = 1.0 + x
-    d = u - 1.0
-    exact = d == 0
-    return np.where(exact, 1.0, np.log(u) / np.where(exact, 1.0, d))
+    exact = u == 1.0
+    return np.where(exact, 1.0, np.log(u) / np.where(exact, 1.0, u - 1.0))
+
+
+def _log1p(x):
+    """log(1 + x), accurate for small |x|."""
+    return _mul(x, _log1p_over(x))
 
 
 def _pair_integral(lo_p, lo_q, width, pq):
@@ -99,10 +104,7 @@ def _pair_integral(lo_p, lo_q, width, pq):
     same value, and it keeps the digits that the difference of two close
     logs loses.
     """
-    over_p = width / lo_p
-    over_q = width / lo_q
-    logs = (_mul(over_p, _log1p_over(over_p))
-            - _mul(over_q, _log1p_over(over_q)))
+    logs = _log1p(width / lo_p) - _log1p(width / lo_q)
     # X = width (p - q) / ((lo - p)(hi - q)).
     span = width / _mul(lo_p, lo_q + width)
     single = _mul(span, _log1p_over(_mul(span, pq)))
@@ -138,7 +140,7 @@ def _dilog(z):
     z1 = np.where(inv, 1.0 / np.where(inv, z, 1.0), z)
     refl = z1.real > 0.5
     z2 = np.where(refl, 1.0 - z1, z1)
-    u = -np.log(1.0 - z2)
+    u = -_log1p(-z2)
     u2 = _mul(u, u)
     tail = np.full(u.shape, _LI2_TERMS[-1], dtype=complex)
     for c in _LI2_TERMS[-2::-1]:
@@ -153,7 +155,8 @@ def _dilog(z):
 
 
 def _dilog_form(w1, w2, p, q, pa, pb):
-    """The box integral (pref 1) as sum J(s, r) / ((p - q)(pa - pb)).
+    """The box integral (pref 1) as sum J(s, r) / ((p - q)(pa - pb)), and
+    how much that sum cancels: the sum of its terms' sizes over its size.
 
     Coordinates are relative to the box corner: v runs over [0, w2], the
     u-poles p, q sit at p - k1_lo - k2_lo, and the partial fractions put
@@ -169,15 +172,18 @@ def _dilog_form(w1, w2, p, q, pa, pb):
     degenerate = d == 0
     d = np.where(degenerate, 1.0, d)
     # One window edge at a time, which halves the temporaries.
-    f, im = [], []
+    f, im, size = [], [], 0.0
     for edge, side in ((0.0, -d.imag), (w2, d.imag)):
         w = edge - s
         z = w / d
         # Im z along the path runs with Im(1/d), of sign opposite to Im d.
         z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
         log_w = np.log(w)
-        f.append(np.where(degenerate, 0.5 * _mul(log_w, log_w),
-                          _mul(log_w, np.log(1.0 - z)) + _dilog(z)))
+        parts = (np.where(degenerate, 0.5 * _mul(log_w, log_w),
+                          _mul(log_w, _log1p(-z))),
+                 np.where(degenerate, 0.0, _dilog(z)))
+        f.append(parts[0] + parts[1])
+        size = size + np.abs(parts[0]) + np.abs(parts[1])
         im.append(z.imag.copy())
     j = f[1] - f[0]
     # The path crosses the real axis of z where Im z changes sign, at the
@@ -192,9 +198,13 @@ def _dilog_form(w1, w2, p, q, pa, pb):
         log_ratio = np.log(np.where(cut, x, 1.0) + 0j) - np.log(w_cross)
         jump = 2 * math.pi * _join(-log_ratio.imag, log_ratio.real)
         j -= np.where(cut, np.copysign(1.0, im_hi - im_lo) * jump, 0)
+        size += np.where(cut, np.abs(jump), 0.0)
     total = ((j[0, 0] - j[0, 1]) - (j[1, 0] - j[1, 1])
              - ((j[2, 0] - j[2, 1]) - (j[3, 0] - j[3, 1])))
-    return total / (p - q) / (pa - pb)
+    with np.errstate(divide="ignore"):
+        cancellation = (np.add.accumulate(size.reshape(8, -1))[-1]
+                        / np.abs(total))
+    return total / (p - q) / (pa - pb), cancellation
 
 
 def _gap(lo, hi, a, b):
@@ -208,10 +218,10 @@ def _gauss_legendre():
 
 
 def _pole_rule(lo, hi, inner, r1, r2, s1, s2):
-    """int F(x) / ((x - r1)(x - r2)) dx over [lo, hi], where F(x) is the
-    _pair_integral with poles s1, s2 over [a, b] = [off_a + slope_a x,
-    off_b + slope_b x], inner = (off_a, slope_a, off_b, slope_b), and has
-    no singularity within _MARGIN (hi - lo) of [lo, hi].
+    """int F(x) / ((x - r1)(x - r2)) dx over [lo, hi].  F(x) is the
+    _pair_integral with poles s1, s2 from off_a + slope_a x to off_b +
+    slope_b x, inner = (off_a, slope_a, off_b, slope_b), and must be
+    analytic within _MARGIN (hi - lo) of [lo, hi].
 
     A pole r within that margin is subtracted with its residue
     c = F(r) / (r - other) and integrated in closed form,
@@ -264,8 +274,7 @@ def _sheared_rule(w1, w2, p, q, pa, pb):
     to_u = mid < w2
     inner = (np.where(from_u, -w1, 0.0), from_u * 1.0,
              np.where(to_u, 0.0, w2), to_u * 1.0)
-    pieces = _pole_rule(lo, hi, inner, p, q, pa, pb)
-    return (pieces[0] + pieces[1]) + pieces[2]
+    return np.add.accumulate(_pole_rule(lo, hi, inner, p, q, pa, pb))[-1]
 
 
 def window_overlaps(boxes):
@@ -286,28 +295,23 @@ def window_overlaps(boxes):
     q = _join((exx_b - k1_lo) - k2_lo, -gxx_b)
     pa = _join(e_a - k2_lo, g_a)
     pb = _join(e_b - k2_lo, -g_b)
-    # How far outside [0, w2] the real parts lie: of the v at which k1 + v
-    # meets p or q (segments [p - w1, p]), and of the polariton poles.
-    ridge_gap = np.minimum(_gap(p.real - w1, p.real, 0.0, w2),
-                           _gap(q.real - w1, q.real, 0.0, w2))
-    pole_gap = np.minimum(_gap(pa.real, pa.real, 0.0, w2),
-                          _gap(pb.real, pb.real, 0.0, w2))
-    # The dilogarithm sum cancels by about each gap over the spacing of its
-    # poles and over the window width.  Empty boxes and vanishing
-    # amplitudes divide by zero here; they are not live.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cancellation = ((1 + ridge_gap / np.abs(p - q)) * (1 + ridge_gap / w1)
-                        * (1 + pole_gap / np.abs(pa - pb))
-                        * (1 + pole_gap / w2))
-    margin = _MARGIN * w2
-    dilog = ((cancellation <= _DILOG_CANCELLATION)
-             | ((ridge_gap < margin) & (pole_gap < margin)))
-    live = ~((pref == 0.0) | (w1 <= 0) | (w2 <= 0))
+    live = (~((pref == 0.0) | (w1 <= 0) | (w2 <= 0))).nonzero()[0]
     values = np.zeros(w1.shape, dtype=complex)
-    for form, chosen in ((_dilog_form, dilog),
-                         (_ridge_rule, ~dilog & (ridge_gap >= margin)),
-                         (_sheared_rule, ~dilog & (ridge_gap < margin))):
-        i = (live & chosen).nonzero()[0]
+    redo = np.zeros(w1.shape, dtype=bool)
+    values[live], cancellation = _dilog_form(w1[live], w2[live], p[live],
+                                             q[live], pa[live], pb[live])
+    redo[live] = cancellation > _DILOG_CANCELLATION
+    # A rule applies where the real parts lie beyond the margin of
+    # [0, w2]: those of the v at which k1 + v meets p or q (segments
+    # [p - w1, p]), or those of both polariton poles.
+    margin = _MARGIN * w2
+    ridge_far = ((_gap(p.real - w1, p.real, 0.0, w2) >= margin)
+                 & (_gap(q.real - w1, q.real, 0.0, w2) >= margin))
+    poles_far = ((_gap(pa.real, pa.real, 0.0, w2) >= margin)
+                 & (_gap(pb.real, pb.real, 0.0, w2) >= margin))
+    for form, chosen in ((_ridge_rule, ridge_far),
+                         (_sheared_rule, ~ridge_far & poles_far)):
+        i = (redo & chosen).nonzero()[0]
         if i.size:
             values[i] = form(w1[i], w2[i], p[i], q[i], pa[i], pb[i])
     values *= pref

@@ -202,8 +202,6 @@ def _box_args(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
 def _overlap_boxes(boxes) -> list:
     """Exact overlaps of boxes (ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi),
     one complex value per box."""
-    if not boxes:
-        return []
     chans_a, chans_b, *bounds = zip(*boxes)
     return kernels.window_overlaps(_box_args(
         _sides(chans_a), _sides(chans_b), *np.array(bounds))).tolist()

@@ -404,9 +404,9 @@ FIGURE_SHA256 = {
     "fig3c.csv": "1a99d0f350ab09e4f6d88b2fd054b94acff8dbdd34cd4bcc66a8502bf79355da",
     "fig3c.svg": "68fcf5046e83b74d32796b13b55a884fedc473bdc53a36217911ace63d9cd6e0",
     "fig4.svg": "58231c2978e0979c0fffef8fa4c621d1086ac538c2bc0212c8f7d97901305553",
-    "fig4_scheme1.csv": "fd0c676509d6451c0f628042b84c487bb7a9cbdf7bb3f97aba4b2bacd6170040",
-    "fig4_scheme2.csv": "5e5c650e1f8895465d69d829ddc5c86c776ad4d410d0b6c1ecebd80d13781373",
-    "fig4_scheme3.csv": "bb682eb9922107b32420303c2dd78114ba24499cdb85f926e7d215503d2e21bb",
+    "fig4_scheme1.csv": "74926698e7bebe2db52470cb5a060ca5353cc2d7739735251fbf168f0df79b69",
+    "fig4_scheme2.csv": "c5cfc92368c56a7ee0bbe98546baccd563e6a1f29cfbcff1882d9ec420697f8f",
+    "fig4_scheme3.csv": "47b6a8b676d3e9414e23de13b06bf9e53649f80ad38a41a7022d00d472327f35",
 }
 
 

@@ -62,18 +62,17 @@ def boxes_for(params, width, per_channel_xx_width=False, offset=(0, 0)):
 
 
 def forms_used(boxes):
-    """The kernels form each box goes through on its own."""
+    """The kernels form whose value each box keeps on its own: a rule
+    where one ran, else the dilogarithm form, which every box starts in."""
     used = []
-    forms = ("_ridge_rule", "_sheared_rule", "_dilog_form")
     for box in boxes:
-        spies = {name: mock.patch.object(kernels, name,
-                                         wraps=getattr(kernels, name))
-                 for name in forms}
-        with spies["_ridge_rule"] as a, spies["_sheared_rule"] as b, \
-                spies["_dilog_form"] as c:
+        with mock.patch.object(kernels, "_ridge_rule",
+                               wraps=kernels._ridge_rule) as ridge, \
+                mock.patch.object(kernels, "_sheared_rule",
+                                  wraps=kernels._sheared_rule) as sheared:
             pairstate._overlap_boxes([box])
-        used.append(tuple(name for name, spy in zip(forms, (a, b, c))
-                          if spy.called))
+        used.append("_ridge_rule" if ridge.called else
+                    "_sheared_rule" if sheared.called else "_dilog_form")
     return used
 
 
@@ -199,8 +198,8 @@ def test_mixed_batch_covers_every_form():
              + boxes_for(p, 0.3, per_channel_xx_width=True)
              + boxes_for(p, 0.1, offset=(0.5, 0.5))
              + boxes_for(p, 0.1, offset=(-0.5, 0.5)))
-    assert set(forms_used(boxes)) == {("_ridge_rule",), ("_sheared_rule",),
-                                      ("_dilog_form",)}
+    assert set(forms_used(boxes)) == {"_ridge_rule", "_sheared_rule",
+                                      "_dilog_form"}
     alone = [pairstate._overlap_boxes([box])[0] for box in boxes]
     assert pairstate._overlap_boxes(boxes) == alone
     assert pairstate._overlap_boxes(boxes[::-1]) == alone[::-1]

@@ -7,6 +7,7 @@ u-integral's closed form, split at the poles and at the ridge edges.
 """
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -135,6 +136,23 @@ def test_near_degenerate_boxes_are_finite_and_exact(e_a, g_a):
     want = oracle(box[:, 0])
     assert abs(got - want) <= 1e-12 * abs(want)
     assert abs(got - nudged) <= 1e-8 * abs(want)
+
+
+def test_box_beside_a_narrow_ridge_edge():
+    # The ridge (gxx = 4.5e-5 meV) ends on the window's lower edge and the
+    # line lies 0.5 meV below the window, so the dilogarithm sum cancels
+    # by 3.6e4 (2.4e-12 relative error); the rule over u takes the box.
+    e, g, gxx = 903.0206906325745, 0.1307468231779825, 4.477841010087558e-05
+    exx = 893.9793093674255 + e
+    box = np.array([[893.4793093674255, 894.4793093674255, exx, gxx, exx,
+                     gxx, e, g, e, g, 1e-4, 903.5206906325745,
+                     904.5206906325745]]).T
+    with mock.patch.object(kernels, "_sheared_rule",
+                           wraps=kernels._sheared_rule) as rule:
+        got = kernels.window_overlaps(box)[0]
+    assert rule.called
+    want = oracle(box[:, 0])
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_dilogarithm_against_mpmath():
