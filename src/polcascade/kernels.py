@@ -14,19 +14,31 @@ overlap_integrand is the v-integrand the u-integral leaves.
 midpoint_overlap is the brute-force 2-d midpoint rule over the original
 (k1, k2) box, used as a cross check.
 
-window_overlaps integrates a batch of boxes exactly.  Partial fractions
-in u and v turn a box into eight integrals J(s, r) = int log(v - s) /
-(v - r) dv, each a difference of complex dilogarithms ('t Hooft and
-Veltman, Nucl. Phys. B153 (1979) 365): _dilog_form, which takes every
-tracked window.  The sum cancels once poles lie outside the box (3 meV
-off the ridge, 7 digits were left), so a box whose sum cancels by more
-than _DILOG_CANCELLATION goes to a 64-node Gauss-Legendre rule instead:
-over v when the ridge lies outside the window (_ridge_rule), over u when
-the polariton poles do (_sheared_rule), with the poles near the window
+window_overlaps integrates the boxes of a batch of channel pairs
+exactly: for each point, the self overlaps of both channels and their
+cross overlap over one window.  Partial fractions in u and v turn a box
+into eight integrals J(s, r) = int log(v - s) / (v - r) dv, each a
+difference of complex dilogarithms ('t Hooft and Veltman, Nucl. Phys.
+B153 (1979) 365): _dilog_form, which takes every tracked window.  A
+point's three boxes share terms, and a term whose s is a
+lower-half-plane u-pole is the conjugate of one in the upper half plane,
+J(conj s, conj r) = conj J(s, r), which holds because every channel's
+biexciton width is positive.  So one table of 12 terms per point gives
+all 24, directly or conjugated: rows s = p_a - w1, p_a,
+p_b - w1, p_b (the upper-half-plane u-poles, w1 the k1 width), columns
+r = pa_a, conj pa_a, conj pa_b for the a rows and pa_b, conj pa_b,
+conj pa_a for the b rows.  A self overlap is -Re X / (2 gxx g) pref^2
+with X = (J00 - J01) - (J10 - J11) over its channel's rows, real by
+construction; the cross overlap sums eight table entries, four of them
+conjugated.  A sum cancels once poles lie outside the box (3 meV off the
+ridge, 7 digits were left), so a box whose sum cancels by more than
+_DILOG_CANCELLATION goes to a 64-node Gauss-Legendre rule instead: over
+v when the ridge lies outside the window (_ridge_rule), over u when the
+polariton poles do (_sheared_rule), with the poles near the window
 subtracted and integrated in closed form.
 
 Boxes are integrated relative to their corner (k1_lo, k2_lo), so window
-widths enter exactly, and each value depends only on its own box.
+widths enter exactly, and each value depends only on its own point.
 Results do not depend on the host's SIMD: the arithmetic is complex log,
 complex divide, abs, and real add, subtract, multiply and divide, whose
 results NumPy's CPU dispatch does not change.  Complex products are
@@ -154,31 +166,41 @@ def _dilog(z):
     return np.where(inv, inverted, value)
 
 
-def _dilog_form(w1, w2, p, q, pa, pb):
-    """The box integral (pref 1) as sum J(s, r) / ((p - q)(pa - pb)), and
-    how much that sum cancels: the sum of its terms' sizes over its size.
+def _dilog_table(w2, s, r):
+    """J(s, r) = int log(v - s) / (v - r) dv over v in [0, w2], on
+    arrays s and r that broadcast together, and the summed sizes of the
+    terms that make up each J.
 
-    Coordinates are relative to the box corner: v runs over [0, w2], the
-    u-poles p, q sit at p - k1_lo - k2_lo, and the partial fractions put
-    s at p - w1, p, q - w1 and q, and r at pa and pb.  For w = v - s and
-    d = r - s, J(s, r) is [log w log(1 - w/d) + Li2(w/d)] between the
-    window edges, minus sign(Im 1/d) 2 pi i (log x - log w*) when w/d
-    crosses the cut of both functions at x > 1 (w* is w there).  An edge
-    exactly on the real axis counts as lying on the side the path leaves
-    it by.  d = 0 gives log^2(w) / 2.
+    For w = v - s and d = r - s, J(s, r) is [log w log(1 - w/d) +
+    Li2(w/d)] between the window edges, minus sign(Im 1/d) 2 pi i
+    (log x - log w*) when w/d crosses the cut of both functions at x > 1
+    (w* is w there).  An edge exactly on the real axis counts as lying on
+    the side the path leaves it by.  d = 0 gives log^2(w) / 2.
+
+    The work runs on flat arrays: NumPy's loops over the real and
+    imaginary parts of a flat array cost less than over a table's axes.
     """
-    s = np.array([p - w1, p, q - w1, q])[:, None]
-    d = np.array([pa, pb])[None] - s
+    d = r - s
+    shape = d.shape
+
+    def flat(x):
+        """x spread over the table, as one flat array."""
+        out = np.empty(shape, x.dtype)
+        out[...] = x
+        return out.reshape(-1)
+
+    d = d.reshape(-1)
+    s_flat, w2_flat = flat(s), flat(w2)
     degenerate = d == 0
     d = np.where(degenerate, 1.0, d)
     # One window edge at a time, which halves the temporaries.
     f, im, size = [], [], 0.0
-    for edge, side in ((0.0, -d.imag), (w2, d.imag)):
-        w = edge - s
-        z = w / d
+    for edge, edge_flat, side in ((0.0, 0.0, -d.imag), (w2, w2_flat, d.imag)):
+        z = (edge_flat - s_flat) / d
         # Im z along the path runs with Im(1/d), of sign opposite to Im d.
         z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
-        log_w = np.log(w)
+        # log w takes one log per row s, not one per table entry.
+        log_w = flat(np.log(edge - s))
         parts = (np.where(degenerate, 0.5 * _mul(log_w, log_w),
                           _mul(log_w, _log1p(-z))),
                  np.where(degenerate, 0.0, _dilog(z)))
@@ -191,7 +213,7 @@ def _dilog_form(w1, w2, p, q, pa, pb):
     im_lo, im_hi = im
     crosses = (im_lo < 0) != (im_hi < 0)
     t = im_lo / np.where(crosses, im_lo - im_hi, 1.0)
-    w_cross = _join(t * w2 - s.real, -s.imag)
+    w_cross = _join(t * w2_flat - s_flat.real, -s_flat.imag)
     x = (w_cross / d).real
     cut = crosses & (x > 1) & ~degenerate
     if cut.any():
@@ -199,12 +221,50 @@ def _dilog_form(w1, w2, p, q, pa, pb):
         jump = 2 * math.pi * _join(-log_ratio.imag, log_ratio.real)
         j -= np.where(cut, np.copysign(1.0, im_hi - im_lo) * jump, 0)
         size += np.where(cut, np.abs(jump), 0.0)
-    total = ((j[0, 0] - j[0, 1]) - (j[1, 0] - j[1, 1])
-             - ((j[2, 0] - j[2, 1]) - (j[3, 0] - j[3, 1])))
+    return j.reshape(shape), size.reshape(shape)
+
+
+def _dilog_form(w1, w2, p, pa):
+    """The self and cross box integrals (pref 1) of channel pairs, and
+    how much each sum cancels: the sum of its terms' sizes over its size.
+
+    p and pa hold the upper-half-plane poles of the a and b channels
+    along u and v, relative to the box corner: v runs over [0, w2], the
+    u-poles sit at exx - k1_lo - k2_lo + i gxx.  Returns the real self
+    integrals (row a, row b), the complex cross integral, and the
+    cancellations of the self_a, self_b and cross sums as rows.
+
+    Partial fractions put s at p - w1, p, conj(p) - w1 and conj(p) of
+    the two channels in the box, and r at the polariton pole of one and
+    the conjugate of the other's.  The terms with s in the lower half
+    plane are J(conj s, conj r) = conj J(s, r), since v is real and
+    log(v - s) never meets its cut while Im s = gxx > 0.  So one table
+    holds every term of a point's three boxes: rows s = p_a - w1, p_a,
+    p_b - w1, p_b and columns r = pa_a, conj pa_a, conj pa_b for the a
+    rows, pa_b, conj pa_b, conj pa_a for the b rows.  A self integral is
+    2 Re X / ((2i gxx)(2i g)) with X = (J00 - J01) - (J10 - J11) over the
+    channel's rows; the cross integral sums the Y = (J00 - J02) -
+    (J10 - J12) of a with the conjugated Y of b.
+    """
+    pa_bar = np.conj(pa)
+    # Axes of the table: row s (p - w1, p), channel (a, b), column r, point.
+    j, size = _dilog_table(w2, np.array([p - w1, p])[:, :, None],
+                           np.array([[pa[0], pa_bar[0], pa_bar[1]],
+                                     [pa[1], pa_bar[1], pa_bar[0]]]))
+    # Column 0 less columns 1 and 2, row p - w1 less row p: X and Y of
+    # each channel, and the summed sizes of their terms.
+    xy = j[:, :, :1] - j[:, :, 1:]
+    xy = xy[0] - xy[1]
+    sizes = size[:, :, :1] + size[:, :, 1:]
+    sizes = sizes[0] + sizes[1]
+    x = xy[:, 0].real
+    total = xy[0, 1] + np.conj(xy[1, 1])
     with np.errstate(divide="ignore"):
-        cancellation = (np.add.accumulate(size.reshape(8, -1))[-1]
-                        / np.abs(total))
-    return total / (p - q) / (pa - pb), cancellation
+        cancellation = np.array([*(sizes[:, 0] / np.abs(x)),
+                                 (sizes[0, 1] + sizes[1, 1]) / np.abs(total)])
+    return (-x / (2 * p.imag * pa.imag),
+            total / (p[0] - np.conj(p[1])) / (pa[0] - pa_bar[1]),
+            cancellation)
 
 
 def _gap(lo, hi, a, b):
@@ -277,46 +337,64 @@ def _sheared_rule(w1, w2, p, q, pa, pb):
     return np.add.accumulate(_pole_rule(lo, hi, inner, p, q, pa, pb))[-1]
 
 
-def window_overlaps(boxes):
-    """conj(amplitude_a) * amplitude_b integrated exactly over many boxes.
+def _exact_overlaps(w1, w2, p, pa):
+    """The self integrals (rows a, b) and the cross integral (pref 1) of
+    nonempty boxes, in the coordinates of _dilog_form: by its dilogarithm
+    sums, or by a rule where a sum cancels by more than
+    _DILOG_CANCELLATION and a rule applies."""
+    self_, cross, cancellation = _dilog_form(w1, w2, p, pa)
+    redo = cancellation > _DILOG_CANCELLATION
+    if redo.any():
+        # A rule applies where the real parts lie beyond the margin of
+        # [0, w2]: those of the v at which k1 + v meets a u-pole (segments
+        # [p - w1, p]), or those of both polariton poles.
+        margin = _MARGIN * w2
+        ridge_far = _gap(p.real - w1, p.real, 0.0, w2) >= margin
+        poles_far = _gap(pa.real, pa.real, 0.0, w2) >= margin
+        for box, value, a, b in ((0, self_[0], 0, 0), (1, self_[1], 1, 1),
+                                 (2, cross, 0, 1)):
+            ridge = ridge_far[a] & ridge_far[b]
+            for form, chosen in ((_ridge_rule, ridge),
+                                 (_sheared_rule,
+                                  ~ridge & poles_far[a] & poles_far[b])):
+                i = (redo[box] & chosen).nonzero()[0]
+                if i.size:
+                    got = form(w1[i], w2[i], p[a, i], np.conj(p[b, i]),
+                               pa[a, i], np.conj(pa[b, i]))
+                    value[i] = got.real if a == b else got
+    return self_, cross
 
-    Column i of boxes holds box i's rows: k1_lo, k1_hi, the nine
-    overlap_integrand pole parameters (exx_a, gxx_a, exx_b, gxx_b, e_a,
-    g_a, e_b, g_b, pref), k2_lo and k2_hi.  Returns one complex value per
-    box: 0 for an empty box or a vanishing amplitude, and a real value
-    where both factors share every pole (a self overlap).
+
+def window_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
+    """The self and cross overlaps of channel pairs, integrated exactly
+    over their boxes.
+
+    Point i pairs two channels over the box [k1_lo[i], k1_hi[i]] x
+    [k2_lo[i], k2_hi[i]].  Column i of side_a holds the rows exx, gxx, e,
+    g, pref of channel a, whose amplitude is pref / ((k1 + k2 - exx +
+    i gxx)(k2 - e + i g)); side_b holds channel b's.  Returns self_a and
+    self_b, the real integrals of each channel's |amplitude|^2, and
+    cross, that of conj(amplitude_a) * amplitude_b: all 0 for an empty
+    box, and a value is 0 where an amplitude in it vanishes.
     """
-    (k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, pref,
-     k2_lo, k2_hi) = boxes
+    exx, gxx, e, g, pref = np.array([side_a, side_b]).swapaxes(0, 1)
+    k1_lo, k1_hi, k2_lo, k2_hi = np.array([k1_lo, k1_hi, k2_lo, k2_hi],
+                                          dtype=float)
     w1 = k1_hi - k1_lo
     w2 = k2_hi - k2_lo
     # Each difference of two nearby energies is exact.
-    p = _join((exx_a - k1_lo) - k2_lo, gxx_a)
-    q = _join((exx_b - k1_lo) - k2_lo, -gxx_b)
-    pa = _join(e_a - k2_lo, g_a)
-    pb = _join(e_b - k2_lo, -g_b)
-    live = (~((pref == 0.0) | (w1 <= 0) | (w2 <= 0))).nonzero()[0]
-    values = np.zeros(w1.shape, dtype=complex)
-    redo = np.zeros(w1.shape, dtype=bool)
-    values[live], cancellation = _dilog_form(w1[live], w2[live], p[live],
-                                             q[live], pa[live], pb[live])
-    redo[live] = cancellation > _DILOG_CANCELLATION
-    # A rule applies where the real parts lie beyond the margin of
-    # [0, w2]: those of the v at which k1 + v meets p or q (segments
-    # [p - w1, p]), or those of both polariton poles.
-    margin = _MARGIN * w2
-    ridge_far = ((_gap(p.real - w1, p.real, 0.0, w2) >= margin)
-                 & (_gap(q.real - w1, q.real, 0.0, w2) >= margin))
-    poles_far = ((_gap(pa.real, pa.real, 0.0, w2) >= margin)
-                 & (_gap(pb.real, pb.real, 0.0, w2) >= margin))
-    for form, chosen in ((_ridge_rule, ridge_far),
-                         (_sheared_rule, ~ridge_far & poles_far)):
-        i = (redo & chosen).nonzero()[0]
-        if i.size:
-            values[i] = form(w1[i], w2[i], p[i], q[i], pa[i], pb[i])
-    values *= pref
-    values.imag[(p == q.conj()) & (pa == pb.conj())] = 0.0
-    return values
+    p = _join((exx - k1_lo) - k2_lo, gxx)
+    pa = _join(e - k2_lo, g)
+    live = ((w1 > 0) & (w2 > 0)).nonzero()[0]
+    self_ = np.zeros(p.shape)
+    cross = np.zeros(w1.shape, dtype=complex)
+    self_[:, live], cross[live] = _exact_overlaps(w1[live], w2[live],
+                                                  p[:, live], pa[:, live])
+    # A vanishing amplitude gives 0, also where a zero width (the self
+    # values divide by gxx g) leaves the unscaled value infinite.
+    self_ = np.where(pref != 0, self_ * (pref * pref), 0.0)
+    pref_ab = pref[0] * pref[1]
+    return self_[0], self_[1], np.where(pref_ab != 0, cross * pref_ab, 0)
 
 
 def midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2, exx_a, gxx_a,

@@ -7,11 +7,15 @@ over a detector window for the spectrally filtered one.
 
 Window integrals are exact to roundoff: kernels.window_overlaps has no
 tolerance and no failure path, and each value depends only on its own
-box.  A batch of boxes arrives as one array of
-pole parameters and window bounds (built by _box_args).  Channel objects
-reach it through _overlap_boxes (windowed_overlap, gamma_unprojected) and
-gamma_prime_from_channels; detuning sweeps reach it through
-gamma_prime_arrays, straight from cascade.channel_arrays.
+point.  It takes channel pairs, not single boxes: each point gives the
+_side rows of two channels (the H and V sides of gamma') and one
+window, and gets back both self overlaps and the cross overlap.  Their
+24 dilogarithm terms are the entries of one 12-term table or their
+conjugates (see kernels).  Every caller takes that one path: detuning sweeps through
+gamma_prime_arrays, straight from cascade.channel_arrays; gamma_prime and
+gamma_prime_from_channels through _pair_overlaps; gamma_unprojected with
+one point per branch; and windowed_overlap, one box of two channel
+objects, through _overlap_boxes.
 """
 from __future__ import annotations
 
@@ -184,27 +188,24 @@ def _sides(channels):
         for ch in channels]).T)
 
 
-def _box_args(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
-    """The window_overlaps rows of conj(amplitude_a) * amplitude_b over
-    boxes.
-
-    side_a and side_b hold the _side rows of the channel on each side of
-    every box.  Rows: k1_lo, k1_hi, the nine overlap_integrand pole
-    parameters (exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, pref),
-    k2_lo and k2_hi.
-    """
-    exx_a, gxx_a, e_a, g_a, pref_a = side_a
-    exx_b, gxx_b, e_b, g_b, pref_b = side_b
-    return np.array([k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a,
-                     e_b, g_b, pref_a * pref_b, k2_lo, k2_hi])
+def _pole_args(ch_a: CascadeChannel, ch_b: CascadeChannel) -> list:
+    """The nine pole parameters of conj(amplitude_a) * amplitude_b that
+    kernels.overlap_integrand and kernels.midpoint_overlap take: exx_a,
+    gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b and pref_a * pref_b."""
+    (exx_a, gxx_a, e_a, g_a, pref_a), (exx_b, gxx_b, e_b, g_b, pref_b) = (
+        _sides([ch_a, ch_b]).T.tolist())
+    return [exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, pref_a * pref_b]
 
 
 def _overlap_boxes(boxes) -> list:
     """Exact overlaps of boxes (ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi),
-    one complex value per box."""
+    one complex value per box: the real self overlap where both channels
+    are the same, else the cross overlap."""
     chans_a, chans_b, *bounds = zip(*boxes)
-    return kernels.window_overlaps(_box_args(
-        _sides(chans_a), _sides(chans_b), *np.array(bounds))).tolist()
+    side_a, side_b = _sides(chans_a), _sides(chans_b)
+    self_a, _, cross = kernels.window_overlaps(side_a, side_b, *bounds)
+    same = (side_a == side_b).all(axis=0)
+    return np.where(same, self_a, cross).tolist()
 
 
 def _overlap_box(ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi) -> complex:
@@ -223,8 +224,7 @@ def brute_force_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
     """Midpoint-rule cross check of windowed_overlap on an n x n grid."""
     if not (isinstance(n, int) and n >= 2):
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    # The nine pole parameters of the _box_args rows.
-    args = _box_args(*_sides([ch_a, ch_b]).T, 0.0, 0.0, 0.0, 0.0)[2:11]
+    args = _pole_args(ch_a, ch_b)
     if args[-1] == 0.0:
         return 0j
     return complex(kernels.midpoint_overlap(*w.k1_interval, n,
@@ -237,23 +237,18 @@ def _pair_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     side_a and side_b hold the _side rows of the channel on each side of
     every point.  Point i's window is the box (k1_lo[i], k1_hi[i]) x
     (k2_lo[i], k2_hi[i]).  The self_a, self_b and cross overlaps of all
-    points go through one kernels.window_overlaps call.  Raises for the
+    points come from one kernels.window_overlaps call.  Raises for the
     first failing point: EmptyWindowError when its window holds no
     emission, or the ValidationError of a |gamma'| above 1/2.  Returns
     (self_a, self_b, gamma).
     """
-    n = len(k1_lo)
-    values = kernels.window_overlaps(_box_args(
-        np.concatenate([side_a, side_b, side_a], axis=1),
-        np.concatenate([side_a, side_b, side_b], axis=1),
-        *np.tile([k1_lo, k1_hi, k2_lo, k2_hi], 3)))
-    self_a, self_b = values[:n].real, values[n:2 * n].real
-    cross = values[2 * n:]
+    self_a, self_b, cross = kernels.window_overlaps(side_a, side_b, k1_lo,
+                                                    k1_hi, k2_lo, k2_hi)
     norm = self_a + self_b
     empty = norm < 1e-300
     # Divides each part by the real norm; empty windows raise below.
     norm = np.where(empty, 1.0, norm)
-    gamma = np.empty(n, dtype=complex)
+    gamma = np.empty(cross.shape, dtype=complex)
     gamma.real = cross.real / norm
     gamma.imag = cross.imag / norm
     bad = empty | (np.abs(gamma) > 0.5 + 1e-9)
@@ -399,20 +394,16 @@ def gamma_unprojected(params: SystemParams,
     else:
         raise ConvergenceError(
             "could not bound the cross-overlap tails below rel_tol")
-    terms = []
-    for branch in ("LP", "UP"):
-        ch_h = channels[("H", branch)]
-        ch_v = channels[("V", branch)]
-        terms.append((ch_h, ch_v))
-        terms += [(ch, ch) for ch in (ch_h, ch_v)
-                  if norms[(ch.pol, ch.branch)] != 0]
-    values = _overlap_boxes([(x, y, *boxes[x.branch]) for x, y in terms])
-    cross = 0j
+    # One point per branch, pairing its H and V channels.
+    chans_h, chans_v = ([channels[(pol, branch)] for branch in ("LP", "UP")]
+                        for pol in ("H", "V"))
+    self_h, self_v, cross = kernels.window_overlaps(
+        _sides(chans_h), _sides(chans_v), *zip(boxes["LP"], boxes["UP"]))
     self_sum = 0.0
-    for (ch_a, ch_b), value in zip(terms, values):
-        if ch_a is not ch_b:
-            cross += value
-        else:
-            self_sum += (value.real + norms[(ch_a.pol, ch_a.branch)]
-                         * _outside_fraction(ch_a, boxes[ch_a.branch]))
-    return complex(cross / self_sum)
+    for ch, value in zip((chans_h[0], chans_v[0], chans_h[1], chans_v[1]),
+                         (self_h[0], self_v[0], self_h[1], self_v[1])):
+        norm = norms[(ch.pol, ch.branch)]
+        if norm != 0:
+            self_sum += (float(value)
+                         + norm * _outside_fraction(ch, boxes[ch.branch]))
+    return complex(cross[0] + cross[1]) / self_sum

@@ -404,9 +404,9 @@ FIGURE_SHA256 = {
     "fig3c.csv": "1a99d0f350ab09e4f6d88b2fd054b94acff8dbdd34cd4bcc66a8502bf79355da",
     "fig3c.svg": "68fcf5046e83b74d32796b13b55a884fedc473bdc53a36217911ace63d9cd6e0",
     "fig4.svg": "58231c2978e0979c0fffef8fa4c621d1086ac538c2bc0212c8f7d97901305553",
-    "fig4_scheme1.csv": "74926698e7bebe2db52470cb5a060ca5353cc2d7739735251fbf168f0df79b69",
-    "fig4_scheme2.csv": "c5cfc92368c56a7ee0bbe98546baccd563e6a1f29cfbcff1882d9ec420697f8f",
-    "fig4_scheme3.csv": "47b6a8b676d3e9414e23de13b06bf9e53649f80ad38a41a7022d00d472327f35",
+    "fig4_scheme1.csv": "94709b73cbae5efde68441cb211ad379a85f5bcbb6ab7d66b56dbadfcf16caf9",
+    "fig4_scheme2.csv": "5684757f2f53818cc06255820ab6ed463e9d8d66b50ecdf94feef144cb660bd8",
+    "fig4_scheme3.csv": "923d02a5097cb317795ab0906d30906a1beb72f21cfed00e61a974a5ffdfde75",
 }
 
 

@@ -214,6 +214,63 @@ def test_batch_skips_empty_boxes():
     assert values[1] == pairstate._overlap_boxes([box])[0]
 
 
+def pair_points(params, width, offset=(0, 0)):
+    """The window_overlaps arguments of every pairing's channel pair on
+    its tracked window moved by offset (meV along k1, k2), one point
+    each."""
+    chans = enumerate_channels(params)
+    sides, bounds = [], []
+    for pairing in PAIRINGS:
+        pair = pairing_channels(chans, pairing)
+        w = tracked_window(params, pairing, width)
+        sides.append(pairstate._sides(pair))
+        bounds.append([k + offset[0] for k in w.k1_interval]
+                      + [k + offset[1] for k in w.k2_interval])
+    return np.array(sides), np.array(bounds)
+
+
+def test_pair_values_equal_alone_and_in_a_batch_in_either_order():
+    # Tracked windows, windows off the ridge and windows off the lines:
+    # every form, as in test_mixed_batch_covers_every_form.
+    p = scheme_preset(2).with_detuning(0.05)
+    parts = [pair_points(p, 0.2), pair_points(p, 2e-4),
+             pair_points(p, 0.1, (0.5, 0.5)), pair_points(p, 0.1, (-0.5, 0.5))]
+    sides = np.concatenate([s for s, _ in parts])
+    bounds = np.concatenate([b for _, b in parts])
+
+    def values(order):
+        return np.array(kernels.window_overlaps(
+            sides[order, :, 0].T, sides[order, :, 1].T, *bounds[order].T))
+
+    everything = np.arange(len(bounds))
+    with mock.patch.object(kernels, "_ridge_rule",
+                           wraps=kernels._ridge_rule) as ridge, \
+            mock.patch.object(kernels, "_sheared_rule",
+                              wraps=kernels._sheared_rule) as sheared:
+        batched = values(everything)
+    assert ridge.called and sheared.called
+    reversed_ = values(everything[::-1])[:, ::-1]
+    alone = np.array([values([i])[:, 0] for i in everything]).T
+    assert batched.tobytes() == alone.tobytes() == reversed_.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 161])
+def test_sweep_evaluates_twelve_dilogarithm_terms_per_point(n):
+    # A point's self_a, self_b and cross boxes share one table of 12
+    # terms, each evaluated at the two window edges.
+    sizes = []
+    dilog = kernels._dilog
+
+    def counted(z):
+        sizes.append(z.size)
+        return dilog(z)
+
+    grid = np.linspace(-0.4, 0.4, n)
+    with mock.patch.object(kernels, "_dilog", counted):
+        sweep_gamma(scheme_preset(2), "LP-UP", deltas=grid, workers=1)
+    assert sum(sizes) == 2 * 12 * n
+
+
 # ------------------------------------------------------------- failures
 
 def test_sweep_raises_the_error_of_the_first_failing_point():
@@ -295,7 +352,7 @@ def test_sweep_checks_weights_before_the_window_of_each_point(
 
 def test_self_kernel_is_real_and_matches_complex_form():
     ch = enumerate_channels(scheme_preset(1))[0]
-    args = pairstate._box_args(*pairstate._sides([ch, ch]).T, 0, 0, 0, 0)[2:11]
+    args = pairstate._pole_args(ch, ch)
     v = np.linspace(ch.intermediate.energy - 0.1,
                     ch.intermediate.energy + 0.1, 257)
     k1_lo, k1_hi = ch.photon1 - 0.1, ch.photon1 + 0.1

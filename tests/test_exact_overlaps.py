@@ -4,6 +4,8 @@ kernels.window_overlaps integrates each box in closed form (complex
 dilogarithms) or by a Gauss-Legendre rule with its nearby poles taken out
 in closed form.  The oracle here is mpmath.quad of the v-integral of the
 u-integral's closed form, split at the poles and at the ridge edges.
+Each box is checked through window_overlaps, which gives a channel
+pair's two self overlaps and its cross overlap together.
 """
 import math
 import warnings
@@ -22,11 +24,13 @@ from polcascade.model import SystemParams
 DPS = 30
 
 
-def oracle(box):
-    """The box integral at DPS digits, from the 13 window_overlaps rows."""
+def oracle(side_a, side_b, k1, k2):
+    """The integral of conj(amplitude_a) * amplitude_b over the box k1 x k2
+    at DPS digits, from the window_overlaps rows of each side."""
     with mpmath.workdps(DPS):
-        (k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, pref,
-         k2_lo, k2_hi) = map(mpmath.mpf, box)
+        exx_a, gxx_a, e_a, g_a, pref_a = map(mpmath.mpf, side_a)
+        exx_b, gxx_b, e_b, g_b, pref_b = map(mpmath.mpf, side_b)
+        k1_lo, k1_hi, k2_lo, k2_hi = map(mpmath.mpf, (*k1, *k2))
         p = mpmath.mpc(exx_a, gxx_a)
         q = mpmath.mpc(exx_b, -gxx_b)
         pa = mpmath.mpc(e_a, g_a)
@@ -44,13 +48,20 @@ def oracle(box):
             for step in (0, 1, 10):
                 cuts.update((center - step * scale, center + step * scale))
         cuts = sorted(c for c in cuts if k2_lo <= c <= k2_hi)
-        return complex(pref * mpmath.quad(integrand, cuts))
+        return complex(pref_a * pref_b * mpmath.quad(integrand, cuts))
 
 
-def box_rows(ch_a, ch_b, k1, k2):
-    return pairstate._box_args(pairstate._sides([ch_a]),
-                               pairstate._sides([ch_b]), [k1[0]], [k1[1]],
-                               [k2[0]], [k2[1]])
+def overlaps(side_a, side_b, k1, k2):
+    """The self_a, self_b and cross overlaps of one box."""
+    got = kernels.window_overlaps(np.array([side_a]).T, np.array([side_b]).T,
+                                  [k1[0]], [k1[1]], [k2[0]], [k2[1]])
+    return [value[0] for value in got]
+
+
+def expected(side_a, side_b, k1, k2):
+    """The oracle's self_a, self_b and cross overlaps of one box."""
+    return [oracle(x, y, k1, k2)
+            for x, y in ((side_a, side_a), (side_b, side_b), (side_a, side_b))]
 
 
 @st.composite
@@ -79,10 +90,9 @@ def windows(draw):
 @given(windows())
 def test_overlaps_match_30_digit_quadrature(window):
     (ch_a, ch_b), k1, k2 = window
-    rows = np.concatenate([box_rows(x, y, k1, k2) for x, y in
-                           ((ch_a, ch_a), (ch_b, ch_b), (ch_a, ch_b))], axis=1)
-    got = kernels.window_overlaps(rows)
-    want = [oracle(rows[:, i]) for i in range(3)]
+    side_a, side_b = pairstate._sides([ch_a, ch_b]).T
+    got = overlaps(side_a, side_b, k1, k2)
+    want = expected(side_a, side_b, k1, k2)
     # The cross overlap is measured against its Cauchy-Schwarz bound; a
     # self overlap far larger than that bound, against itself.
     scale = math.sqrt(want[0].real * want[1].real)
@@ -101,12 +111,11 @@ EXX = 1997.0
 GXX = 0.0078125
 
 
-def degenerate_box(e_a, g_a, e_b=1000.0, g_b=0.03125):
-    """Cross box of a channel with biexciton pole EXX + i GXX and
-    polariton pole e_a + i g_a against one with the same biexciton pole
-    and e_b - i g_b."""
-    return np.array([[K1[0], K1[1], EXX, GXX, EXX, GXX, e_a, g_a, e_b, g_b,
-                      1e-4, K2[0], K2[1]]]).T
+def degenerate_sides(e_a, g_a, e_b=1000.0, g_b=0.03125):
+    """The window_overlaps rows of two channels with biexciton energy EXX
+    and width GXX, the first with polariton energy e_a and linewidth g_a,
+    the second with e_b and g_b."""
+    return (EXX, GXX, e_a, g_a, 1e-2), (EXX, GXX, e_b, g_b, 1e-2)
 
 
 @pytest.mark.parametrize("e_a, g_a", [
@@ -126,16 +135,18 @@ def degenerate_box(e_a, g_a, e_b=1000.0, g_b=0.03125):
     (K2[1], GXX / 2),
 ])
 def test_near_degenerate_boxes_are_finite_and_exact(e_a, g_a):
-    box = degenerate_box(e_a, g_a)
+    sides = degenerate_sides(e_a, g_a)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = kernels.window_overlaps(box)[0]
-        # The same box with its poles a hair away from the degeneracy.
-        nudged = kernels.window_overlaps(degenerate_box(e_a, g_a * (1 + 1e-9)))[0]
-    assert np.isfinite(got.real) and np.isfinite(got.imag)
-    want = oracle(box[:, 0])
-    assert abs(got - want) <= 1e-12 * abs(want)
-    assert abs(got - nudged) <= 1e-8 * abs(want)
+        got = overlaps(*sides, K1, K2)
+        # The same boxes with the poles a hair away from the degeneracy.
+        nudged = overlaps(*degenerate_sides(e_a, g_a * (1 + 1e-9)), K1, K2)
+    # The cross box and the first channel's self box share the degenerate
+    # terms.
+    for g, n, w in zip(got, nudged, expected(*sides, K1, K2)):
+        assert np.isfinite(g.real) and np.isfinite(g.imag)
+        assert abs(g - w) <= 1e-12 * abs(w), (g, w)
+        assert abs(g - n) <= 1e-8 * abs(w)
 
 
 def test_box_beside_a_narrow_ridge_edge():
@@ -144,14 +155,32 @@ def test_box_beside_a_narrow_ridge_edge():
     # by 3.6e4 (2.4e-12 relative error); the rule over u takes the box.
     e, g, gxx = 903.0206906325745, 0.1307468231779825, 4.477841010087558e-05
     exx = 893.9793093674255 + e
-    box = np.array([[893.4793093674255, 894.4793093674255, exx, gxx, exx,
-                     gxx, e, g, e, g, 1e-4, 903.5206906325745,
-                     904.5206906325745]]).T
+    side = (exx, gxx, e, g, 1e-2)
+    k1 = (893.4793093674255, 894.4793093674255)
+    k2 = (903.5206906325745, 904.5206906325745)
     with mock.patch.object(kernels, "_sheared_rule",
                            wraps=kernels._sheared_rule) as rule:
-        got = kernels.window_overlaps(box)[0]
+        got = overlaps(side, side, k1, k2)[0]
     assert rule.called
-    want = oracle(box[:, 0])
+    want = oracle(side, side, k1, k2)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "no form is exact here: the line lies 0.014 meV below the window, "
+    "inside the margin of the rule over u, the ridge crosses the window, "
+    "which rules out the rule over v, and the dilogarithm sum, cancelling "
+    "by 2.5e5, is 4.7e-11 off"))
+def test_box_just_below_a_narrow_line_with_the_ridge_inside():
+    # A self box that test_overlaps_match_30_digit_quadrature drew: an
+    # almost pure exciton line (g = 7.6e-5 meV) just below a 1.1 meV
+    # window.  About 0.3% of that property's windows are like it.
+    side = (1818.170283925588, 0.013164239138, 910.5834333190267,
+            7.55087243843366e-05, 3.799204543956359e-06)
+    k1 = (905.6855891090352, 906.7842898223059)
+    k2 = (910.5969985136321, 911.6956992269029)
+    got = overlaps(side, side, k1, k2)[0]
+    want = oracle(side, side, k1, k2)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
