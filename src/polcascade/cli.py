@@ -5,8 +5,8 @@ Settings come from defaults, then an optional flat ``key = value`` config
 file, then flags, in that order of precedence.  Every run prints a
 single-line JSON summary (with the full effective config echoed) to
 stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 validation
-error, 2 numerical non-convergence: gamma --unprojected could not bound
-its truncated tails, or optimize found a flat objective.
+error, 2 numerical non-convergence: optimize found a flat objective, or
+a crossing search did not converge.
 """
 from __future__ import annotations
 
@@ -32,8 +32,7 @@ from .experiments import (FIGURE_IDS, SCHEME_PAIRING, optimize_detuning,
                           reproduce_figure, spectrum_grid, tracked_window,
                           write_anticrossing_files, write_spectrum_files)
 from .model import SystemParams, scheme_preset
-from .pairstate import (DetectorWindow, QuadratureSpec, gamma_prime,
-                        gamma_unprojected)
+from .pairstate import DetectorWindow, gamma_prime, gamma_unprojected
 from .polariton import anticrossing_sweep  # noqa: F401
 from .svg import line_plot  # noqa: F401
 
@@ -70,7 +69,6 @@ class RunConfig:
     width: float = 0.2              # window full width, meV
     center1: float | None = None    # fixed window override, meV
     center2: float | None = None
-    rel_tol: float = 1e-9           # gamma --unprojected truncation tolerance
     unprojected: bool = False
     reference: str = "absolute"
     points: int = 4001              # spectrum grid size
@@ -95,8 +93,8 @@ _CASTS = {
     "scheme": int, "ex_mean": float, "delta_x": float, "cav_mean": float,
     "delta_c": float, "rabi": float, "tau_c": float, "tau_xx": float,
     "binding": float, "delta_cx": float, "pairing": str, "width": float,
-    "center1": float, "center2": float, "rel_tol": float,
-    "unprojected": _as_bool, "reference": str,
+    "center1": float, "center2": float, "unprojected": _as_bool,
+    "reference": str,
     "points": int, "margin": float, "sweep_lo": float, "sweep_hi": float,
     "sweep_points": int, "lo": float, "hi": float, "angle_a": float,
     "angle_b": float, "n": int, "seed": int, "workers": int,
@@ -110,7 +108,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -166,7 +164,6 @@ def _build_parser() -> _Parser:
         "center1": "fixed first-photon window center, meV "
                    "(needs --center2; default: track the paired lines)",
         "center2": "fixed second-photon window center, meV",
-        "rel_tol": "gamma --unprojected: truncated-tail bound, relative",
         "unprojected": "gamma command: report the unfiltered coherence",
         "reference": "spectrum energy reference: absolute or "
                      "relative_to_ex_mean",
@@ -307,7 +304,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
 def _cmd_gamma(cfg: RunConfig) -> dict:
     params = effective_params(cfg)
     if cfg.unprojected:
-        g = gamma_unprojected(params, QuadratureSpec(rel_tol=cfg.rel_tol))
+        g = gamma_unprojected(params)
         return {"gamma": {"re": g.real, "im": g.imag, "abs": abs(g)},
                 "projected": False}
     pairing = effective_pairing(cfg)

@@ -35,7 +35,8 @@ ridge, 7 digits were left), so a box whose sum cancels by more than
 _DILOG_CANCELLATION goes to a 64-node Gauss-Legendre rule instead: over
 v when the ridge lies outside the window (_ridge_rule), over u when the
 polariton poles do (_sheared_rule), with the poles near the window
-subtracted and integrated in closed form.
+subtracted and integrated in closed form.  Where neither applies, the
+box is halved in v until one applies to each piece.
 
 Boxes are integrated relative to their corner (k1_lo, k2_lo), so window
 widths enter exactly, and each value depends only on its own point.
@@ -337,31 +338,54 @@ def _sheared_rule(w1, w2, p, q, pa, pb):
     return np.add.accumulate(_pole_rule(lo, hi, inner, p, q, pa, pb))[-1]
 
 
-def _exact_overlaps(w1, w2, p, pa):
+# Halvings of a box in v before a cancelling dilogarithm sum is kept: a
+# line 2^-40 of the window width outside it takes about 35.
+_MAX_DEPTH = 48
+
+
+def _exact_overlaps(w1, w2, p, pa, depth=0):
     """The self integrals (rows a, b) and the cross integral (pref 1) of
     nonempty boxes, in the coordinates of _dilog_form: by its dilogarithm
     sums, or by a rule where a sum cancels by more than
-    _DILOG_CANCELLATION and a rule applies."""
+    _DILOG_CANCELLATION and a rule applies.
+
+    A box whose sum cancels with no rule to take it, because a line or
+    the ridge lies just outside the window or the two lie apart inside
+    it, is halved in v and each half taken the same way.  The halves next
+    to the line or ridge shrink toward it until the rule that needs it
+    beyond their margin applies, up to _MAX_DEPTH halvings.
+    """
     self_, cross, cancellation = _dilog_form(w1, w2, p, pa)
-    redo = cancellation > _DILOG_CANCELLATION
-    if redo.any():
+    stuck = cancellation > _DILOG_CANCELLATION
+    if stuck.any():
         # A rule applies where the real parts lie beyond the margin of
         # [0, w2]: those of the v at which k1 + v meets a u-pole (segments
         # [p - w1, p]), or those of both polariton poles.
         margin = _MARGIN * w2
         ridge_far = _gap(p.real - w1, p.real, 0.0, w2) >= margin
         poles_far = _gap(pa.real, pa.real, 0.0, w2) >= margin
-        for box, value, a, b in ((0, self_[0], 0, 0), (1, self_[1], 1, 1),
-                                 (2, cross, 0, 1)):
+        values = (self_[0], self_[1], cross)
+        for box, (a, b) in enumerate(((0, 0), (1, 1), (0, 1))):
             ridge = ridge_far[a] & ridge_far[b]
             for form, chosen in ((_ridge_rule, ridge),
                                  (_sheared_rule,
                                   ~ridge & poles_far[a] & poles_far[b])):
-                i = (redo[box] & chosen).nonzero()[0]
+                i = (stuck[box] & chosen).nonzero()[0]
                 if i.size:
                     got = form(w1[i], w2[i], p[a, i], np.conj(p[b, i]),
                                pa[a, i], np.conj(pa[b, i]))
-                    value[i] = got.real if a == b else got
+                    values[box][i] = got.real if a == b else got
+                    stuck[box, i] = False
+        i = stuck.any(axis=0).nonzero()[0]
+        if i.size and depth < _MAX_DEPTH:
+            half = 0.5 * w2[i]
+            (self_lo, cross_lo), (self_hi, cross_hi) = (
+                _exact_overlaps(w1[i], half, p[:, i] - shift,
+                                pa[:, i] - shift, depth + 1)
+                for shift in (0.0, half))
+            for box, (value, lo, hi) in enumerate(zip(
+                    values, (*self_lo, cross_lo), (*self_hi, cross_hi))):
+                value[i] = np.where(stuck[box, i], lo + hi, value[i])
     return self_, cross
 
 

@@ -13,9 +13,10 @@ window, and gets back both self overlaps and the cross overlap.  Their
 24 dilogarithm terms are the entries of one 12-term table or their
 conjugates (see kernels).  Every caller takes that one path: detuning sweeps through
 gamma_prime_arrays, straight from cascade.channel_arrays; gamma_prime and
-gamma_prime_from_channels through _pair_overlaps; gamma_unprojected with
-one point per branch; and windowed_overlap, one box of two channel
-objects, through _overlap_boxes.
+gamma_prime_from_channels through _pair_overlaps; and windowed_overlap,
+one box of two channel objects, through _overlap_boxes.  The all-space
+overlaps of gamma_unprojected need no window: they are residue integrals
+in closed form.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import kernels
 from .cascade import (STATE_ORDER, CascadeChannel, ChannelArrays,
                       channel_arrays, enumerate_channels)
-from .errors import ConvergenceError, EmptyWindowError, ValidationError
+from .errors import EmptyWindowError, ValidationError
 from .model import SystemParams
 
 TWO_PI = 2.0 * math.pi
@@ -112,9 +113,11 @@ class DetectorWindow:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation tolerance of gamma_unprojected's all-space boxes."""
+    """A tolerance that no computation reads any more: window overlaps
+    and gamma_unprojected are closed forms.  It is still accepted, and
+    validated, where callers pass it."""
 
-    rel_tol: float = 1e-9      # neglected tails, relative to the norm
+    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if not (isinstance(self.rel_tol, (int, float))
@@ -319,91 +322,53 @@ def gamma_prime(params: SystemParams, pairing: str,
                          pairing=key)
 
 
-def _branch_box(ch_h: CascadeChannel, ch_v: CascadeChannel, n_halfwidths: float):
-    """Box covering +-N combined half-widths of one branch's H and V lines."""
-    gu = ch_h.xx_total_width + ch_v.xx_total_width
-    gv = ch_h.intermediate.linewidth + ch_v.intermediate.linewidth
-    s1 = n_halfwidths * (gu + gv)
-    s2 = n_halfwidths * gv
-    k1_lo = min(ch_h.photon1, ch_v.photon1) - s1
-    k1_hi = max(ch_h.photon1, ch_v.photon1) + s1
-    k2_lo = min(ch_h.photon2, ch_v.photon2) - s2
-    k2_hi = max(ch_h.photon2, ch_v.photon2) + s2
-    return (k1_lo, k1_hi, k2_lo, k2_hi)
-
-
-def _outside_fraction(ch: CascadeChannel, box) -> float:
-    """Upper bound on the fraction of a channel's norm outside a box.
-
-    Uses the axis-aligned (u, v) core contained in the sheared image of the
-    box, where the squared amplitude factorizes into two Lorentzians.
-    """
-    k1_lo, k1_hi, k2_lo, k2_hi = box
-    u_lo = k1_lo + k2_hi
-    u_hi = k1_hi + k2_lo
-    gxx = ch.xx_total_width
-    e = ch.intermediate.energy
-    g = ch.intermediate.linewidth
-    if u_hi <= u_lo or gxx <= 0 or g <= 0:
-        return 1.0
-    cov_u = (math.atan((u_hi - ch.e_xx) / gxx)
-             - math.atan((u_lo - ch.e_xx) / gxx)) / math.pi
-    cov_v = (math.atan((k2_hi - e) / g) - math.atan((k2_lo - e) / g)) / math.pi
-    return 1.0 - cov_u * cov_v
-
-
 def channel_norm(ch: CascadeChannel) -> float:
     """All-space norm of one channel's packet, x_ex^2 x_ph^2 / 4."""
     s = ch.intermediate
     return (s.x_ex ** 2 * s.x_ph ** 2) / 4.0
 
 
+def _residue(g_a, g_b, e_a, e_b) -> complex:
+    """2 sqrt(g_a g_b) / ((g_a + g_b) - i (e_a - e_b)), of modulus <= 1.
+
+    The integral of 1 / ((x - conj P_a)(x - P_b)) over the real line,
+    for poles P = e - i g in the lower half plane, is 2 pi / ((g_a + g_b)
+    - i (e_a - e_b)) by the residue at conj P_a; this is that integral
+    times sqrt(g_a g_b) / pi.
+    """
+    return 2.0 * math.sqrt(g_a * g_b) / complex(g_a + g_b, -(e_a - e_b))
+
+
+# quad is unused (overlaps are exact); the benchmark's study workload passes it.
 def gamma_unprojected(params: SystemParams,
-                      quad: QuadratureSpec = DEFAULT_QUAD,
-                      start_halfwidths: float = 200.0) -> complex:
+                      quad: QuadratureSpec = DEFAULT_QUAD) -> complex:
     """Unfiltered polarization coherence: branch-diagonal H-V overlaps.
 
-    The all-space integrals are truncated to boxes of +-N combined
-    half-widths.  N starts at start_halfwidths and grows until the
-    Cauchy-Schwarz bound on every neglected cross tail drops below
-    quad.rel_tol of the total norm; self terms get the analytic Lorentzian
-    tail added back.
+    Over all space the overlap of two channels a and b factorizes into
+    one residue integral along u = k1 + k2 (biexciton energy E, width G)
+    and one along v = k2 (polariton energy e, linewidth g):
+
+        pref_a pref_b 2 pi / ((G_a + G_b) - i (E_a - E_b))
+                      2 pi / ((g_a + g_b) - i (e_a - e_b))
+        = sqrt(n_a n_b) _residue(G) _residue(g),
+
+    with n the channel norm, and a self overlap is the norm.  gamma is
+    the H-V overlaps of LP and UP over the four norms.  Each _residue has
+    modulus <= 1 and sqrt(n_a n_b) <= (n_a + n_b) / 2, so |gamma| <= 1/2
+    by construction, up to a few ulps where H and V nearly coincide.
     """
     channels = {(c.pol, c.branch): c for c in enumerate_channels(params)}
     norms = {key: channel_norm(ch) for key, ch in channels.items()}
-    n_total = ((norms[("H", "LP")] + norms[("V", "LP")])
-               + (norms[("H", "UP")] + norms[("V", "UP")]))
-    if n_total <= 0:
-        raise ValidationError("all channel norms vanished")
-    n_hw = max(float(start_halfwidths), 8.0)
-    for _ in range(64):
-        boxes = {}
-        bound = 0.0
-        for branch in ("LP", "UP"):
-            ch_h = channels[("H", branch)]
-            ch_v = channels[("V", branch)]
-            box = _branch_box(ch_h, ch_v, n_hw)
-            boxes[branch] = box
-            pair_norm = norms[("H", branch)] * norms[("V", branch)]
-            if pair_norm > 0:
-                bound += math.sqrt(norms[("H", branch)] * _outside_fraction(ch_h, box)
-                                   * norms[("V", branch)] * _outside_fraction(ch_v, box))
-        if bound <= quad.rel_tol * n_total:
-            break
-        n_hw *= 8.0
-    else:
-        raise ConvergenceError(
-            "could not bound the cross-overlap tails below rel_tol")
-    # One point per branch, pairing its H and V channels.
-    chans_h, chans_v = ([channels[(pol, branch)] for branch in ("LP", "UP")]
-                        for pol in ("H", "V"))
-    self_h, self_v, cross = kernels.window_overlaps(
-        _sides(chans_h), _sides(chans_v), *zip(boxes["LP"], boxes["UP"]))
-    self_sum = 0.0
-    for ch, value in zip((chans_h[0], chans_v[0], chans_h[1], chans_v[1]),
-                         (self_h[0], self_v[0], self_h[1], self_v[1])):
-        norm = norms[(ch.pol, ch.branch)]
-        if norm != 0:
-            self_sum += (float(value)
-                         + norm * _outside_fraction(ch, boxes[ch.branch]))
-    return complex(cross[0] + cross[1]) / self_sum
+    cross = 0j
+    for branch in ("LP", "UP"):
+        a, b = channels[("H", branch)], channels[("V", branch)]
+        pair = math.sqrt(norms[("H", branch)] * norms[("V", branch)])
+        if pair > 0:
+            along_u = _residue(a.xx_total_width, b.xx_total_width,
+                               a.e_xx, b.e_xx)
+            along_v = _residue(a.intermediate.linewidth,
+                               b.intermediate.linewidth,
+                               a.intermediate.energy, b.intermediate.energy)
+            cross += pair * along_u * along_v
+    return cross / ((norms[("H", "LP")] + norms[("V", "LP")])
+                    + (norms[("H", "UP")] + norms[("V", "UP")]))

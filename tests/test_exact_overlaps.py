@@ -2,8 +2,9 @@
 
 kernels.window_overlaps integrates each box in closed form (complex
 dilogarithms) or by a Gauss-Legendre rule with its nearby poles taken out
-in closed form.  The oracle here is mpmath.quad of the v-integral of the
-u-integral's closed form, split at the poles and at the ridge edges.
+in closed form, halving in v a box that no rule takes whole.  The oracle
+here is mpmath.quad of the v-integral of the u-integral's closed form,
+split at the poles and at the ridge edges.
 Each box is checked through window_overlaps, which gives a channel
 pair's two self overlaps and its cross overlap together.
 """
@@ -166,22 +167,99 @@ def test_box_beside_a_narrow_ridge_edge():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "no form is exact here: the line lies 0.014 meV below the window, "
-    "inside the margin of the rule over u, the ridge crosses the window, "
-    "which rules out the rule over v, and the dilogarithm sum, cancelling "
-    "by 2.5e5, is 4.7e-11 off"))
+def halvings(call):
+    """The depth of each point _exact_overlaps took while call() ran."""
+    depths = []
+    exact = kernels._exact_overlaps
+
+    def record(w1, w2, p, pa, depth=0):
+        depths.extend([depth] * w1.size)
+        return exact(w1, w2, p, pa, depth)
+
+    with mock.patch.object(kernels, "_exact_overlaps", record):
+        call()
+    return depths
+
+
+def halved_box_matches_oracle(side, k1, k2):
+    """Check a self box against the oracle, and that it was halved."""
+    got = []
+    depths = halvings(lambda: got.append(overlaps(side, side, k1, k2)[0]))
+    assert 0 < max(depths) < kernels._MAX_DEPTH
+    want = oracle(side, side, k1, k2)
+    assert abs(got[0] - want) <= 1e-12 * abs(want)
+
+
 def test_box_just_below_a_narrow_line_with_the_ridge_inside():
     # A self box that test_overlaps_match_30_digit_quadrature drew: an
-    # almost pure exciton line (g = 7.6e-5 meV) just below a 1.1 meV
-    # window.  About 0.3% of that property's windows are like it.
-    side = (1818.170283925588, 0.013164239138, 910.5834333190267,
-            7.55087243843366e-05, 3.799204543956359e-06)
-    k1 = (905.6855891090352, 906.7842898223059)
-    k2 = (910.5969985136321, 911.6956992269029)
-    got = overlaps(side, side, k1, k2)[0]
-    want = oracle(side, side, k1, k2)
-    assert abs(got - want) <= 1e-12 * abs(want)
+    # almost pure exciton line (g = 7.6e-5 meV) 0.014 meV below a 1.1 meV
+    # window that the ridge crosses.  The line is inside the margin of the
+    # rule over u and the ridge rules out the rule over v, so the box is
+    # halved in v; its dilogarithm sum, cancelling by 2.5e5, was 4.7e-11
+    # off.
+    halved_box_matches_oracle(
+        (1818.170283925588, 0.013164239138, 910.5834333190267,
+         7.55087243843366e-05, 3.799204543956359e-06),
+        (905.6855891090352, 906.7842898223059),
+        (910.5969985136321, 911.6956992269029))
+
+
+@pytest.mark.parametrize("side, k1, k2", [
+    # The line inside the window, the ridge 0.0023 window widths above
+    # it: the sum cancels by 4.3e6 and was 2.5e-10 off.
+    ((1966.5250591043591, 6.390705642415011e-06, 983.918217519036,
+      0.014776512855574015, 2.5955264095885968e-06),
+     (979.7931827520938, 981.2552878456952),
+     (983.8043026280407, 985.266407721642)),
+    # The line and the lower end of the ridge both inside the window, 0.47
+    # window widths apart: the sum cancels by 1.3e4.
+    ((2034.5404597526885, 0.0008581208944253307, 1019.5260595541988,
+      6.104757797981346e-05, 2.367800953653115e-06),
+     (1013.5233690122343, 1014.5389282286606),
+     (1019.3062341079938, 1020.32179332442)),
+], ids=["ridge-just-outside", "ridge-inside-apart"])
+def test_box_with_a_line_inside_and_the_ridge_apart_is_halved(side, k1, k2):
+    # Self boxes of the same property, where a line inside the window
+    # rules out the rule over u and the ridge, near the window or in it,
+    # the rule over v.
+    halved_box_matches_oracle(side, k1, k2)
+
+
+def seeded_windows(count, seed):
+    """count windows drawn as windows() draws them, from NumPy's seeded
+    generator: the window_overlaps sides and box bounds, one column per
+    window."""
+    rng = np.random.default_rng(seed)
+    sides, bounds = [], []
+    for _ in range(count):
+        ex_mean = rng.uniform(900.0, 1100.0)
+        params = SystemParams(
+            ex_mean=ex_mean, delta_x=rng.uniform(-0.5, 0.5),
+            cav_mean=ex_mean + rng.uniform(-5.0, 5.0),
+            delta_c=rng.uniform(-0.5, 0.5), rabi=rng.uniform(0.05, 0.5),
+            tau_c=rng.uniform(5.0, 50.0), tau_xx=rng.uniform(100.0, 1000.0),
+            binding=rng.uniform(3.0, 6.0))
+        pairing = ("LP-LP", "UP-UP", "LP-UP")[rng.integers(3)]
+        tracked = tracked_window(params, pairing, rng.uniform(0.005, 2.0))
+        off1, off2 = rng.uniform(-1.0, 1.0, 2)
+        channels = enumerate_channels(
+            params, per_channel_xx_width=bool(rng.integers(2)))
+        sides.append(pairstate._sides(
+            pairstate.pairing_channels(channels, pairing)))
+        bounds.append([k + off1 for k in tracked.k1_interval]
+                      + [k + off2 for k in tracked.k2_interval])
+    return np.array(sides).transpose(2, 1, 0), np.array(bounds).T
+
+
+def test_every_cancelling_box_takes_a_rule():
+    # In 4,000 draws half the boxes cancel past the threshold, and about
+    # one point in ten holds a box that no rule takes whole, so its halves
+    # are taken at depth 1.  Halving stops before _MAX_DEPTH only once
+    # every piece that cancels takes a rule.
+    sides, bounds = seeded_windows(4000, 0)
+    depths = halvings(lambda: kernels.window_overlaps(*sides, *bounds))
+    assert depths.count(1) > 2 * 200
+    assert max(depths) < kernels._MAX_DEPTH
 
 
 def test_dilogarithm_against_mpmath():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from polcascade.pairstate import (DetectorWindow, PairCoherence,
 # 4000 x 4000 midpoint rule (test_corpus_quadrature_vs_brute_force).
 S1_GAMMA_PRIME_AT_ZERO = 0.455183238731736
 S3_GAMMA_PRIME_AT_CROSSING = 0.15507402637173892
-S1_GAMMA_UNPROJECTED = 0.4551832380403448
+S1_GAMMA_UNPROJECTED = 0.4551832387313733
 
 
 def channels_by_key(params):
@@ -289,13 +290,13 @@ def test_unprojected_symmetric_system_is_half():
                        delta_c=0.0, rabi=0.22, tau_c=15.0, tau_xx=500.0,
                        binding=3.0)
     g = gamma_unprojected(sym)
-    assert_allclose(g.real, 0.5, atol=1e-7)
-    assert abs(g.imag) < 1e-12
+    assert_allclose(g.real, 0.5, atol=1e-15)
+    assert abs(g.imag) < 1e-15
 
 
 def test_unprojected_scheme1_frozen_value():
     g = gamma_unprojected(scheme_preset(1))
-    assert_allclose(abs(g), S1_GAMMA_UNPROJECTED, atol=1e-8)
+    assert_allclose(abs(g), S1_GAMMA_UNPROJECTED, atol=1e-12)
 
 
 def test_unprojected_distinguishable_channels_small():
@@ -362,21 +363,53 @@ def study_points(count, seed=20):
 
 
 def test_unprojected_near_the_residue_form_at_the_default_tolerance():
-    # Over 300 such points the largest error at rel_tol 1e-9 is 1.7e-8.
     for params in study_points(30):
         got = gamma_unprojected(params)
-        assert abs(got - residue_gamma_unprojected(params)) < 1e-7
+        assert abs(got - residue_gamma_unprojected(params)) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the truncation boxes of rel_tol 1e-12 reach 7e9 meV, where the "
-    "dilogarithm sum of a cross overlap cancels with no rule to take over: "
-    "errors up to 5e-5 against the residue form"))
 def test_unprojected_matches_the_residue_form_at_rel_tol_1e_12():
     quad = QuadratureSpec(rel_tol=1e-12)
     for params in study_points(30):
         got = gamma_unprojected(params, quad)
-        assert abs(got - residue_gamma_unprojected(params)) <= 1e-11
+        assert abs(got - residue_gamma_unprojected(params)) <= 1e-12
+
+
+def test_unprojected_ignores_the_quadrature_spec():
+    # The closed form has no tolerance: the value is the same bit for bit.
+    for params in study_points(10, seed=21):
+        assert (gamma_unprojected(params, QuadratureSpec(rel_tol=1e-12))
+                == gamma_unprojected(params))
+
+
+def residue_integral(g_a, g_b, e_a, e_b):
+    """The integral of 1 / ((x - conj P_a)(x - P_b)) over the real line,
+    P = e - i g, by mpmath.quad at 30 digits, split at the poles and at
+    1 and 10 widths either side of them."""
+    with mpmath.workdps(30):
+        pole_a, pole_b = mpmath.mpc(e_a, g_a), mpmath.mpc(e_b, -g_b)
+        cuts = {mpmath.mpf(e) + k * mpmath.mpf(g)
+                for e, g in ((e_a, g_a), (e_b, g_b))
+                for k in (-10, -1, 0, 1, 10)}
+        return mpmath.quad(lambda x: 1 / ((x - pole_a) * (x - pole_b)),
+                           [-mpmath.inf, *sorted(cuts), mpmath.inf])
+
+
+@settings(max_examples=30, deadline=None)
+@given(g_a=st.floats(1e-5, 1.0), g_b=st.floats(1e-5, 1.0),
+       e_a=st.floats(-2.0, 2.0), offset=st.floats(-5.0, 5.0),
+       scale=st.sampled_from((1.0, 1e-3, 1e-6)))
+def test_residue_factor_against_30_digit_quadrature(g_a, g_b, e_a, offset,
+                                                     scale):
+    # One factor serves both axes: biexciton widths and energies along u,
+    # polariton linewidths and energies along v; only e_a - e_b matters.
+    e_b = e_a + offset * scale
+    with mpmath.workdps(30):
+        want = complex(mpmath.sqrt(mpmath.mpf(g_a) * g_b) / mpmath.pi
+                       * residue_integral(g_a, g_b, e_a, e_b))
+    got = pairstate._residue(g_a, g_b, e_a, e_b)
+    assert abs(got - want) <= 1e-15
+    assert abs(got) <= 1.0
 
 
 # ----------------------------------------------------------- properties
@@ -446,6 +479,17 @@ def test_gamma_prime_stays_within_one_half(params, pairing, width, off1,
         return
     # Reaching here means the bound's ValidationError was not raised.
     assert abs(coh.gamma) <= 0.5 + ROUNDOFF
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=near_resonance(detuning=50.0))
+def test_unprojected_within_one_half_and_conjugated_by_hv_relabeling(params):
+    g = gamma_unprojected(params)
+    # 1/2 by construction; rounding can pass it by an ulp or two when H
+    # and V nearly coincide.
+    assert abs(g) <= 0.5 + 1e-15
+    mirror = params.replace(delta_x=-params.delta_x, delta_c=-params.delta_c)
+    assert abs(gamma_unprojected(mirror) - g.conjugate()) <= 1e-15 * abs(g)
 
 
 @settings(max_examples=60, deadline=None)
