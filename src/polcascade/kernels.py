@@ -30,8 +30,13 @@ r = pa_a, conj pa_a, conj pa_b for the a rows and pa_b, conj pa_b,
 conj pa_a for the b rows.  A self overlap is -Re X / (2 gxx g) pref^2
 with X = (J00 - J01) - (J10 - J11) over its channel's rows, real by
 construction; the cross overlap sums eight table entries, four of them
-conjugated.  A sum cancels once poles lie outside the box (3 meV off the
-ridge, 7 digits were left), so a box whose sum cancels by more than
+conjugated.  Each complex log of the table is taken once, and only on
+the entries that use it: at each window edge, log(1 - z) on every entry
+and log w once per row; the other logs of _dilog only on the entries
+its maps move, and those of the cut only where the path crosses it.
+
+A sum cancels once poles lie outside the box (3 meV off the ridge, 7
+digits were left), so a box whose sum cancels by more than
 _DILOG_CANCELLATION goes to a 64-node Gauss-Legendre rule instead: over
 v when the ridge lies outside the window (_ridge_rule), over u when the
 polariton poles do (_sheared_rule), with the poles near the window
@@ -115,13 +120,18 @@ def _pair_integral(lo_p, lo_q, width, pq):
     elsewhere.  Where its imaginary part, the angle the path subtends, is
     under pi/2, the log of the product of the two ratios, log1p(X), is the
     same value, and it keeps the digits that the difference of two close
-    logs loses.
+    logs loses.  Only the elements that use log1p(X) take its log, and
+    only the others divide the difference by p - q.
     """
     logs = _log1p(width / lo_p) - _log1p(width / lo_q)
+    single = np.abs(logs.imag) < 0.5 * math.pi
+    pq = np.broadcast_to(pq, logs.shape)
+    out = np.divide(logs, pq, out=np.empty(logs.shape, dtype=complex),
+                    where=~single)
     # X = width (p - q) / ((lo - p)(hi - q)).
-    span = width / _mul(lo_p, lo_q + width)
-    single = _mul(span, _log1p_over(_mul(span, pq)))
-    return np.where(np.abs(logs.imag) < 0.5 * math.pi, single, logs / pq)
+    span = (width / _mul(lo_p, lo_q + width))[single]
+    out[single] = _mul(span, _log1p_over(_mul(span, pq[single])))
+    return out
 
 
 def overlap_integrand(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
@@ -140,31 +150,47 @@ def overlap_integrand(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
     return (fu * pref)[()]
 
 
-def _dilog(z):
-    """Li2(z), the principal dilogarithm, on complex arrays.
+def _dilog(z, log1p_minus_z):
+    """Li2(z), the principal dilogarithm, on flat complex arrays, given
+    log(1 - z) as _log1p(-z).
 
     Maps z into |z| <= 1, Re z <= 1/2 with Li2(z) = -Li2(1/z) - pi^2/6 -
     log^2(-z) / 2 and Li2(z) = -Li2(1 - z) + pi^2/6 - log(z) log(1 - z),
     then sums the Bernoulli series in u = -log(1 - z) (Vollinga and
     Weinzierl, Comput. Phys. Commun. 167 (2005) 177).  z must be off the
     cut z > 1 and away from 0 and 1.
+
+    An element that neither map moves takes no log here: its u is the
+    given log.  One that a map moves to z2 takes log(1 - z2), and also
+    log(-z) where inverted and log(z2) where reflected.
     """
-    inv = np.abs(z) > 1
-    z1 = np.where(inv, 1.0 / np.where(inv, z, 1.0), z)
-    refl = z1.real > 0.5
-    z2 = np.where(refl, 1.0 - z1, z1)
-    u = -_log1p(-z2)
-    u2 = _mul(u, u)
-    tail = np.full(u.shape, _LI2_TERMS[-1], dtype=complex)
+    inverted = np.abs(z) > 1
+    inv = inverted.nonzero()[0]
+    z1 = z.copy()
+    z1[inv] = 1.0 / z[inv]
+    reflected = z1.real > 0.5
+    refl = reflected.nonzero()[0]
+    z2 = z1.copy()
+    z2[refl] = 1.0 - z1[refl]
+    u = -log1p_minus_z
+    moved = (inverted | reflected).nonzero()[0]
+    u[moved] = -_log1p(-z2[moved])
+    # Horner's rule on the real and imaginary parts, in _mul's order; + c
+    # on a complex value adds 0.0 to its imaginary part.
+    ur, ui = u.real, u.imag
+    u2r = ur * ur - ui * ui
+    u2i = ur * ui + ui * ur
+    tr = np.full(u.shape, _LI2_TERMS[-1])
+    ti = np.zeros(u.shape)
     for c in _LI2_TERMS[-2::-1]:
-        tail = _mul(tail, u2) + c
-    value = u - 0.25 * u2 + _mul(u, _mul(u2, tail))
+        tr, ti = tr * u2r - ti * u2i + c, tr * u2i + ti * u2r + 0.0
+    u2 = _join(u2r, u2i)
+    value = u - 0.25 * u2 + _mul(u, _mul(u2, _join(tr, ti)))
     # Where refl, log(z1) = log(1 - z2) = -u.
-    reflected = _PI2_6 - value + _mul(u, np.log(np.where(refl, z2, 1.0)))
-    value = np.where(refl, reflected, value)
-    log_minus_z = np.log(-np.where(inv, z, -1.0))
-    inverted = -value - _PI2_6 - 0.5 * _mul(log_minus_z, log_minus_z)
-    return np.where(inv, inverted, value)
+    value[refl] = _PI2_6 - value[refl] + _mul(u[refl], np.log(z2[refl]))
+    log_minus_z = np.log(-z[inv])
+    value[inv] = -value[inv] - _PI2_6 - 0.5 * _mul(log_minus_z, log_minus_z)
+    return value
 
 
 def _dilog_table(w2, s, r):
@@ -177,6 +203,11 @@ def _dilog_table(w2, s, r):
     (log x - log w*) when w/d crosses the cut of both functions at x > 1
     (w* is w there).  An edge exactly on the real axis counts as lying on
     the side the path leaves it by.  d = 0 gives log^2(w) / 2.
+
+    An entry takes at each edge log(1 - z), which serves both the product
+    term and _dilog, plus what _dilog takes for the entries its maps move;
+    each row s takes log w.  Only an entry that crosses the cut takes the
+    two logs of its jump, log x and log w*.
 
     The work runs on flat arrays: NumPy's loops over the real and
     imaginary parts of a flat array cost less than over a table's axes.
@@ -194,6 +225,7 @@ def _dilog_table(w2, s, r):
     s_flat, w2_flat = flat(s), flat(w2)
     degenerate = d == 0
     d = np.where(degenerate, 1.0, d)
+    degenerate_at = degenerate.nonzero()[0]
     # One window edge at a time, which halves the temporaries.
     f, im, size = [], [], 0.0
     for edge, edge_flat, side in ((0.0, 0.0, -d.imag), (w2, w2_flat, d.imag)):
@@ -202,9 +234,11 @@ def _dilog_table(w2, s, r):
         z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
         # log w takes one log per row s, not one per table entry.
         log_w = flat(np.log(edge - s))
-        parts = (np.where(degenerate, 0.5 * _mul(log_w, log_w),
-                          _mul(log_w, _log1p(-z))),
-                 np.where(degenerate, 0.0, _dilog(z)))
+        log1p_minus_z = _log1p(-z)
+        parts = (_mul(log_w, log1p_minus_z), _dilog(z, log1p_minus_z))
+        log_w0 = log_w[degenerate_at]
+        parts[0][degenerate_at] = 0.5 * _mul(log_w0, log_w0)
+        parts[1][degenerate_at] = 0.0
         f.append(parts[0] + parts[1])
         size = size + np.abs(parts[0]) + np.abs(parts[1])
         im.append(z.imag.copy())
@@ -216,12 +250,12 @@ def _dilog_table(w2, s, r):
     t = im_lo / np.where(crosses, im_lo - im_hi, 1.0)
     w_cross = _join(t * w2_flat - s_flat.real, -s_flat.imag)
     x = (w_cross / d).real
-    cut = crosses & (x > 1) & ~degenerate
-    if cut.any():
-        log_ratio = np.log(np.where(cut, x, 1.0) + 0j) - np.log(w_cross)
+    cut = (crosses & (x > 1) & ~degenerate).nonzero()[0]
+    if cut.size:
+        log_ratio = np.log(x[cut] + 0j) - np.log(w_cross[cut])
         jump = 2 * math.pi * _join(-log_ratio.imag, log_ratio.real)
-        j -= np.where(cut, np.copysign(1.0, im_hi - im_lo) * jump, 0)
-        size += np.where(cut, np.abs(jump), 0.0)
+        j[cut] -= np.copysign(1.0, im_hi[cut] - im_lo[cut]) * jump
+        size[cut] += np.abs(jump)
     return j.reshape(shape), size.reshape(shape)
 
 

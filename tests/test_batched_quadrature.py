@@ -261,14 +261,45 @@ def test_sweep_evaluates_twelve_dilogarithm_terms_per_point(n):
     sizes = []
     dilog = kernels._dilog
 
-    def counted(z):
+    def counted(z, log1p_minus_z):
         sizes.append(z.size)
-        return dilog(z)
+        return dilog(z, log1p_minus_z)
 
     grid = np.linspace(-0.4, 0.4, n)
     with mock.patch.object(kernels, "_dilog", counted):
         sweep_gamma(scheme_preset(2), "LP-UP", deltas=grid, workers=1)
     assert sum(sizes) == 2 * 12 * n
+
+
+class LogCounter:
+    """numpy, with np.log counting the complex elements it takes."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x, *args, **kwargs):
+        x = np.asarray(x)
+        if x.dtype.kind == "c":
+            self.elements += x.size
+        return np.log(x, *args, **kwargs)
+
+
+def test_fig4_sweeps_take_at_most_64_complex_logs_per_point():
+    # Per point and window edge: 4 logs of w and 12 of 1 - z for the
+    # table, then a log of the mapped 1 - z, of -z or of the reflected
+    # argument only for the entries each map moves, and the cut logs only
+    # for entries that cross the cut.  Taking every log over every entry
+    # costs 128.
+    counter = LogCounter()
+    points = 0
+    with mock.patch.object(kernels, "np", counter):
+        for scheme in (1, 2, 3):
+            points += experiments.fig4_sweep(scheme, workers=1).gamma.size
+    assert points == 3 * 161
+    assert counter.elements <= 64 * points
 
 
 # ------------------------------------------------------------- failures

@@ -517,6 +517,46 @@ def test_self_overlaps_are_real_and_grow_with_the_window(
         assert np.all(np.diff(values) >= 0), values
 
 
+# The midpoint oracle of the fig4 benchmark: n x n cells, and its bound
+# relative to sqrt(self_a * self_b).
+ORACLE_N = 1000
+ORACLE_TOL = 1e-3
+
+
+@settings(max_examples=20, deadline=None)
+@given(params=near_resonance(), pairing=st.sampled_from(("LP-LP", "UP-UP",
+                                                          "LP-UP")),
+       per_channel=st.booleans(), cells=st.floats(0.05, 1.0),
+       off1=st.floats(-1.0, 1.0), off2=st.floats(-1.0, 1.0))
+def test_overlaps_and_gamma_prime_match_the_midpoint_oracle(
+        params, pairing, per_channel, cells, off1, off2):
+    # Every line's half width spans at least 10 midpoint cells: a
+    # polariton line's along k2, the ridge's along u = k1 + k2, over
+    # which one cell reaches twice as far.  The window is moved by up to
+    # its width from the tracked centers.
+    ch_a, ch_b = pairing_channels(
+        enumerate_channels(params, per_channel_xx_width=per_channel), pairing)
+    _, gxx_a, _, gxx_b, _, g_a, _, g_b, _ = pairstate._pole_args(ch_a, ch_b)
+    width = cells * min(gxx_a / 2, gxx_b / 2, g_a, g_b) * ORACLE_N / 10
+    tracked = tracked_window(params, pairing, width)
+    w = DetectorWindow(center1=tracked.center1 + off1 * width,
+                       center2=tracked.center2 + off2 * width, width=width)
+    pairs = {"aa": (ch_a, ch_a), "bb": (ch_b, ch_b), "ab": (ch_a, ch_b)}
+    exact = {k: windowed_overlap(x, y, w) for k, (x, y) in pairs.items()}
+    oracle = {k: brute_force_overlap(x, y, w, n=ORACLE_N)
+              for k, (x, y) in pairs.items()}
+    scale = math.sqrt(oracle["aa"].real * oracle["bb"].real)
+    for k in pairs:
+        assert abs(exact[k] - oracle[k]) <= ORACLE_TOL * scale, k
+    try:
+        coh = gamma_prime_from_channels(ch_a, ch_b, w, pairing)
+    except EmptyWindowError:
+        assert scale == 0
+        return
+    want = oracle["ab"] / (oracle["aa"].real + oracle["bb"].real)
+    assert abs(coh.gamma - want) <= ORACLE_TOL
+
+
 @pytest.mark.parametrize("cav_mean, rabi, tau_c", [(946.0, 0.5, 6.0),
                                                    (947.0, 0.125, 5.0)])
 def test_far_detuned_identical_lines_stay_within_one_half(cav_mean, rabi,
