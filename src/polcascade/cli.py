@@ -82,7 +82,9 @@ class RunConfig:
     angle_b: float = 22.5
     n: int = 100000                 # sample count
     seed: int = 0
-    workers: int | None = None      # default: POLCASCADE_WORKERS or 1
+    # Accepted and ignored; kept because the benchmark's traced figures
+    # pass gives --workers 1.
+    workers: int | None = None
     out_dir: str = "."
     figures: str = "all"
     svg: bool = True
@@ -178,9 +180,7 @@ def _build_parser() -> _Parser:
         "angle_b": "analyzer B angle, degrees from H",
         "n": "number of coincidence samples",
         "seed": "random seed for sampling",
-        "workers": "process count for sweeps; more than 1 splits the "
-                   "grid into at least that many chunks for a process "
-                   "pool (default: POLCASCADE_WORKERS or 1)",
+        "workers": "ignored: sweeps run in one process",
         "out_dir": "directory for output files",
         "figures": "comma-separated figure ids "
                    f"({', '.join(FIGURE_IDS)}) or 'all'",
@@ -228,18 +228,18 @@ def _validate_config(cfg: RunConfig) -> None:
     for name in ("points", "sweep_points", "n"):
         if getattr(cfg, name) < 1:
             raise ValidationError(f"{name} must be >= 1")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ValidationError("workers must be >= 1")
     if not (math.isfinite(cfg.sweep_lo) and math.isfinite(cfg.sweep_hi)
             and cfg.sweep_lo < cfg.sweep_hi):
         raise ValidationError("sweep range must satisfy sweep_lo < sweep_hi")
 
 
+_PRESET_KEYS = ("ex_mean", "delta_x", "cav_mean", "delta_c", "rabi",
+                "tau_c", "tau_xx", "binding")
+
+
 def effective_params(cfg: RunConfig) -> SystemParams:
     base = scheme_preset(cfg.scheme)
-    overrides = {name: getattr(cfg, name)
-                 for name in ("ex_mean", "delta_x", "cav_mean", "delta_c",
-                              "rabi", "tau_c", "tau_xx", "binding")
+    overrides = {name: getattr(cfg, name) for name in _PRESET_KEYS
                  if getattr(cfg, name) is not None}
     if "ex_mean" in overrides and "cav_mean" not in overrides:
         # Presets tie the cavity to the exciton; keep them tied when only
@@ -328,6 +328,16 @@ def _cmd_entangle(cfg: RunConfig) -> dict:
 
 
 def _cmd_optimize(cfg: RunConfig) -> dict:
+    # optimize searches delta_cx on the scheme preset with the scheme's
+    # pairing; refuse settings it would echo but not use.
+    ignored = [name for name in (*_PRESET_KEYS, "pairing")
+               if getattr(cfg, name) is not None]
+    if cfg.delta_cx != 0.0:
+        ignored.append("delta_cx")
+    if ignored:
+        raise ValidationError(
+            f"optimize uses the scheme {cfg.scheme} preset and pairing and "
+            f"cannot take {', '.join(ignored)}")
     window = None
     if cfg.center1 is not None:
         window = DetectorWindow(center1=cfg.center1, center2=cfg.center2,
@@ -367,8 +377,7 @@ def _cmd_figures(cfg: RunConfig) -> dict:
         wanted = [f.strip() for f in cfg.figures.split(",") if f.strip()]
     outputs = []
     for fig in wanted:
-        outputs.extend(reproduce_figure(fig, cfg.out_dir, workers=cfg.workers,
-                                        svg=cfg.svg))
+        outputs.extend(reproduce_figure(fig, cfg.out_dir, svg=cfg.svg))
     return {"figures": wanted, "outputs": outputs}
 
 

@@ -21,9 +21,9 @@ cascade.channel_arrays solves the channels, the window-center arrays and
 their validity follow from them, and pairstate.gamma_prime_arrays
 integrates every overlap in one exact kernels.window_overlaps call.  A
 SweepCurve keeps these arrays; its rows view builds SweepRows on demand,
-each equal to gamma_prime at its detuning bit for bit.  With more than
-one worker the grid is cut into at least one chunk per worker for a
-process pool; results are identical for any worker count or chunk size.
+each equal to gamma_prime at its detuning bit for bit.  Longer grids
+run one chunk after another in this process; results are identical for
+any chunk size.
 """
 from __future__ import annotations
 
@@ -55,8 +55,7 @@ _GRID_POINTS = 161
 # Grid points per batched overlap call: one standard grid, so a default
 # sweep pays the per-call work (channel solve, window checks, kernel
 # setup) once.  Longer grids run in chunks of this size, which bounds
-# their memory.  With a process pool the grid is cut into at least one
-# chunk per worker.
+# their memory.
 _CHUNK_POINTS = _GRID_POINTS
 
 
@@ -153,28 +152,14 @@ class SweepCurve:
         return self.rows[int(self.abs_gamma.argmax())]
 
 
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        env = os.environ.get("POLCASCADE_WORKERS", "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"POLCASCADE_WORKERS must be an integer, got {env!r}")
-    if not (isinstance(workers, int) and workers >= 1):
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    return workers
-
-
 def _sweep_point(task):
     """The gamma', center1, center2 and width arrays of one contiguous
-    chunk of grid points (a pool task).
+    chunk of grid points.
 
     One array pass solves the chunk's channels and places its windows, and
     its overlaps go through one kernels.window_overlaps call.  The name
-    predates chunking; the benchmark's tracer wraps it.
+    predates chunking; the benchmark's tracer wraps it and reads params,
+    deltas and pairing from the task tuple.
     """
     params, deltas, pairing, width, window = task
     channels = channel_arrays(params, params.ex_mean + np.array(deltas))
@@ -192,14 +177,12 @@ def _sweep_point(task):
 
 
 def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
-                width: float = 0.2, workers=None,
-                window: DetectorWindow | None = None,
+                width: float = 0.2, window: DetectorWindow | None = None,
                 scheme: int = 0) -> SweepCurve:
     """Filtered coherence across a detuning grid for one branch pairing.
 
-    The grid runs in chunks of up to _CHUNK_POINTS points.  workers
-    defaults to POLCASCADE_WORKERS, else 1; more than one cuts the grid
-    into at least that many chunks and farms them out to a process pool.
+    The grid runs in chunks of up to _CHUNK_POINTS points, one after
+    another.
     """
     pairing = normalize_pairing(pairing)
     grid = default_delta_grid() if deltas is None else np.array(deltas, dtype=float)
@@ -207,32 +190,25 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
         raise ValidationError("detuning grid must be a finite 1-d array")
     if np.any(np.diff(grid) <= 0):
         raise ValidationError("detuning grid must be strictly increasing")
-    workers = _resolve_workers(workers)
     points = [float(d) for d in grid]
-    size = min(_CHUNK_POINTS, -(-len(points) // workers))
-    tasks = [(params, points[i:i + size], pairing, width, window)
-             for i in range(0, len(points), size)]
-    if workers == 1 or len(tasks) < 2:
-        chunks = [_sweep_point(t) for t in tasks]
-    else:
-        # Imported here so that importing the package does not load the
-        # pool machinery (concurrent.futures, multiprocessing, logging).
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_point, tasks))
+    chunks = [_sweep_point((params, points[i:i + _CHUNK_POINTS], pairing,
+                            width, window))
+              for i in range(0, len(points), _CHUNK_POINTS)]
     return SweepCurve(grid, *map(np.concatenate, zip(*chunks)), pairing,
                       scheme)
 
 
 def fig4_sweep(scheme: int, deltas=None, width: float = 0.2,
                workers=None) -> SweepCurve:
-    """The |gamma'|-versus-detuning curve for one scheme preset."""
+    """The |gamma'|-versus-detuning curve for one scheme preset.
+
+    workers is accepted and ignored: sweeps run in one process.  It stays
+    only because the benchmark's fig4 workload passes workers=1.
+    """
     if scheme not in SCHEME_PAIRING:
         raise ValidationError(f"scheme must be 1, 2, or 3, got {scheme!r}")
     return sweep_gamma(scheme_preset(scheme), SCHEME_PAIRING[scheme],
-                       deltas=deltas, width=width, workers=workers,
-                       scheme=scheme)
+                       deltas=deltas, width=width, scheme=scheme)
 
 
 def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
@@ -262,7 +238,7 @@ def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
 
     xs = np.linspace(lo, hi, scan_points)
     # One array sweep; each point equals objective at its detuning.
-    vals = sweep_gamma(params, pairing, deltas=xs, width=width, workers=1,
+    vals = sweep_gamma(params, pairing, deltas=xs, width=width,
                        window=window).abs_gamma.tolist()
     if max(vals) - min(vals) < 1e-12:
         raise ConvergenceError(
@@ -352,11 +328,11 @@ def _scheme3_crossing() -> float:
     return scan.detunings[0]
 
 
-def _figure_gamma_curves(out_dir: str, svg: bool, workers) -> list[str]:
+def _figure_gamma_curves(out_dir: str, svg: bool) -> list[str]:
     paths = []
     curves = []
     for scheme in (1, 2, 3):
-        curve = fig4_sweep(scheme, workers=workers)
+        curve = fig4_sweep(scheme)
         curves.append(curve)
         columns = ["delta_cx_mev", "abs_gamma_prime", "re_gamma", "im_gamma",
                    "center1", "center2", "width", "pairing"]
@@ -385,7 +361,7 @@ def _figure_gamma_curves(out_dir: str, svg: bool, workers) -> list[str]:
     return paths
 
 
-def reproduce_figure(fig: str, out_dir: str = ".", workers=None,
+def reproduce_figure(fig: str, out_dir: str = ".",
                      svg: bool = True) -> list[str]:
     """Write the CSV (and SVG) file set for one figure id.
 
@@ -398,7 +374,7 @@ def reproduce_figure(fig: str, out_dir: str = ".", workers=None,
     os.makedirs(out_dir, exist_ok=True)
     try:
         if fig == "4":
-            return _figure_gamma_curves(out_dir, svg, workers)
+            return _figure_gamma_curves(out_dir, svg)
         # The other ids are <scheme><panel>: a for levels, c for spectra.
         scheme, label = int(fig[0]), f"fig{fig}"
         csv_path = os.path.join(out_dir, f"{label}.csv")
@@ -427,10 +403,9 @@ def reproduce_figure(fig: str, out_dir: str = ".", workers=None,
         raise OSError(f"writing figure {fig} under {out_dir!r}: {exc}") from exc
 
 
-def reproduce_all(out_dir: str = ".", workers=None,
-                  svg: bool = True) -> list[str]:
+def reproduce_all(out_dir: str = ".", svg: bool = True) -> list[str]:
     """All six figure file sets."""
     paths = []
     for fig in FIGURE_IDS:
-        paths.extend(reproduce_figure(fig, out_dir, workers=workers, svg=svg))
+        paths.extend(reproduce_figure(fig, out_dir, svg=svg))
     return paths

@@ -175,15 +175,14 @@ def _dilog(z, log1p_minus_z):
     u = -log1p_minus_z
     moved = (inverted | reflected).nonzero()[0]
     u[moved] = -_log1p(-z2[moved])
-    # Horner's rule on the real and imaginary parts, in _mul's order; + c
-    # on a complex value adds 0.0 to its imaginary part.
+    # Horner's rule on the real and imaginary parts, in _mul's order.
     ur, ui = u.real, u.imag
     u2r = ur * ur - ui * ui
     u2i = ur * ui + ui * ur
     tr = np.full(u.shape, _LI2_TERMS[-1])
     ti = np.zeros(u.shape)
     for c in _LI2_TERMS[-2::-1]:
-        tr, ti = tr * u2r - ti * u2i + c, tr * u2i + ti * u2r + 0.0
+        tr, ti = tr * u2r - ti * u2i + c, tr * u2i + ti * u2r
     u2 = _join(u2r, u2i)
     value = u - 0.25 * u2 + _mul(u, _mul(u2, _join(tr, ti)))
     # Where refl, log(z1) = log(1 - z2) = -u.

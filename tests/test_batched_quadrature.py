@@ -3,10 +3,8 @@
 A sweep chunk, a gamma_prime call and an unprojected box all go through
 kernels.window_overlaps.  These tests check that an overlap's value, or
 the error its point fails with, does not depend on what else shares its
-batch, which form integrates its neighbours, how a sweep is chunked, or
-how many worker processes run it.
+batch, which form integrates its neighbours, or how a sweep is chunked.
 """
-import concurrent.futures
 import tracemalloc
 from unittest import mock
 
@@ -82,7 +80,7 @@ def forms_used(boxes):
 @given(params=params_st, pairing=st.sampled_from(PAIRINGS),
        width=st.floats(0.05, 0.5), grid=grids())
 def test_sweep_rows_equal_gamma_prime_bitwise(params, pairing, width, grid):
-    curve = sweep_gamma(params, pairing, deltas=grid, width=width, workers=1)
+    curve = sweep_gamma(params, pairing, deltas=grid, width=width)
     assert len(curve.rows) == grid.size
     for row, delta in zip(curve.rows, grid):
         at = params.with_detuning(float(delta))
@@ -96,14 +94,14 @@ def test_fixed_window_sweep_equals_gamma_prime_bitwise():
     p = scheme_preset(3)
     w = tracked_window(p, "LP-LP", 0.3)
     grid = np.linspace(-0.3, 0.3, 41)
-    curve = sweep_gamma(p, "LP-LP", deltas=grid, window=w, workers=1)
+    curve = sweep_gamma(p, "LP-LP", deltas=grid, window=w)
     for row in curve.rows:
         at = p.with_detuning(row.delta_cx)
         assert row.window == w
         assert row.gamma == gamma_prime(at, "LP-LP", w).gamma
 
 
-# ------------------------------------------ chunking and worker counts
+# ------------------------------------------------------------- chunking
 
 @settings(max_examples=10, deadline=None)
 @given(params=params_st, pairing=st.sampled_from(PAIRINGS),
@@ -112,13 +110,12 @@ def test_sweep_independent_of_chunk_size(params, pairing, grid):
     gammas = {}
     for chunk in (1, 7, 32, 161):
         with mock.patch.object(experiments, "_CHUNK_POINTS", chunk):
-            curve = sweep_gamma(params, pairing, deltas=grid, workers=1)
+            curve = sweep_gamma(params, pairing, deltas=grid)
         gammas[chunk] = [r.gamma for r in curve.rows]
     assert gammas[1] == gammas[7] == gammas[32] == gammas[161]
 
 
-def test_default_grid_is_one_chunk_and_a_pool_gets_one_per_worker(
-        monkeypatch):
+def test_default_grid_is_one_chunk(monkeypatch):
     chunks = []
     sweep_point = experiments._sweep_point
 
@@ -126,52 +123,9 @@ def test_default_grid_is_one_chunk_and_a_pool_gets_one_per_worker(
         chunks.append(len(task[1]))
         return sweep_point(task)
 
-    class InlinePool:
-        """Runs the pool's tasks in this process, in order."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
     monkeypatch.setattr(experiments, "_sweep_point", counted)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    p = scheme_preset(2)
-    rows = {}
-    for workers in (1, 3):
-        chunks.clear()
-        rows[workers] = sweep_gamma(p, "LP-UP", workers=workers).rows
-        assert chunks == {1: [161], 3: [54, 54, 53]}[workers]
-    assert rows[1] == rows[3]
-
-
-def test_sweep_independent_of_worker_count():
-    p = SystemParams(ex_mean=1000.0, delta_x=0.12, cav_mean=1000.05,
-                     delta_c=-0.2, rabi=0.3, tau_c=12.0, tau_xx=400.0,
-                     binding=3.5)
-    grid = np.linspace(-0.35, 0.3, 23)
-    rows = {}
-    # Seven-point chunks give the pool four tasks.
-    with mock.patch.object(experiments, "_CHUNK_POINTS", 7):
-        for workers in (1, 2):
-            rows[workers] = sweep_gamma(p, "LP-UP", deltas=grid,
-                                        workers=workers).rows
-    assert [(r.delta_cx, r.gamma, r.window) for r in rows[1]] == \
-        [(r.delta_cx, r.gamma, r.window) for r in rows[2]]
-
-
-def test_workers_default_to_one(monkeypatch):
-    monkeypatch.delenv("POLCASCADE_WORKERS", raising=False)
-    assert experiments._resolve_workers(None) == 1
-    monkeypatch.setenv("POLCASCADE_WORKERS", "3")
-    assert experiments._resolve_workers(None) == 3
+    sweep_gamma(scheme_preset(2), "LP-UP")
+    assert chunks == [161]
 
 
 # ------------------------------------------------- mixed batches and forms
@@ -267,7 +221,7 @@ def test_sweep_evaluates_twelve_dilogarithm_terms_per_point(n):
 
     grid = np.linspace(-0.4, 0.4, n)
     with mock.patch.object(kernels, "_dilog", counted):
-        sweep_gamma(scheme_preset(2), "LP-UP", deltas=grid, workers=1)
+        sweep_gamma(scheme_preset(2), "LP-UP", deltas=grid)
     assert sum(sizes) == 2 * 12 * n
 
 
@@ -297,7 +251,7 @@ def test_fig4_sweeps_take_at_most_64_complex_logs_per_point():
     points = 0
     with mock.patch.object(kernels, "np", counter):
         for scheme in (1, 2, 3):
-            points += experiments.fig4_sweep(scheme, workers=1).gamma.size
+            points += experiments.fig4_sweep(scheme).gamma.size
     assert points == 3 * 161
     assert counter.elements <= 64 * points
 
@@ -309,7 +263,7 @@ def test_sweep_raises_the_error_of_the_first_failing_point():
     far = DetectorWindow(center1=1e150, center2=1e150, width=0.2)
     grid = np.linspace(-0.1, 0.1, 9)
     with pytest.raises(EmptyWindowError) as batched:
-        sweep_gamma(p, "LP-LP", deltas=grid, window=far, workers=1)
+        sweep_gamma(p, "LP-LP", deltas=grid, window=far)
     at = p.with_detuning(float(grid[0]))
     with pytest.raises(EmptyWindowError) as alone:
         gamma_prime(at, "LP-LP", far)
@@ -333,7 +287,7 @@ def test_sweep_raises_the_window_error_of_a_bad_width(width):
     grid = np.linspace(-0.1, 0.1, 9)
     expected = first_point_error(p, "LP-LP", grid, width)
     with pytest.raises(ValidationError) as swept:
-        sweep_gamma(p, "LP-LP", deltas=grid, width=width, workers=1)
+        sweep_gamma(p, "LP-LP", deltas=grid, width=width)
     assert str(swept.value) == expected
 
 
@@ -342,7 +296,7 @@ def test_sweep_raises_the_window_error_of_the_first_failing_point():
     # happens in the middle of the grid, not at its first point.
     p = scheme_preset(2)
     grid = np.linspace(-0.3, 0.3, 31)
-    curve = sweep_gamma(p, "LP-UP", deltas=grid, workers=1)
+    curve = sweep_gamma(p, "LP-UP", deltas=grid)
     width = 2 * float(np.median(curve.center1))
     first = int(np.argmax(curve.center1 - width / 2 <= 0))
     assert 0 < first
@@ -353,7 +307,7 @@ def test_sweep_raises_the_window_error_of_the_first_failing_point():
     assert str(alone.value) == expected == (
         "window extends to non-positive photon energy")
     with pytest.raises(ValidationError) as swept:
-        sweep_gamma(p, "LP-UP", deltas=grid, width=width, workers=1)
+        sweep_gamma(p, "LP-UP", deltas=grid, width=width)
     assert str(swept.value) == expected
 
 
@@ -365,7 +319,7 @@ def test_sweep_checks_weights_before_the_window_of_each_point(
         monkeypatch, vanish_at, message):
     p = scheme_preset(2)
     grid = np.linspace(-0.3, 0.3, 31)
-    curve = sweep_gamma(p, "LP-UP", deltas=grid, workers=1)
+    curve = sweep_gamma(p, "LP-UP", deltas=grid)
     width = 2 * float(np.median(curve.center1))
     first_bad_window = int(np.argmax(curve.center1 - width / 2 <= 0))
     assert 3 < first_bad_window < 20
@@ -378,7 +332,7 @@ def test_sweep_checks_weights_before_the_window_of_each_point(
 
     monkeypatch.setattr(experiments, "channel_arrays", vanishing)
     with pytest.raises(ValidationError, match=message):
-        sweep_gamma(p, "LP-UP", deltas=grid, width=width, workers=1)
+        sweep_gamma(p, "LP-UP", deltas=grid, width=width)
 
 
 def test_self_kernel_is_real_and_matches_complex_form():
@@ -404,10 +358,10 @@ def test_self_kernel_is_real_and_matches_complex_form():
 def test_long_sweep_memory_stays_bounded():
     grid = np.linspace(-0.4, 0.4, 1601)
     p = scheme_preset(1)
-    sweep_gamma(p, "LP-LP", deltas=grid[:40], workers=1)  # warm node cache
+    sweep_gamma(p, "LP-LP", deltas=grid[:40])  # warm node cache
     tracemalloc.start()
     try:
-        curve = sweep_gamma(p, "LP-LP", deltas=grid, workers=1)
+        curve = sweep_gamma(p, "LP-LP", deltas=grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -183,6 +183,19 @@ def test_optimize_command(capsys):
     assert data["abs_gamma"] > 0.45
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (("--rabi", "0.35"), ["rabi"]),
+    (("--lo", "0.1", "--rabi", "0.35", "--pairing", "UP-UP",
+      "--delta-cx", "0.2"), ["rabi", "delta_cx", "pairing"]),
+])
+def test_optimize_refuses_settings_it_would_ignore(capsys, argv, keys):
+    code, out, err = run_cli(capsys, "optimize", "--scheme", "1", *argv)
+    assert code == 1
+    assert out == ""
+    for key in keys:
+        assert key in err
+
+
 def test_figures_subset(capsys, tmp_path):
     data = payload(capsys, "figures", "--figures", "2a",
                    "--out-dir", str(tmp_path), "--svg", "false")

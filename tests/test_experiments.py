@@ -110,28 +110,6 @@ def test_fig4_sweep_builds_no_window_or_row_objects(monkeypatch):
     assert built.count("row") == built.count("window") == 161
 
 
-def test_sweep_parallel_matches_serial_bitwise():
-    p = scheme_preset(1)
-    serial = sweep_gamma(p, "LP-LP", deltas=small_grid(), workers=1)
-    parallel = sweep_gamma(p, "LP-LP", deltas=small_grid(), workers=3)
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a.delta_cx == b.delta_cx
-        assert a.gamma == b.gamma
-        assert a.window == b.window
-
-
-def test_sweep_workers_env_override(monkeypatch):
-    p = scheme_preset(1)
-    grid = np.linspace(-0.02, 0.02, 5)
-    base = sweep_gamma(p, "LP-LP", deltas=grid, workers=1)
-    monkeypatch.setenv("POLCASCADE_WORKERS", "2")
-    via_env = sweep_gamma(p, "LP-LP", deltas=grid)
-    assert all(a.gamma == b.gamma for a, b in zip(base.rows, via_env.rows))
-    monkeypatch.setenv("POLCASCADE_WORKERS", "zero")
-    with pytest.raises(ValidationError):
-        sweep_gamma(p, "LP-LP", deltas=grid)
-
-
 @pytest.mark.parametrize("deltas", [
     [],
     [0.0, 0.0, 0.1],
@@ -142,11 +120,6 @@ def test_sweep_workers_env_override(monkeypatch):
 def test_sweep_rejects_bad_grids(deltas):
     with pytest.raises(ValidationError):
         sweep_gamma(scheme_preset(1), "LP-LP", deltas=deltas)
-
-
-def test_sweep_rejects_bad_workers():
-    with pytest.raises(ValidationError):
-        sweep_gamma(scheme_preset(1), "LP-LP", deltas=small_grid(), workers=0)
 
 
 def test_fig4_scheme_pairings():
