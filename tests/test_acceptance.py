@@ -41,18 +41,32 @@ def random_params(rng):
 
 
 @pytest.fixture(scope="module")
-def figures_run(tmp_path_factory):
-    """One full `figures --all` run with the CLI defaults, in a fresh
-    process: its output directory and wall time."""
-    out = tmp_path_factory.mktemp("figs")
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "polcascade", "figures", "--all",
-         "--out-dir", str(out)],
-        capture_output=True, text=True)
-    elapsed = time.perf_counter() - t0
-    assert proc.returncode == 0, proc.stderr
-    return out, elapsed
+def figures_runs(tmp_path_factory):
+    """Full `figures --all` runs, each in a fresh process, made on first
+    use and keyed by the --workers value passed (None: flag left out).
+    Returns a function giving a run's output directory and wall time."""
+    runs = {}
+
+    def run(workers=None):
+        if workers not in runs:
+            out = tmp_path_factory.mktemp(f"figs_w{workers}")
+            extra = [] if workers is None else ["--workers", str(workers)]
+            t0 = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "polcascade", "figures", "--all",
+                 "--out-dir", str(out), *extra],
+                capture_output=True, text=True)
+            elapsed = time.perf_counter() - t0
+            assert proc.returncode == 0, proc.stderr
+            runs[workers] = (out, elapsed)
+        return runs[workers]
+    return run
+
+
+@pytest.fixture(scope="module")
+def figures_run(figures_runs):
+    """One full `figures --all` run with the CLI defaults."""
+    return figures_runs()
 
 
 def read_column(path, name, dtype=float):
@@ -409,9 +423,12 @@ FIGURE_SHA256 = {
 }
 
 
-def test_figure_bytes_match_pinned_digests(figures_run):
-    out, _ = figures_run
+@pytest.mark.parametrize("workers", (None, 2, 4))
+def test_figure_bytes_match_pinned_digests(figures_runs, workers):
+    """--workers is accepted and ignored: with or without it, every
+    figure file keeps its pinned bytes."""
+    out, _ = figures_runs(workers)
     assert sorted(f.name for f in out.iterdir()) == sorted(FIGURE_SHA256)
     for name, digest in FIGURE_SHA256.items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert got == digest, f"{name} changed: sha256 {got}"
+        assert got == digest, f"{name} changed at workers={workers}: sha256 {got}"
