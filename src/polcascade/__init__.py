@@ -8,10 +8,9 @@ filtering.
 from .errors import ConvergenceError, EmptyWindowError, ValidationError
 from .model import (HBAR_MEV_PS, PRESET_EX_MEAN, ComplexEnergy, SystemParams,
                     hbar_mev_ps, lifetime_to_linewidth, scheme_preset)
-from .polariton import (AnticrossingRow, CrossingScan, PolaritonSet,
-                        PolaritonState, anticrossing_sweep,
-                        exciton_cavity_detuning, find_crossings, min_gap,
-                        solve_polaritons)
+from .polariton import (CrossingScan, PolaritonSet, PolaritonState,
+                        anticrossing_sweep, exciton_cavity_detuning,
+                        find_crossings, min_gap, solve_polaritons)
 from .cascade import (CascadeChannel, Spectrum, channel_table,
                       enumerate_channels, gamma_xx_total, pl_spectrum,
                       write_spectrum_csv)
@@ -35,7 +34,7 @@ from .experiments import (FIGURE_IDS, SCHEME_PAIRING, SweepCurve, SweepRow,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnticrossingRow", "BACKEND", "CascadeChannel", "ComplexEnergy",
+    "BACKEND", "CascadeChannel", "ComplexEnergy",
     "ConvergenceError", "CrossingScan", "DEFAULT_QUAD", "DetectorWindow",
     "EmptyWindowError", "EntanglementReport", "FIGURE_IDS", "HBAR_MEV_PS",
     "PRESET_EX_MEAN", "PairCoherence", "PolaritonSet", "PolaritonState",

@@ -221,22 +221,25 @@ def channel_table(params: SystemParams) -> dict:
     }
 
 
-def _write_rows_csv(path, header_lines, columns, rows) -> None:
-    """Write "# " header lines, then CSV rows: strings as they are,
-    numbers as the repr of their float."""
+def _write_rows_csv(path, header_lines, columns) -> None:
+    """Write "# " header lines, the column names, then one CSV row per index.
+
+    columns maps each name to a column, in file order.  A column of str is
+    written as it is, any other as the repr of each value's float; the
+    choice is made once per column.
+    """
+    cells = [column if isinstance(next(iter(column), None), str)
+             else list(map(repr, np.asarray(column, dtype=float).tolist()))
+             for column in columns.values()]
+    lines = [*(f"# {line}" for line in header_lines), ",".join(columns),
+             *map(",".join, zip(*cells))]
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else repr(float(v))
-                               for v in row]) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_spectrum_csv(path, spectrum: Spectrum, header_lines=()) -> None:
     """Write energy_mev,intensity_H,intensity_V rows (repr formatting)."""
     _write_rows_csv(path, header_lines,
-                    ["energy_mev", "intensity_H", "intensity_V"],
-                    zip(spectrum.energy_grid.tolist(),
-                        spectrum.intensity_h.tolist(),
-                        spectrum.intensity_v.tolist()))
+                    {"energy_mev": spectrum.energy_grid,
+                     "intensity_H": spectrum.intensity_h,
+                     "intensity_V": spectrum.intensity_v})

@@ -292,13 +292,12 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     params = effective_params(cfg)
     deltas = np.linspace(cfg.sweep_lo, cfg.sweep_hi, cfg.sweep_points)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    outputs, rows = write_anticrossing_files(
+    outputs, states = write_anticrossing_files(
         os.path.join(cfg.out_dir, "anticrossing.csv"), params, deltas,
         _output_header(cfg), "Polariton levels", cfg.svg)
-    min_gap_h = min(r.energies[("H", "UP")] - r.energies[("H", "LP")] for r in rows)
-    min_gap_v = min(r.energies[("V", "UP")] - r.energies[("V", "LP")] for r in rows)
-    return {"outputs": outputs,
-            "min_same_pol_gap_mev": min(min_gap_h, min_gap_v)}
+    # Rows in STATE_ORDER: H LP, H UP, V LP, V UP.
+    gaps = states.energy[1::2] - states.energy[0::2]
+    return {"outputs": outputs, "min_same_pol_gap_mev": float(gaps.min())}
 
 
 def _cmd_gamma(cfg: RunConfig) -> dict:
@@ -358,10 +357,11 @@ def _cmd_sample(cfg: RunConfig) -> dict:
     probs = born_probabilities(rho, *angles)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "counts.csv")
-    data = [[f"{a}", f"{b}", f"{int(counts[a, b])}"]
-            for a in (0, 1) for b in (0, 1)]
+    # counts[a, b] in row-major order: ports (0, 0), (0, 1), (1, 0), (1, 1).
     _write_rows_csv(csv_path, _output_header(cfg),
-                    ["a_port", "b_port", "count"], data)
+                    {"a_port": ["0", "0", "1", "1"],
+                     "b_port": ["0", "1", "0", "1"],
+                     "count": [f"{c}" for c in counts.ravel().tolist()]})
     return {"outputs": [csv_path],
             "counts": [[int(c) for c in row] for row in counts],
             "born_probabilities": [[float(p) for p in row] for row in probs],

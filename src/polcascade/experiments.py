@@ -39,7 +39,8 @@ from .errors import ConvergenceError, ValidationError
 from .model import SystemParams, scheme_preset
 from .pairstate import (DetectorWindow, gamma_prime, gamma_prime_arrays,
                         invalid_windows, normalize_pairing, pairing_labels)
-from .polariton import _golden_min, anticrossing_sweep, find_crossings
+from .polariton import (PolaritonArrays, _golden_min, anticrossing_sweep,
+                        find_crossings, per_element)
 from .svg import line_plot
 
 # Branch pairing correlated in each scheme's coherence curve; scheme 2
@@ -148,8 +149,12 @@ class SweepCurve:
                          windows, [self.pairing] * self.deltas.size))
 
     def peak(self) -> SweepRow:
-        """Row with the largest |gamma'|."""
-        return self.rows[int(self.abs_gamma.argmax())]
+        """Row with the largest |gamma'|; builds only that row."""
+        i = int(self.abs_gamma.argmax())
+        window = DetectorWindow(self.center1.item(i), self.center2.item(i),
+                                self.width.item(i))
+        return SweepRow(self.deltas.item(i), self.gamma.item(i), window,
+                        self.pairing)
 
 
 def _sweep_point(task):
@@ -265,29 +270,31 @@ def _provenance(figure: str, params: SystemParams, extra=()) -> list[str]:
 
 def write_anticrossing_files(csv_path: str, params: SystemParams, deltas,
                              header_lines, title: str,
-                             svg: bool = True) -> tuple[list[str], list]:
+                             svg: bool = True) -> tuple[list[str], PolaritonArrays]:
     """Write the four polariton energies and exciton fractions across a
     detuning grid to csv_path and, with svg, plot the energies beside it.
 
-    Returns the written paths and the AnticrossingRows.
+    Returns the written paths and the PolaritonArrays of the grid (rows in
+    STATE_ORDER).
     """
-    rows = anticrossing_sweep(params, deltas)
-    columns = (["delta_cx_mev"]
-               + [f"E_{p}_{b}" for p, b in STATE_ORDER]
-               + [f"xex2_{p}_{b}" for p, b in STATE_ORDER])
-    data = [[r.delta_cx] + [r.energies[k] for k in STATE_ORDER]
-            + [r.x_ex2[k] for k in STATE_ORDER] for r in rows]
-    _write_rows_csv(csv_path, header_lines, columns, data)
+    deltas = np.asarray(deltas, dtype=float)
+    states = anticrossing_sweep(params, deltas)
+    energies = dict(zip(STATE_ORDER, states.energy))
+    # pow, as the scalar x_ex ** 2; np.square differs in the last bit.
+    x_ex2 = per_element(pow, states.x_ex, 2.0)
+    _write_rows_csv(csv_path, header_lines, {
+        "delta_cx_mev": deltas,
+        **{f"E_{p}_{b}": e for (p, b), e in energies.items()},
+        **{f"xex2_{p}_{b}": x for (p, b), x in zip(STATE_ORDER, x_ex2)}})
     paths = [csv_path]
     if svg:
         svg_path = csv_path[:-4] + ".svg"
-        xs = [r.delta_cx for r in rows]
-        series = [(f"{p} {b}", xs, [r.energies[(p, b)] for r in rows])
-                  for p, b in STATE_ORDER]
-        line_plot(svg_path, series, title=title,
-                  xlabel="cavity-exciton detuning (meV)", ylabel="energy (meV)")
+        line_plot(svg_path, [(f"{p} {b}", deltas, e)
+                             for (p, b), e in energies.items()],
+                  title=title, xlabel="cavity-exciton detuning (meV)",
+                  ylabel="energy (meV)")
         paths.append(svg_path)
-    return paths, rows
+    return paths, states
 
 
 def spectrum_grid(params: SystemParams, margin: float = 0.5,
@@ -334,12 +341,6 @@ def _figure_gamma_curves(out_dir: str, svg: bool) -> list[str]:
     for scheme in (1, 2, 3):
         curve = fig4_sweep(scheme)
         curves.append(curve)
-        columns = ["delta_cx_mev", "abs_gamma_prime", "re_gamma", "im_gamma",
-                   "center1", "center2", "width", "pairing"]
-        data = zip(curve.deltas.tolist(), curve.abs_gamma.tolist(),
-                   curve.gamma.real.tolist(), curve.gamma.imag.tolist(),
-                   curve.center1.tolist(), curve.center2.tolist(),
-                   curve.width.tolist(), [curve.pairing] * curve.deltas.size)
         header = _provenance("fig4", scheme_preset(scheme), (
             f"scheme = {scheme}",
             f"pairing = {SCHEME_PAIRING[scheme]}",
@@ -349,7 +350,12 @@ def _figure_gamma_curves(out_dir: str, svg: bool) -> list[str]:
             f"delta_cx grid = {_GRID_POINTS} points over [{_GRID_LO}, {_GRID_HI}] meV",
         ))
         csv_path = os.path.join(out_dir, f"fig4_scheme{scheme}.csv")
-        _write_rows_csv(csv_path, header, columns, data)
+        _write_rows_csv(csv_path, header, {
+            "delta_cx_mev": curve.deltas, "abs_gamma_prime": curve.abs_gamma,
+            "re_gamma": curve.gamma.real, "im_gamma": curve.gamma.imag,
+            "center1": curve.center1, "center2": curve.center2,
+            "width": curve.width,
+            "pairing": [curve.pairing] * curve.deltas.size})
         paths.append(csv_path)
     if svg:
         svg_path = os.path.join(out_dir, "fig4.svg")

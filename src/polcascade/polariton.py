@@ -279,21 +279,13 @@ def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
     return x, g
 
 
-@dataclass(frozen=True)
-class AnticrossingRow:
-    """Level structure at one detuning of an anticrossing sweep."""
-
-    delta_cx: float
-    energies: dict      # (pol, branch) -> meV
-    x_ex2: dict         # (pol, branch) -> exciton fraction
-    linewidths: dict    # (pol, branch) -> meV
-
-
-def anticrossing_sweep(params: SystemParams, deltas) -> list[AnticrossingRow]:
+def anticrossing_sweep(params: SystemParams, deltas) -> PolaritonArrays:
     """Solve the four polariton states across a detuning grid.
 
-    The grid must be strictly increasing; one array solve covers it, and
-    rows are bit-identical to calling solve_polaritons at each detuning.
+    The grid must be strictly increasing.  One array solve covers it: the
+    result has one row per state in STATE_ORDER and one column per
+    detuning, and column i equals solve_polaritons at deltas[i] bit for
+    bit.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -303,12 +295,4 @@ def anticrossing_sweep(params: SystemParams, deltas) -> list[AnticrossingRow]:
             raise ValidationError("detuning grid must be strictly increasing")
     for d in deltas:
         _require_finite("delta_cx", d)
-    states = polariton_arrays(params, params.ex_mean + np.array(deltas))
-    energy = states.energy.T.tolist()
-    x_ex2 = per_element(pow, states.x_ex, 2.0).T.tolist()
-    linewidth = states.linewidth.T.tolist()
-    return [AnticrossingRow(delta_cx=d,
-                            energies=dict(zip(STATE_ORDER, energy[i])),
-                            x_ex2=dict(zip(STATE_ORDER, x_ex2[i])),
-                            linewidths=dict(zip(STATE_ORDER, linewidth[i])))
-            for i, d in enumerate(deltas)]
+    return polariton_arrays(params, params.ex_mean + np.array(deltas))

@@ -49,17 +49,17 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
 
     series: iterable of (label, xs, ys) with equal-length sequences.
     """
-    series = [(str(lbl), np.asarray(xs, float).tolist(),
-               np.asarray(ys, float).tolist()) for lbl, xs, ys in series]
-    if not series or not any(s[1] for s in series):
+    series = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float))
+              for lbl, xs, ys in series]
+    if not series or not any(xs.size for _, xs, _ in series):
         raise ValidationError("nothing to plot")
     for lbl, xs, ys in series:
         if len(xs) != len(ys):
             raise ValidationError(f"series {lbl!r} has mismatched lengths")
-    x_lo = min(min(xs) for _, xs, _ in series if xs)
-    x_hi = max(max(xs) for _, xs, _ in series if xs)
-    y_lo = min(min(ys) for _, _, ys in series if ys)
-    y_hi = max(max(ys) for _, _, ys in series if ys)
+    x_lo = min(xs.min() for _, xs, _ in series if xs.size).item()
+    x_hi = max(xs.max() for _, xs, _ in series if xs.size).item()
+    y_lo = min(ys.min() for _, _, ys in series if ys.size).item()
+    y_hi = max(ys.max() for _, _, ys in series if ys.size).item()
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -98,8 +98,8 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
     for idx, (lbl, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         # sx and sy on whole arrays, in the same operation order.
-        px = _MARGIN_L + (np.array(xs) - x_lo) / (x_hi - x_lo) * plot_w
-        py = _MARGIN_T + (y_hi - np.array(ys)) / (y_hi - y_lo) * plot_h
+        px = _MARGIN_L + (xs - x_lo) / (x_hi - x_lo) * plot_w
+        py = _MARGIN_T + (y_hi - ys) / (y_hi - y_lo) * plot_h
         pts = " ".join(map("%.2f,%.2f".__mod__,
                            zip(px.tolist(), py.tolist())))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '

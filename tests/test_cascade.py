@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from polcascade.cascade import (channel_table, enumerate_channels,
-                                gamma_xx_total, pl_spectrum,
-                                write_spectrum_csv)
+from polcascade.cascade import (_write_rows_csv, channel_table,
+                                enumerate_channels, gamma_xx_total,
+                                pl_spectrum, write_spectrum_csv)
 from polcascade.errors import ValidationError
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
 from polcascade.polariton import find_crossings, solve_polaritons
@@ -191,6 +191,40 @@ def test_channel_table_scheme3_lp_rows_at_crossing():
     rows = {(r["pol"], r["branch"]): r for r in channel_table(p)["channels"]}
     assert abs(rows[("H", "LP")]["photon2_mev"]
                - rows[("V", "LP")]["photon2_mev"]) < 1e-9
+
+
+def row_rule_csv(header_lines, columns) -> bytes:
+    """The CSV bytes by the row-by-row rule: each value a str as it is,
+    any other value the repr of its float."""
+    lines = [f"# {line}\n" for line in header_lines]
+    lines.append(",".join(columns) + "\n")
+    for row in zip(*columns.values()):
+        lines.append(",".join([v if isinstance(v, str) else repr(float(v))
+                               for v in row]) + "\n")
+    return "".join(lines).encode()
+
+
+def test_write_rows_csv_matches_row_rule(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    columns = {
+        "label": ["a", "b", "c", "d", "e", "f"],
+        "array": np.array([-0.0, 5e-324, 1e22, nan, inf, -inf]),
+        "list": [1e22, nan, -0.0, inf, 5e-324, 0.1],
+    }
+    path = tmp_path / "table.csv"
+    _write_rows_csv(path, ["one", "two"], columns)
+    assert path.read_bytes() == row_rule_csv(["one", "two"], columns)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# one", "# two", "label,array,list"]
+    assert lines[3] == "a,-0.0,1e+22"
+    assert lines[4] == "b,5e-324,nan"
+
+
+def test_write_rows_csv_zero_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    _write_rows_csv(path, ["only the header"],
+                    {"label": [], "value": np.array([])})
+    assert path.read_bytes() == b"# only the header\nlabel,value\n"
 
 
 def test_write_spectrum_csv(tmp_path):

@@ -12,10 +12,12 @@ from polcascade.errors import (ConvergenceError, EmptyWindowError,
 from polcascade.experiments import (FIGURE_IDS, SCHEME_PAIRING, SweepCurve,
                                     SweepRow, default_delta_grid, fig4_sweep,
                                     optimize_detuning, reproduce_figure,
-                                    sweep_gamma, tracked_window)
+                                    sweep_gamma, tracked_window,
+                                    write_anticrossing_files)
 from polcascade.model import scheme_preset
 from polcascade.pairstate import (DetectorWindow, gamma_prime,
                                   pairing_channels)
+from polcascade.polariton import solve_polaritons
 
 
 def read_csv(path):
@@ -230,6 +232,26 @@ def test_anticrossing_figure_contents(tmp_path):
     text = "\n".join(header)
     assert "scheme = 2" in text
     assert "workers" not in text
+
+
+def test_anticrossing_csv_matches_point_solutions(tmp_path):
+    # The exciton fractions are squared on the way to the file, as the
+    # scalar x_ex ** 2, and read back bit for bit.
+    p = scheme_preset(2)
+    deltas = np.linspace(-0.4, 0.4, 9)
+    csv_path = str(tmp_path / "anticrossing.csv")
+    paths, states = write_anticrossing_files(csv_path, p, deltas, ["levels"],
+                                             "levels", svg=False)
+    assert paths == [csv_path]
+    assert states.energy.shape == (4, deltas.size)
+    _, columns, rows = read_csv(csv_path)
+    assert column(rows, columns, "delta_cx_mev").tolist() == deltas.tolist()
+    for i, delta in enumerate(deltas.tolist()):
+        for s in solve_polaritons(p.with_detuning(delta)):
+            cell = rows[i][columns.index(f"xex2_{s.pol}_{s.branch}")]
+            assert float(cell) == s.x_ex ** 2
+            cell = rows[i][columns.index(f"E_{s.pol}_{s.branch}")]
+            assert float(cell) == s.energy
 
 
 def test_spectrum_figure_four_peaks_per_polarization(tmp_path):

@@ -5,10 +5,10 @@ features, and NPY_DISABLE_CPU_FEATURES narrows that choice for one
 process.  Some ufuncs round differently from level to level (real log,
 arctan and log1p without AVX-512; complex multiply without AVX2), so the
 program avoids them on every path that reaches a file.  This test runs
-`figures --all` and one `sample`, `spectrum` and `entangle` command each
-in subprocesses at three levels: the default, without AVX-512, and the
-X86_V2 baseline, and requires the same output bytes and the same JSON
-summaries at each.
+`figures --all` and one `sample`, `spectrum`, `sweep` and `entangle`
+command each in subprocesses at three levels: the default, without
+AVX-512, and the X86_V2 baseline, and requires the same output bytes and
+the same JSON summaries at each.
 
 A level is skipped only when the running NumPy cannot disable its
 features.  What stays untested: levels above the features of the host
@@ -33,6 +33,7 @@ COMMANDS = (
     ("sample", "--scheme", "1", "--seed", "7", "--n", "1000",
      "--out-dir", "sample"),
     ("spectrum", "--scheme", "2", "--out-dir", "spectrum"),
+    ("sweep", "--scheme", "2", "--out-dir", "sweep"),
     # Writes no file; its JSON carries the Peres report at full precision.
     ("entangle", "--scheme", "1", "--out-dir", "entangle"),
 )
@@ -99,8 +100,9 @@ def test_outputs_identical_at_every_dispatch_level(level, default_outputs,
         pytest.skip(f"this NumPy cannot disable {disabled}")
     summaries, files = run_level(disabled, tmp_path)
     expected_summaries, expected_files = default_outputs
-    # 14 figures, counts.csv, and spectrum.csv and .svg.
-    assert len(expected_files) == 17
+    # 14 figures, counts.csv, spectrum.csv and .svg, and anticrossing.csv
+    # and .svg.
+    assert len(expected_files) == 19
     assert summaries == expected_summaries
     assert sorted(files) == sorted(expected_files)
     changed = [name for name in files if files[name] != expected_files[name]]

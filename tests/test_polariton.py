@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from polcascade.errors import ValidationError
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
-from polcascade.polariton import (anticrossing_sweep,
+from polcascade.polariton import (STATE_ORDER, anticrossing_sweep,
                                   exciton_cavity_detuning, find_crossings,
                                   min_gap, solve_polaritons)
 
@@ -204,25 +204,25 @@ def test_min_gap_scheme1_zero_everywhere():
 def test_anticrossing_sweep_rows_match_point_solutions():
     p = scheme_preset(2)
     deltas = np.linspace(-0.4, 0.4, 9)
-    rows = anticrossing_sweep(p, deltas)
-    assert [r.delta_cx for r in rows] == [float(d) for d in deltas]
-    for row in rows:
-        states = by_state(p.with_detuning(row.delta_cx))
-        for key, s in states.items():
-            assert row.energies[key] == s.energy
-            assert row.x_ex2[key] == s.x_ex ** 2
-            assert row.linewidths[key] == s.linewidth
-        q = p.with_detuning(row.delta_cx)
+    states = anticrossing_sweep(p, deltas)
+    assert states.energy.shape == (len(STATE_ORDER), deltas.size)
+    for i, delta in enumerate(deltas.tolist()):
+        q = p.with_detuning(delta)
+        solved = by_state(q)
+        for row, key in enumerate(STATE_ORDER):
+            assert states.energy[row, i] == solved[key].energy
+            assert states.x_ex[row, i] == solved[key].x_ex
+            assert states.linewidth[row, i] == solved[key].linewidth
         for pol in ("H", "V"):
-            assert_allclose(row.energies[(pol, "LP")]
-                            + row.energies[(pol, "UP")],
+            lp, up = (STATE_ORDER.index((pol, b)) for b in ("LP", "UP"))
+            assert_allclose(states.energy[lp, i] + states.energy[up, i],
                             q.e_exciton(pol) + q.e_cavity(pol), atol=1e-9)
 
 
 def test_far_positive_detuning_lp_is_excitonic():
-    rows = anticrossing_sweep(scheme_preset(2), [5.0])
+    states = anticrossing_sweep(scheme_preset(2), [5.0])
     for pol in ("H", "V"):
-        assert rows[0].x_ex2[(pol, "LP")] > 0.999
+        assert states.x_ex[STATE_ORDER.index((pol, "LP")), 0] ** 2 > 0.999
 
 
 def test_sweep_rejects_unsorted_grid():

@@ -28,6 +28,17 @@ def test_line_plot_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_line_plot_list_and_array_inputs_same_bytes(tmp_path):
+    xs = np.linspace(-0.4, 0.4, 161)
+    ys = np.cos(9.0 * xs) / (1.0 + xs ** 2)
+    a = tmp_path / "arrays.svg"
+    b = tmp_path / "lists.svg"
+    line_plot(a, [("s", xs, ys), ("t", xs[::2], -ys[::2])], title="t")
+    line_plot(b, [("s", xs.tolist(), ys.tolist()),
+                  ("t", xs[::2].tolist(), (-ys[::2]).tolist())], title="t")
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_line_plot_flat_and_single_point_series(tmp_path):
     # degenerate ranges must still produce a finite layout
     path = tmp_path / "flat.svg"
