@@ -6,8 +6,8 @@ entanglement of the emitted photon pair with and without spectral
 filtering.
 """
 from .errors import ConvergenceError, EmptyWindowError, ValidationError
-from .model import (HBAR_MEV_PS, PRESET_EX_MEAN, ComplexEnergy, SystemParams,
-                    hbar_mev_ps, lifetime_to_linewidth, scheme_preset)
+from .model import (HBAR_MEV_PS, PRESET_EX_MEAN, SystemParams, hbar_mev_ps,
+                    lifetime_to_linewidth, scheme_preset)
 from .polariton import (CrossingScan, PolaritonSet, PolaritonState,
                         anticrossing_sweep, exciton_cavity_detuning,
                         find_crossings, min_gap, solve_polaritons)
@@ -15,9 +15,9 @@ from .cascade import (CascadeChannel, Spectrum, channel_table,
                       enumerate_channels, gamma_xx_total, pl_spectrum,
                       write_spectrum_csv)
 from .kernels import BACKEND
-from .pairstate import (DEFAULT_QUAD, DetectorWindow, PairCoherence,
-                        QuadratureSpec, amplitude, brute_force_overlap,
-                        channel_norm, gamma_prime, gamma_prime_from_channels,
+from .pairstate import (DetectorWindow, PairCoherence, QuadratureSpec,
+                        amplitude, brute_force_overlap, channel_norm,
+                        gamma_prime, gamma_prime_from_channels,
                         gamma_unprojected, normalize_pairing,
                         pairing_channels, window_value, windowed_overlap)
 from .entanglement import (EntanglementReport, TwoQubitDensityMatrix,
@@ -34,10 +34,10 @@ from .experiments import (FIGURE_IDS, SCHEME_PAIRING, SweepCurve, SweepRow,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "CascadeChannel", "ComplexEnergy",
-    "ConvergenceError", "CrossingScan", "DEFAULT_QUAD", "DetectorWindow",
-    "EmptyWindowError", "EntanglementReport", "FIGURE_IDS", "HBAR_MEV_PS",
-    "PRESET_EX_MEAN", "PairCoherence", "PolaritonSet", "PolaritonState",
+    "BACKEND", "CascadeChannel", "ConvergenceError", "CrossingScan",
+    "DetectorWindow", "EmptyWindowError", "EntanglementReport", "FIGURE_IDS",
+    "HBAR_MEV_PS", "PRESET_EX_MEAN", "PairCoherence", "PolaritonSet",
+    "PolaritonState",
     "QuadratureSpec", "SCHEME_PAIRING", "Spectrum", "SweepCurve", "SweepRow",
     "SystemParams", "TwoQubitDensityMatrix", "ValidationError", "amplitude",
     "anticrossing_sweep", "born_probabilities", "brute_force_overlap",

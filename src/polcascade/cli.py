@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import ConvergenceError, ValidationError
 from .experiments import (FIGURE_IDS, SCHEME_PAIRING, optimize_detuning,
                           reproduce_figure, spectrum_grid, tracked_window,
                           write_anticrossing_files, write_spectrum_files)
-from .model import SystemParams, scheme_preset
+from .model import SystemParams, scheme_id, scheme_preset
 from .pairstate import DetectorWindow, gamma_prime, gamma_unprojected
 from .polariton import anticrossing_sweep  # noqa: F401
 from .svg import line_plot  # noqa: F401
@@ -49,59 +49,63 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-@dataclass
-class RunConfig:
-    """Effective settings for one CLI run."""
-
-    command: str = ""
-    scheme: int = 1
-    # None defers to the scheme preset's value.
-    ex_mean: float | None = None
-    delta_x: float | None = None
-    cav_mean: float | None = None
-    delta_c: float | None = None
-    rabi: float | None = None
-    tau_c: float | None = None
-    tau_xx: float | None = None
-    binding: float | None = None
-    delta_cx: float = 0.0
-    pairing: str | None = None      # default: the scheme's pairing
-    width: float = 0.2              # window full width, meV
-    center1: float | None = None    # fixed window override, meV
-    center2: float | None = None
-    unprojected: bool = False
-    reference: str = "absolute"
-    points: int = 4001              # spectrum grid size
-    margin: float = 0.5             # spectrum grid margin, meV
-    sweep_lo: float = -0.4
-    sweep_hi: float = 0.4
-    sweep_points: int = 161
-    lo: float = -0.4                # optimize range, meV
-    hi: float = 0.4
-    angle_a: float = 0.0            # analyzer angles, degrees
-    angle_b: float = 22.5
-    n: int = 100000                 # sample count
-    seed: int = 0
+# Every setting, once: key -> (default, parser, help).  RunConfig's
+# fields, the config-file keys, the flags and their --help text all come
+# from this table, in this order.  A None default on a SystemParams field
+# defers to the scheme preset's value.
+SETTINGS = {
+    "scheme": (1, int, "level-matching scheme preset: 1, 2 or 3"),
+    "ex_mean": (None, float, "mean exciton energy, meV (preset override)"),
+    "delta_x": (None, float, "exciton H-V splitting, meV (preset override)"),
+    "cav_mean": (None, float, "mean cavity energy, meV (preset override)"),
+    "delta_c": (None, float, "cavity H-V splitting, meV (preset override)"),
+    "rabi": (None, float, "vacuum Rabi splitting, meV (preset override)"),
+    "tau_c": (None, float, "cavity photon lifetime, ps (preset override)"),
+    "tau_xx": (None, float,
+               "biexciton radiative lifetime, ps (preset override)"),
+    "binding": (None, float,
+                "biexciton binding energy, meV (preset override)"),
+    "delta_cx": (0.0, float,
+                 "cavity-exciton detuning applied to the preset, meV"),
+    "pairing": (None, str, "correlated branches: LP-LP, UP-UP or LP-UP "
+                           "(default: the scheme's pairing)"),
+    "width": (0.2, float, "detector window full width, meV"),
+    "center1": (None, float, "fixed first-photon window center, meV "
+                             "(needs --center2; default: track the paired "
+                             "lines)"),
+    "center2": (None, float, "fixed second-photon window center, meV"),
+    "unprojected": (False, _as_bool,
+                    "gamma command: report the unfiltered coherence"),
+    "reference": ("absolute", str, "spectrum energy reference: absolute or "
+                                   "relative_to_ex_mean"),
+    "points": (4001, int, "spectrum grid points"),
+    "margin": (0.5, float,
+               "spectrum grid margin beyond the outermost lines, meV"),
+    "sweep_lo": (-0.4, float, "sweep grid start, meV"),
+    "sweep_hi": (0.4, float, "sweep grid end, meV"),
+    "sweep_points": (161, int, "sweep grid size"),
+    "lo": (-0.4, float, "optimize search range start, meV"),
+    "hi": (0.4, float, "optimize search range end, meV"),
+    "angle_a": (0.0, float, "analyzer A angle, degrees from H"),
+    "angle_b": (22.5, float, "analyzer B angle, degrees from H"),
+    "n": (100000, int, "number of coincidence samples"),
+    "seed": (0, int, "random seed for sampling"),
     # Accepted and ignored; kept because the benchmark's traced figures
     # pass gives --workers 1.
-    workers: int | None = None
-    out_dir: str = "."
-    figures: str = "all"
-    svg: bool = True
-
-
-# Config-file and flag type table; every key is settable both ways.
-_CASTS = {
-    "scheme": int, "ex_mean": float, "delta_x": float, "cav_mean": float,
-    "delta_c": float, "rabi": float, "tau_c": float, "tau_xx": float,
-    "binding": float, "delta_cx": float, "pairing": str, "width": float,
-    "center1": float, "center2": float, "unprojected": _as_bool,
-    "reference": str,
-    "points": int, "margin": float, "sweep_lo": float, "sweep_hi": float,
-    "sweep_points": int, "lo": float, "hi": float, "angle_a": float,
-    "angle_b": float, "n": int, "seed": int, "workers": int,
-    "out_dir": str, "figures": str, "svg": _as_bool,
+    "workers": (None, int, "ignored: sweeps run in one process"),
+    "out_dir": (".", str, "directory for output files"),
+    "figures": ("all", str, "comma-separated figure ids "
+                            f"({', '.join(FIGURE_IDS)}) or 'all'"),
+    "svg": (True, _as_bool, "also write SVG plots (--svg false to disable)"),
 }
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str, ""),
+     *((key, bool if parse is _as_bool else parse, default)
+       for key, (default, parse, _) in SETTINGS.items())],
+    namespace={"__doc__": "Effective settings for one CLI run.",
+               "__module__": __name__})
 
 
 def parse_config_file(path: str) -> dict:
@@ -122,10 +126,10 @@ def parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CASTS:
+        if key not in SETTINGS:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = _CASTS[key](value)
+            out[key] = SETTINGS[key][1](value)
         except ValueError as exc:
             raise ValidationError(
                 f"{path}:{lineno}: bad value for {key!r}: {exc}")
@@ -149,51 +153,14 @@ def _build_parser() -> _Parser:
     parser.add_argument("command", choices=COMMANDS, help="what to run")
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value settings file")
-    flag_help = {
-        "scheme": "level-matching scheme preset: 1, 2 or 3",
-        "ex_mean": "mean exciton energy, meV (preset override)",
-        "delta_x": "exciton H-V splitting, meV (preset override)",
-        "cav_mean": "mean cavity energy, meV (preset override)",
-        "delta_c": "cavity H-V splitting, meV (preset override)",
-        "rabi": "vacuum Rabi splitting, meV (preset override)",
-        "tau_c": "cavity photon lifetime, ps (preset override)",
-        "tau_xx": "biexciton radiative lifetime, ps (preset override)",
-        "binding": "biexciton binding energy, meV (preset override)",
-        "delta_cx": "cavity-exciton detuning applied to the preset, meV",
-        "pairing": "correlated branches: LP-LP, UP-UP or LP-UP "
-                   "(default: the scheme's pairing)",
-        "width": "detector window full width, meV",
-        "center1": "fixed first-photon window center, meV "
-                   "(needs --center2; default: track the paired lines)",
-        "center2": "fixed second-photon window center, meV",
-        "unprojected": "gamma command: report the unfiltered coherence",
-        "reference": "spectrum energy reference: absolute or "
-                     "relative_to_ex_mean",
-        "points": "spectrum grid points",
-        "margin": "spectrum grid margin beyond the outermost lines, meV",
-        "sweep_lo": "sweep grid start, meV",
-        "sweep_hi": "sweep grid end, meV",
-        "sweep_points": "sweep grid size",
-        "lo": "optimize search range start, meV",
-        "hi": "optimize search range end, meV",
-        "angle_a": "analyzer A angle, degrees from H",
-        "angle_b": "analyzer B angle, degrees from H",
-        "n": "number of coincidence samples",
-        "seed": "random seed for sampling",
-        "workers": "ignored: sweeps run in one process",
-        "out_dir": "directory for output files",
-        "figures": "comma-separated figure ids "
-                   f"({', '.join(FIGURE_IDS)}) or 'all'",
-        "svg": "also write SVG plots (--svg false to disable)",
-    }
-    for key, cast in _CASTS.items():
+    for key, (_, parse, text) in SETTINGS.items():
         extra = {}
-        if cast is _as_bool:
+        if parse is _as_bool:
             # Bare flag means true; an explicit true/false also works.
             extra = {"nargs": "?", "const": True}
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                            type=cast, default=argparse.SUPPRESS,
-                            metavar=key.upper(), help=flag_help[key], **extra)
+                            type=parse, default=argparse.SUPPRESS,
+                            metavar=key.upper(), help=text, **extra)
     parser.add_argument("--all", dest="figures", action="store_const",
                         const="all", default=argparse.SUPPRESS,
                         help="figures command: emit every figure")
@@ -214,8 +181,7 @@ def build_config(argv=None) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.scheme not in (1, 2, 3):
-        raise ValidationError(f"scheme must be 1, 2 or 3, got {cfg.scheme!r}")
+    scheme_id(cfg.scheme)
     if (cfg.center1 is None) != (cfg.center2 is None):
         raise ValidationError("--center1 and --center2 must be given together")
     if cfg.reference not in ("absolute", "relative_to_ex_mean"):
@@ -233,14 +199,15 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValidationError("sweep range must satisfy sweep_lo < sweep_hi")
 
 
-_PRESET_KEYS = ("ex_mean", "delta_x", "cav_mean", "delta_c", "rabi",
-                "tau_c", "tau_xx", "binding")
+def _param_overrides(cfg: RunConfig) -> dict:
+    """The SystemParams fields that cfg sets."""
+    return {f.name: getattr(cfg, f.name) for f in fields(SystemParams)
+            if getattr(cfg, f.name) is not None}
 
 
 def effective_params(cfg: RunConfig) -> SystemParams:
     base = scheme_preset(cfg.scheme)
-    overrides = {name: getattr(cfg, name) for name in _PRESET_KEYS
-                 if getattr(cfg, name) is not None}
+    overrides = _param_overrides(cfg)
     if "ex_mean" in overrides and "cav_mean" not in overrides:
         # Presets tie the cavity to the exciton; keep them tied when only
         # the exciton is moved.
@@ -260,10 +227,6 @@ def effective_window(cfg: RunConfig, params: SystemParams) -> DetectorWindow:
         return DetectorWindow(center1=cfg.center1, center2=cfg.center2,
                               width=cfg.width)
     return tracked_window(params, effective_pairing(cfg), cfg.width)
-
-
-def config_echo(cfg: RunConfig) -> dict:
-    return asdict(cfg)
 
 
 def _output_header(cfg: RunConfig) -> list[str]:
@@ -329,8 +292,9 @@ def _cmd_entangle(cfg: RunConfig) -> dict:
 def _cmd_optimize(cfg: RunConfig) -> dict:
     # optimize searches delta_cx on the scheme preset with the scheme's
     # pairing; refuse settings it would echo but not use.
-    ignored = [name for name in (*_PRESET_KEYS, "pairing")
-               if getattr(cfg, name) is not None]
+    ignored = list(_param_overrides(cfg))
+    if cfg.pairing is not None:
+        ignored.append("pairing")
     if cfg.delta_cx != 0.0:
         ignored.append("delta_cx")
     if ignored:
@@ -396,7 +360,7 @@ def run(cfg: RunConfig) -> dict:
     """Execute one command; the payload is the JSON summary body."""
     payload = {"command": cfg.command}
     payload.update(_DISPATCH[cfg.command](cfg))
-    payload["config"] = config_echo(cfg)
+    payload["config"] = asdict(cfg)
     return payload
 
 

@@ -10,7 +10,7 @@ Basis order is (HH, HV, VH, VV).  Analyzer angles are in radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,13 +70,7 @@ class EntanglementReport:
     gamma_magnitude: float
 
     def as_dict(self) -> dict:
-        return {
-            "min_pt_eigenvalue": self.min_pt_eigenvalue,
-            "negativity": self.negativity,
-            "entangled": self.entangled,
-            "chsh_max": self.chsh_max,
-            "gamma_magnitude": self.gamma_magnitude,
-        }
+        return asdict(self)
 
 
 def x_state(p_hh: float, p_vv: float, gamma: complex) -> TwoQubitDensityMatrix:

@@ -29,18 +29,18 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cascade import (STATE_ORDER, _write_rows_csv, channel_arrays,
                       enumerate_channels, pl_spectrum, write_spectrum_csv)
 from .errors import ConvergenceError, ValidationError
-from .model import SystemParams, scheme_preset
+from .model import SystemParams, scheme_id, scheme_preset
 from .pairstate import (DetectorWindow, gamma_prime, gamma_prime_arrays,
                         invalid_windows, normalize_pairing, pairing_labels)
 from .polariton import (PolaritonArrays, _golden_min, anticrossing_sweep,
-                        find_crossings, per_element)
+                        detuning_grid, find_crossings, per_element)
 from .svg import line_plot
 
 # Branch pairing correlated in each scheme's coherence curve; scheme 2
@@ -190,11 +190,7 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
     another.
     """
     pairing = normalize_pairing(pairing)
-    grid = default_delta_grid() if deltas is None else np.array(deltas, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValidationError("detuning grid must be a finite 1-d array")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError("detuning grid must be strictly increasing")
+    grid = default_delta_grid() if deltas is None else detuning_grid(deltas)
     points = [float(d) for d in grid]
     chunks = [_sweep_point((params, points[i:i + _CHUNK_POINTS], pairing,
                             width, window))
@@ -203,21 +199,22 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
                       scheme)
 
 
-def fig4_sweep(scheme: int, deltas=None, width: float = 0.2,
+def fig4_sweep(scheme: int | str, deltas=None, width: float = 0.2,
                workers=None) -> SweepCurve:
     """The |gamma'|-versus-detuning curve for one scheme preset.
 
-    workers is accepted and ignored: sweeps run in one process.  It stays
-    only because the benchmark's fig4 workload passes workers=1.
+    scheme is an int or a name that scheme_id accepts.  workers is
+    accepted and ignored: sweeps run in one process.  It stays only
+    because the benchmark's fig4 workload passes workers=1.
     """
-    if scheme not in SCHEME_PAIRING:
-        raise ValidationError(f"scheme must be 1, 2, or 3, got {scheme!r}")
+    scheme = scheme_id(scheme)
     return sweep_gamma(scheme_preset(scheme), SCHEME_PAIRING[scheme],
                        deltas=deltas, width=width, scheme=scheme)
 
 
-def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
-                      width: float = 0.2, scan_points: int = 50,
+def optimize_detuning(scheme: int | str, lo: float = _GRID_LO,
+                      hi: float = _GRID_HI, width: float = 0.2,
+                      scan_points: int = 50,
                       xtol: float = 1e-4,
                       window: DetectorWindow | None = None) -> tuple[float, float]:
     """Detuning maximizing |gamma'| for a scheme: scan, then golden section.
@@ -225,10 +222,10 @@ def optimize_detuning(scheme: int, lo: float = _GRID_LO, hi: float = _GRID_HI,
     Returns (delta_cx, abs_gamma).  A flat objective (for instance from a
     fixed window that misses every line) is refused rather than resolved
     to an arbitrary point.  The scan is one sweep_gamma call; the
-    golden-section steps evaluate one point at a time.
+    golden-section steps evaluate one point at a time.  scheme is an int
+    or a name that scheme_id accepts.
     """
-    if scheme not in SCHEME_PAIRING:
-        raise ValidationError(f"scheme must be 1, 2, or 3, got {scheme!r}")
+    scheme = scheme_id(scheme)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"invalid range ({lo!r}, {hi!r})")
     if scan_points < 3:
@@ -261,9 +258,8 @@ def _provenance(figure: str, params: SystemParams, extra=()) -> list[str]:
     from . import __version__
 
     lines = [f"polcascade {__version__}", f"figure {figure}"]
-    for name in ("ex_mean", "delta_x", "cav_mean", "delta_c", "rabi",
-                 "tau_c", "tau_xx", "binding"):
-        lines.append(f"{name} = {getattr(params, name)!r}")
+    for field in fields(params):
+        lines.append(f"{field.name} = {getattr(params, field.name)!r}")
     lines.extend(extra)
     return lines
 

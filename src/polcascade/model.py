@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -38,25 +39,6 @@ def lifetime_to_linewidth(tau_ps: float) -> float:
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class ComplexEnergy:
-    """A resonance: real center and non-negative half width, both meV."""
-
-    center: float
-    halfwidth: float
-
-    def __post_init__(self):
-        _require_finite("center", self.center)
-        _require_finite("halfwidth", self.halfwidth)
-        if self.halfwidth < 0:
-            raise ValidationError(f"halfwidth must be >= 0, got {self.halfwidth}")
-
-    @property
-    def value(self) -> complex:
-        """Complex pole position center - i*halfwidth."""
-        return self.center - 1j * self.halfwidth
 
 
 def _exact_mean_split(a: float, b: float) -> tuple[float, float]:
@@ -114,9 +96,8 @@ class SystemParams:
     binding: float = 3.0      # biexciton binding energy, meV
 
     def __post_init__(self):
-        for name in ("ex_mean", "delta_x", "cav_mean", "delta_c",
-                     "rabi", "tau_c", "tau_xx", "binding"):
-            _require_finite(name, getattr(self, name))
+        for field in dataclasses.fields(self):
+            _require_finite(field.name, getattr(self, field.name))
         if not self.rabi > 0:
             raise ValidationError(f"rabi must be positive, got {self.rabi}")
         if not self.tau_c > 0:
@@ -179,7 +160,20 @@ class SystemParams:
         return self.cav_mean - self.ex_mean
 
 
-def scheme_preset(scheme: int, ex_mean: float = PRESET_EX_MEAN,
+def scheme_id(scheme) -> int:
+    """The scheme number 1, 2 or 3 of an int or of a name such as
+    "Scheme2", "scheme2" or "2"; anything else, bools included, raises."""
+    if isinstance(scheme, str):
+        digits = scheme.lower().removeprefix("scheme").strip()
+        if digits in ("1", "2", "3"):
+            return int(digits)
+    elif (isinstance(scheme, numbers.Integral)
+          and not isinstance(scheme, bool) and scheme in (1, 2, 3)):
+        return int(scheme)
+    raise ValidationError(f"scheme must be 1, 2 or 3, got {scheme!r}")
+
+
+def scheme_preset(scheme: int | str, ex_mean: float = PRESET_EX_MEAN,
                   tau_c: float = 15.0, tau_xx: float = 500.0,
                   binding: float = 3.0) -> SystemParams:
     """Parameter presets for the three level-matching schemes.
@@ -192,19 +186,8 @@ def scheme_preset(scheme: int, ex_mean: float = PRESET_EX_MEAN,
     which moves the lower-lower (and upper-upper) degeneracy out to a
     finite detuning.
     """
-    if isinstance(scheme, str):
-        # Accept "Scheme2", "scheme2", "2" and the like.
-        digits = scheme.lower().removeprefix("scheme").strip()
-        if digits in ("1", "2", "3"):
-            scheme = int(digits)
-    if scheme == 1:
-        delta_x, delta_c = 0.1, -0.1
-    elif scheme == 2:
-        delta_x, delta_c = 0.1, 0.5
-    elif scheme == 3:
-        delta_x, delta_c = -0.1, 0.5
-    else:
-        raise ValidationError(f"scheme must be 1, 2, or 3, got {scheme!r}")
+    delta_x, delta_c = {1: (0.1, -0.1), 2: (0.1, 0.5),
+                        3: (-0.1, 0.5)}[scheme_id(scheme)]
     return SystemParams(ex_mean=ex_mean, delta_x=delta_x, cav_mean=ex_mean,
                         delta_c=delta_c, rabi=0.22, tau_c=tau_c,
                         tau_xx=tau_xx, binding=binding)

@@ -125,9 +125,6 @@ class QuadratureSpec:
             raise ValidationError(f"rel_tol must be > 0, got {self.rel_tol!r}")
 
 
-DEFAULT_QUAD = QuadratureSpec()
-
-
 @dataclass(frozen=True)
 class PairCoherence:
     """Off-diagonal HH-VV coherence of a filtered photon pair."""
@@ -341,7 +338,7 @@ def _residue(g_a, g_b, e_a, e_b) -> complex:
 
 # quad is unused (overlaps are exact); the benchmark's study workload passes it.
 def gamma_unprojected(params: SystemParams,
-                      quad: QuadratureSpec = DEFAULT_QUAD) -> complex:
+                      quad: QuadratureSpec | None = None) -> complex:
     """Unfiltered polarization coherence: branch-diagonal H-V overlaps.
 
     Over all space the overlap of two channels a and b factorizes into

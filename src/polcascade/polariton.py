@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .model import (BRANCHES, HBAR_MEV_PS, POLARIZATIONS, SystemParams,
-                    _require_finite)
+from .model import BRANCHES, HBAR_MEV_PS, POLARIZATIONS, SystemParams
 
 
 @dataclass(frozen=True)
@@ -279,20 +278,40 @@ def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
     return x, g
 
 
+def detuning_grid(deltas) -> np.ndarray:
+    """deltas as a new float array.  A grid must be a non-empty 1-d
+    sequence of finite numbers in strictly increasing order; each fault
+    raises its own ValidationError."""
+    try:
+        grid = np.array(deltas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"detuning grid must hold only numbers: {exc}") from None
+    if grid.ndim != 1:
+        raise ValidationError(
+            f"detuning grid must be 1-d, got shape {grid.shape}")
+    if grid.size == 0:
+        raise ValidationError("detuning grid is empty")
+    bad = ~np.isfinite(grid)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValidationError(
+            f"detuning grid must be finite, got {grid.item(i)!r} at index {i}")
+    bad = np.diff(grid) <= 0
+    if bad.any():
+        i = int(bad.argmax()) + 1
+        raise ValidationError(
+            f"detuning grid must be strictly increasing, got "
+            f"{grid.item(i - 1)!r} then {grid.item(i)!r} at index {i}")
+    return grid
+
+
 def anticrossing_sweep(params: SystemParams, deltas) -> PolaritonArrays:
     """Solve the four polariton states across a detuning grid.
 
-    The grid must be strictly increasing.  One array solve covers it: the
+    The grid must pass detuning_grid.  One array solve covers it: the
     result has one row per state in STATE_ORDER and one column per
     detuning, and column i equals solve_polaritons at deltas[i] bit for
     bit.
     """
-    deltas = [float(d) for d in deltas]
-    if not deltas:
-        raise ValidationError("detuning grid is empty")
-    for a, b in zip(deltas, deltas[1:]):
-        if not b > a:
-            raise ValidationError("detuning grid must be strictly increasing")
-    for d in deltas:
-        _require_finite("delta_cx", d)
-    return polariton_arrays(params, params.ex_mean + np.array(deltas))
+    return polariton_arrays(params, params.ex_mean + detuning_grid(deltas))

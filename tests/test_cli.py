@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from polcascade.cli import _CASTS, RunConfig, main, parse_config_file
+from polcascade.cli import (SETTINGS, RunConfig, _as_bool, build_config,
+                            main, parse_config_file)
 from polcascade.errors import ValidationError
 
 
@@ -61,6 +62,30 @@ def test_config_echo_round_trips_every_field(capsys):
     assert set(echo) == {f.name for f in dataclasses.fields(RunConfig)}
     assert list(data)[0] == "command"
     assert list(data)[-1] == "config"
+
+
+# A value for every key that differs from its default and passes
+# validation.  center1 and center2 are given with their partner.
+_SAMPLE_TEXT = {int: "3", float: "0.3", str: "sample"}
+_PARTNER = {"center1": "--center2", "center2": "--center1"}
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_flag_and_config_line_give_equal_configs(tmp_path, key):
+    default, parse, _ = SETTINGS[key]
+    if parse is _as_bool:
+        text = "false" if default else "true"
+    elif key == "reference":
+        text = "relative_to_ex_mean"
+    else:
+        text = _SAMPLE_TEXT[parse]
+    base = ["gamma", *((_PARTNER[key], "0.4") if key in _PARTNER else ())]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {text}\n")
+    from_file = build_config([*base, "--config", str(path)])
+    from_flag = build_config([*base, f"--{key.replace('_', '-')}", text])
+    assert from_file == from_flag
+    assert getattr(from_flag, key) == parse(text) != default
 
 
 def test_flag_overrides_file_overrides_default(capsys, tmp_path):
@@ -267,7 +292,7 @@ _VALUES = st.one_of(
     st.sampled_from(["true", "false", "LP-UP", "relative_to_ex_mean", ""]),
     st.text(max_size=12))
 _LINES = st.one_of(
-    st.tuples(st.sampled_from(sorted(_CASTS)), _VALUES).map(
+    st.tuples(st.sampled_from(sorted(SETTINGS)), _VALUES).map(
         lambda kv: f"{kv[0]} = {kv[1]}"),
     st.text(max_size=30))
 

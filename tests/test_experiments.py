@@ -17,7 +17,7 @@ from polcascade.experiments import (FIGURE_IDS, SCHEME_PAIRING, SweepCurve,
 from polcascade.model import scheme_preset
 from polcascade.pairstate import (DetectorWindow, gamma_prime,
                                   pairing_channels)
-from polcascade.polariton import solve_polaritons
+from polcascade.polariton import anticrossing_sweep, solve_polaritons
 
 
 def read_csv(path):
@@ -122,6 +122,28 @@ def test_fig4_sweep_builds_no_window_or_row_objects(monkeypatch):
 def test_sweep_rejects_bad_grids(deltas):
     with pytest.raises(ValidationError):
         sweep_gamma(scheme_preset(1), "LP-LP", deltas=deltas)
+
+
+@pytest.mark.parametrize("deltas, message", [
+    ([], "detuning grid is empty"),
+    ([[0.0, 0.1]], "detuning grid must be 1-d, got shape (1, 2)"),
+    (["x"], "detuning grid must hold only numbers"),
+    ([0.0, math.nan], "detuning grid must be finite, got nan at index 1"),
+    ([0.0, -math.inf], "detuning grid must be finite, got -inf at index 1"),
+    ([0.0, 0.0, 0.1], "detuning grid must be strictly increasing, got 0.0 "
+                      "then 0.0 at index 1"),
+    ([0.1, 0.0], "detuning grid must be strictly increasing"),
+], ids=["empty", "2-d", "text", "nan", "inf", "repeat", "falling"])
+def test_both_sweeps_refuse_a_bad_grid_alike(deltas, message):
+    p = scheme_preset(1)
+    errors = []
+    for sweep in (lambda: sweep_gamma(p, "LP-LP", deltas=deltas),
+                  lambda: anticrossing_sweep(p, deltas)):
+        with pytest.raises(ValidationError) as exc:
+            sweep()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(message)
 
 
 def test_fig4_scheme_pairings():

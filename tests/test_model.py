@@ -3,7 +3,9 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
+import polcascade
 from polcascade.errors import ValidationError
+from polcascade.experiments import fig4_sweep, optimize_detuning
 from polcascade.model import (HBAR_MEV_PS, PRESET_EX_MEAN, SystemParams,
                               hbar_mev_ps, lifetime_to_linewidth,
                               scheme_preset)
@@ -45,15 +47,37 @@ def test_scheme_presets(scheme, delta_x, delta_c):
     assert p.binding == 3.0
 
 
+def _fig4_point(scheme):
+    curve = fig4_sweep(scheme, deltas=[0.0])
+    return curve.scheme, curve.gamma.tolist()
+
+
+def _optimum(scheme):
+    return optimize_detuning(scheme, lo=-0.05, hi=0.05, scan_points=5)
+
+
+# Every library entry point that takes a scheme id reads it by one rule.
+SCHEME_ENTRY_POINTS = (scheme_preset, _fig4_point, _optimum)
+
+
 @pytest.mark.parametrize("name", ["Scheme2", "scheme2", "2"])
 def test_scheme_preset_accepts_names(name):
-    assert scheme_preset(name) == scheme_preset(2)
+    for entry in SCHEME_ENTRY_POINTS:
+        assert entry(name) == entry(2), entry.__name__
 
 
-@pytest.mark.parametrize("bad", [0, 4, "Scheme4", "x"])
+@pytest.mark.parametrize("bad", [0, 4, "Scheme4", "x", True])
 def test_scheme_preset_rejects_unknown(bad):
-    with pytest.raises(ValueError):
-        scheme_preset(bad)
+    for entry in SCHEME_ENTRY_POINTS:
+        with pytest.raises(ValidationError, match="scheme must be 1, 2 or 3"):
+            entry(bad)
+
+
+def test_package_exports_resolve_once():
+    names = polcascade.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(polcascade, name), name
 
 
 def test_scheme1_mirrors_cavity_onto_opposite_exciton():
