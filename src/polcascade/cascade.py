@@ -88,8 +88,7 @@ class ChannelArrays:
                 for (pol, branch), s, p1, p2, amp, own, total in columns]
 
 
-def channel_arrays(params: SystemParams, cav_mean,
-                   per_channel_xx_width: bool = False) -> ChannelArrays:
+def channel_arrays(params: SystemParams, cav_mean) -> ChannelArrays:
     """The four cascade channels at each cavity-mode mean, as arrays.
 
     cav_mean replaces params.cav_mean, one point per element.  Column i
@@ -107,11 +106,8 @@ def channel_arrays(params: SystemParams, cav_mean,
     total, xx_total = pairs[:, 0] + pairs[:, 1]
     p1, p2 = _paired_photon_energies(params.e_biexciton, states.energy)
     vanished = total <= 0
-    if per_channel_xx_width:
-        total_width = widths
-    else:
-        total_width = np.empty_like(widths)
-        total_width[:] = xx_total
+    total_width = np.empty_like(widths)
+    total_width[:] = xx_total
     return ChannelArrays(
         states=states, photon1=p1, photon2=p2,
         # NaN where the weights vanished, without a 0/0 warning.
@@ -120,18 +116,15 @@ def channel_arrays(params: SystemParams, cav_mean,
         vanished=vanished)
 
 
-def enumerate_channels(params: SystemParams,
-                       per_channel_xx_width: bool = False) -> list[CascadeChannel]:
+def enumerate_channels(params: SystemParams) -> list[CascadeChannel]:
     """The four cascade channels in (H,LP), (H,UP), (V,LP), (V,UP) order.
 
     Branching weights follow the product of the exciton fraction feeding
     the first transition and the photon fraction feeding the second;
-    amplitudes are normalized so the squares sum to one.
-
-    per_channel_xx_width assigns each channel's own share of the biexciton
-    width to its two-photon resonance instead of the total width.
+    amplitudes are normalized so the squares sum to one.  Every channel's
+    two-photon resonance has the total biexciton width.
     """
-    arrays = channel_arrays(params, [params.cav_mean], per_channel_xx_width)
+    arrays = channel_arrays(params, [params.cav_mean])
     arrays.check(0)
     return arrays.channels(0)
 

@@ -28,16 +28,15 @@ from .cascade import (_write_rows_csv, channel_table,  # noqa: F401
 from .entanglement import (born_probabilities, correlation_from_counts,
                            peres_test, projected_state, sample_coincidences)
 from .errors import ConvergenceError, ValidationError
-from .experiments import (FIGURE_IDS, SCHEME_PAIRING, optimize_detuning,
-                          reproduce_figure, spectrum_grid, tracked_window,
+from .experiments import (_GRID_HI, _GRID_LO, _GRID_POINTS, _SPECTRUM_MARGIN,
+                          _SPECTRUM_POINTS, _WINDOW_WIDTH, FIGURE_IDS,
+                          SCHEME_PAIRING, optimize_detuning, reproduce_figure,
+                          spectrum_grid, tracked_window,
                           write_anticrossing_files, write_spectrum_files)
 from .model import SystemParams, scheme_id, scheme_preset
 from .pairstate import DetectorWindow, gamma_prime, gamma_unprojected
 from .polariton import anticrossing_sweep  # noqa: F401
 from .svg import line_plot  # noqa: F401
-
-COMMANDS = ("spectrum", "sweep", "gamma", "entangle", "optimize", "sample",
-            "figures")
 
 
 def _as_bool(text: str) -> bool:
@@ -69,7 +68,7 @@ SETTINGS = {
                  "cavity-exciton detuning applied to the preset, meV"),
     "pairing": (None, str, "correlated branches: LP-LP, UP-UP or LP-UP "
                            "(default: the scheme's pairing)"),
-    "width": (0.2, float, "detector window full width, meV"),
+    "width": (_WINDOW_WIDTH, float, "detector window full width, meV"),
     "center1": (None, float, "fixed first-photon window center, meV "
                              "(needs --center2; default: track the paired "
                              "lines)"),
@@ -78,14 +77,14 @@ SETTINGS = {
                     "gamma command: report the unfiltered coherence"),
     "reference": ("absolute", str, "spectrum energy reference: absolute or "
                                    "relative_to_ex_mean"),
-    "points": (4001, int, "spectrum grid points"),
-    "margin": (0.5, float,
+    "points": (_SPECTRUM_POINTS, int, "spectrum grid points"),
+    "margin": (_SPECTRUM_MARGIN, float,
                "spectrum grid margin beyond the outermost lines, meV"),
-    "sweep_lo": (-0.4, float, "sweep grid start, meV"),
-    "sweep_hi": (0.4, float, "sweep grid end, meV"),
-    "sweep_points": (161, int, "sweep grid size"),
-    "lo": (-0.4, float, "optimize search range start, meV"),
-    "hi": (0.4, float, "optimize search range end, meV"),
+    "sweep_lo": (_GRID_LO, float, "sweep grid start, meV"),
+    "sweep_hi": (_GRID_HI, float, "sweep grid end, meV"),
+    "sweep_points": (_GRID_POINTS, int, "sweep grid size"),
+    "lo": (_GRID_LO, float, "optimize search range start, meV"),
+    "hi": (_GRID_HI, float, "optimize search range end, meV"),
     "angle_a": (0.0, float, "analyzer A angle, degrees from H"),
     "angle_b": (22.5, float, "analyzer B angle, degrees from H"),
     "n": (100000, int, "number of coincidence samples"),
@@ -150,7 +149,7 @@ def _build_parser() -> _Parser:
                     "curves, entanglement tests, figure reproduction.")
     parser.add_argument("--version", action="version",
                         version=f"polcascade {__version__}")
-    parser.add_argument("command", choices=COMMANDS, help="what to run")
+    parser.add_argument("command", choices=_DISPATCH, help="what to run")
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value settings file")
     for key, (_, parse, text) in SETTINGS.items():
@@ -189,11 +188,15 @@ def _validate_config(cfg: RunConfig) -> None:
             f"reference must be absolute or relative_to_ex_mean, "
             f"got {cfg.reference!r}")
     for name in ("width", "margin"):
-        if getattr(cfg, name) <= 0:
+        if not getattr(cfg, name) > 0:
             raise ValidationError(f"{name} must be > 0")
-    for name in ("points", "sweep_points", "n"):
-        if getattr(cfg, name) < 1:
-            raise ValidationError(f"{name} must be >= 1")
+    for name, least in (("points", 1), ("sweep_points", 1), ("n", 1),
+                        ("seed", 0)):
+        if getattr(cfg, name) < least:
+            raise ValidationError(f"{name} must be >= {least}")
+    for name in ("angle_a", "angle_b"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValidationError(f"{name} must be finite")
     if not (math.isfinite(cfg.sweep_lo) and math.isfinite(cfg.sweep_hi)
             and cfg.sweep_lo < cfg.sweep_hi):
         raise ValidationError("sweep range must satisfy sweep_lo < sweep_hi")

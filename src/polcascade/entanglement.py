@@ -52,11 +52,11 @@ class TwoQubitDensityMatrix:
         """The HH-VV corner coherence."""
         return complex(self.matrix[0, 3])
 
-    def is_x_form(self, tol: float = 1e-14) -> bool:
+    def is_x_form(self) -> bool:
         mask = np.ones((4, 4), dtype=bool)
         for i, j in _X_PATTERN:
             mask[i, j] = False
-        return bool(np.max(np.abs(self.matrix[mask])) <= tol)
+        return bool(np.max(np.abs(self.matrix[mask])) <= 1e-14)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,9 @@ from .cascade import (STATE_ORDER, _write_rows_csv, channel_arrays,
                       enumerate_channels, pl_spectrum, write_spectrum_csv)
 from .errors import ConvergenceError, ValidationError
 from .model import SystemParams, scheme_id, scheme_preset
-from .pairstate import (DetectorWindow, gamma_prime, gamma_prime_arrays,
-                        invalid_windows, normalize_pairing, pairing_labels)
+from .pairstate import (_GAMMA_BOUND, DetectorWindow, gamma_prime,
+                        gamma_prime_arrays, invalid_windows, normalize_pairing,
+                        pairing_labels)
 from .polariton import (PolaritonArrays, _golden_min, anticrossing_sweep,
                         detuning_grid, find_crossings, per_element)
 from .svg import line_plot
@@ -49,9 +50,13 @@ SCHEME_PAIRING = {1: "LP-LP", 2: "LP-UP", 3: "LP-LP"}
 
 FIGURE_IDS = ("2a", "3a", "1c", "2c", "3c", "4")
 
+# Defaults of the library, the figures and the CLI (energies in meV).
 _GRID_LO = -0.4
 _GRID_HI = 0.4
 _GRID_POINTS = 161
+_WINDOW_WIDTH = 0.2
+_SPECTRUM_MARGIN = 0.5
+_SPECTRUM_POINTS = 4001
 
 # Grid points per batched overlap call: one standard grid, so a default
 # sweep pays the per-call work (channel solve, window checks, kernel
@@ -61,12 +66,12 @@ _CHUNK_POINTS = _GRID_POINTS
 
 
 def default_delta_grid() -> np.ndarray:
-    """Standard detuning grid: 161 points over [-0.4, 0.4] meV."""
+    """The standard grid: _GRID_POINTS detunings over [_GRID_LO, _GRID_HI]."""
     return np.linspace(_GRID_LO, _GRID_HI, _GRID_POINTS)
 
 
 def tracked_window(params: SystemParams, pairing: str,
-                   width: float = 0.2) -> DetectorWindow:
+                   width: float = _WINDOW_WIDTH) -> DetectorWindow:
     """Detector window centered on the paired lines at this detuning.
 
     width is the full width in meV.  The window holds both paired lines
@@ -132,7 +137,7 @@ class SweepCurve:
     def __post_init__(self):
         if np.any(np.diff(self.deltas) <= 0):
             raise ValidationError("sweep rows must be sorted by detuning")
-        if np.any(self.abs_gamma > 0.5 + 1e-9):
+        if np.any(self.abs_gamma > _GAMMA_BOUND):
             raise ValidationError("a sweep row violates the |gamma'| <= 1/2 bound")
 
     @property
@@ -159,7 +164,7 @@ class SweepCurve:
 
 def _sweep_point(task):
     """The gamma', center1, center2 and width arrays of one contiguous
-    chunk of grid points.
+    chunk of grid points; deltas is a slice of the checked grid array.
 
     One array pass solves the chunk's channels and places its windows, and
     its overlaps go through one kernels.window_overlaps call.  The name
@@ -167,7 +172,7 @@ def _sweep_point(task):
     deltas and pairing from the task tuple.
     """
     params, deltas, pairing, width, window = task
-    channels = channel_arrays(params, params.ex_mean + np.array(deltas))
+    channels = channel_arrays(params, params.ex_mean + deltas)
     if window is None:
         center1, center2 = _tracked_windows(params, channels, pairing, width)
     else:
@@ -182,7 +187,8 @@ def _sweep_point(task):
 
 
 def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
-                width: float = 0.2, window: DetectorWindow | None = None,
+                width: float = _WINDOW_WIDTH,
+                window: DetectorWindow | None = None,
                 scheme: int = 0) -> SweepCurve:
     """Filtered coherence across a detuning grid for one branch pairing.
 
@@ -191,15 +197,14 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
     """
     pairing = normalize_pairing(pairing)
     grid = default_delta_grid() if deltas is None else detuning_grid(deltas)
-    points = [float(d) for d in grid]
-    chunks = [_sweep_point((params, points[i:i + _CHUNK_POINTS], pairing,
+    chunks = [_sweep_point((params, grid[i:i + _CHUNK_POINTS], pairing,
                             width, window))
-              for i in range(0, len(points), _CHUNK_POINTS)]
+              for i in range(0, grid.size, _CHUNK_POINTS)]
     return SweepCurve(grid, *map(np.concatenate, zip(*chunks)), pairing,
                       scheme)
 
 
-def fig4_sweep(scheme: int | str, deltas=None, width: float = 0.2,
+def fig4_sweep(scheme: int | str, deltas=None, width: float = _WINDOW_WIDTH,
                workers=None) -> SweepCurve:
     """The |gamma'|-versus-detuning curve for one scheme preset.
 
@@ -213,9 +218,8 @@ def fig4_sweep(scheme: int | str, deltas=None, width: float = 0.2,
 
 
 def optimize_detuning(scheme: int | str, lo: float = _GRID_LO,
-                      hi: float = _GRID_HI, width: float = 0.2,
+                      hi: float = _GRID_HI, width: float = _WINDOW_WIDTH,
                       scan_points: int = 50,
-                      xtol: float = 1e-4,
                       window: DetectorWindow | None = None) -> tuple[float, float]:
     """Detuning maximizing |gamma'| for a scheme: scan, then golden section.
 
@@ -248,7 +252,7 @@ def optimize_detuning(scheme: int | str, lo: float = _GRID_LO,
     best = int(np.argmax(vals))
     a = float(xs[max(0, best - 1)])
     b = float(xs[min(len(xs) - 1, best + 1)])
-    delta, neg = _golden_min(lambda d: -objective(d), a, b, xtol)
+    delta, neg = _golden_min(lambda d: -objective(d), a, b, xtol=1e-4)
     if -neg < vals[best]:
         return float(xs[best]), vals[best]
     return delta, -neg
@@ -293,8 +297,8 @@ def write_anticrossing_files(csv_path: str, params: SystemParams, deltas,
     return paths, states
 
 
-def spectrum_grid(params: SystemParams, margin: float = 0.5,
-                  points: int = 4001) -> np.ndarray:
+def spectrum_grid(params: SystemParams, margin: float = _SPECTRUM_MARGIN,
+                  points: int = _SPECTRUM_POINTS) -> np.ndarray:
     """Energy grid from margin meV below the lowest line to above the
     highest."""
     lines = []
@@ -342,7 +346,7 @@ def _figure_gamma_curves(out_dir: str, svg: bool) -> list[str]:
             f"pairing = {SCHEME_PAIRING[scheme]}",
             "window policy: center2 = mean paired polariton energy, "
             "center1 = E_XX - center2, tracked per point",
-            "window width = 0.2 meV (full)",
+            f"window width = {_WINDOW_WIDTH} meV (full)",
             f"delta_cx grid = {_GRID_POINTS} points over [{_GRID_LO}, {_GRID_HI}] meV",
         ))
         csv_path = os.path.join(out_dir, f"fig4_scheme{scheme}.csv")

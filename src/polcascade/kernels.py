@@ -455,7 +455,7 @@ def window_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
 
 
 def midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2, exx_a, gxx_a,
-                     exx_b, gxx_b, e_a, g_a, e_b, g_b, pref, chunk=256):
+                     exx_b, gxx_b, e_a, g_a, e_b, g_b, pref):
     """Midpoint-rule value of the same window integral on an n1 x n2 grid."""
     n1 = int(n1)
     n2 = int(n2)
@@ -468,8 +468,8 @@ def midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2, exx_a, gxx_a,
     pa = e_a + 1j * g_a
     pb = e_b - 1j * g_b
     total = 0.0 + 0.0j
-    for j0 in range(0, n2, chunk):
-        k2 = k2_lo + (np.arange(j0, min(j0 + chunk, n2)) + 0.5) * h2
+    for j0 in range(0, n2, 256):
+        k2 = k2_lo + (np.arange(j0, min(j0 + 256, n2)) + 0.5) * h2
         u = k1[:, None] + k2[None, :]
         if same:
             fu = 1.0 / ((u - exx_a) ** 2 + gxx_a * gxx_a)

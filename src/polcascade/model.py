@@ -173,9 +173,7 @@ def scheme_id(scheme) -> int:
     raise ValidationError(f"scheme must be 1, 2 or 3, got {scheme!r}")
 
 
-def scheme_preset(scheme: int | str, ex_mean: float = PRESET_EX_MEAN,
-                  tau_c: float = 15.0, tau_xx: float = 500.0,
-                  binding: float = 3.0) -> SystemParams:
+def scheme_preset(scheme: int | str) -> SystemParams:
     """Parameter presets for the three level-matching schemes.
 
     Scheme 1 mirrors each cavity mode onto the opposite exciton line
@@ -188,6 +186,5 @@ def scheme_preset(scheme: int | str, ex_mean: float = PRESET_EX_MEAN,
     """
     delta_x, delta_c = {1: (0.1, -0.1), 2: (0.1, 0.5),
                         3: (-0.1, 0.5)}[scheme_id(scheme)]
-    return SystemParams(ex_mean=ex_mean, delta_x=delta_x, cav_mean=ex_mean,
-                        delta_c=delta_c, rabi=0.22, tau_c=tau_c,
-                        tau_xx=tau_xx, binding=binding)
+    return SystemParams(ex_mean=PRESET_EX_MEAN, delta_x=delta_x,
+                        cav_mean=PRESET_EX_MEAN, delta_c=delta_c)

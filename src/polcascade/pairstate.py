@@ -32,6 +32,8 @@ from .errors import EmptyWindowError, ValidationError
 from .model import SystemParams
 
 TWO_PI = 2.0 * math.pi
+# |gamma'| <= 1/2 by Cauchy-Schwarz and AM-GM, plus a roundoff allowance.
+_GAMMA_BOUND = 0.5 + 1e-9
 
 # (pol, branch) labels correlated by each pairing; the LP-UP pairing takes
 # the upper branch on the V side.
@@ -134,8 +136,7 @@ class PairCoherence:
     pairing: str = ""
 
     def __post_init__(self):
-        # Cauchy-Schwarz on the cross term plus AM-GM on the denominator.
-        if abs(self.gamma) > 0.5 + 1e-9:
+        if abs(self.gamma) > _GAMMA_BOUND:
             raise ValidationError(
                 f"|gamma| = {abs(self.gamma)!r} exceeds the 1/2 bound")
         for label, norm in self.channel_norms.items():
@@ -251,7 +252,7 @@ def _pair_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     gamma = np.empty(cross.shape, dtype=complex)
     gamma.real = cross.real / norm
     gamma.imag = cross.imag / norm
-    bad = empty | (np.abs(gamma) > 0.5 + 1e-9)
+    bad = empty | (np.abs(gamma) > _GAMMA_BOUND)
     if bad.any():
         i = int(bad.argmax())
         if empty[i]:

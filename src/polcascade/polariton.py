@@ -182,8 +182,13 @@ class CrossingScan:
     identically_degenerate: bool       # gap stayed below tol over the scan
 
 
+_SCAN_POINTS = 401
+_MAX_BISECTIONS = 200
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
-                   tol: float = 1e-9, scan_points: int = 401) -> CrossingScan:
+                   tol: float = 1e-9) -> CrossingScan:
     """Locate detunings where two polariton energies of opposite
     polarization coincide.
 
@@ -193,7 +198,7 @@ def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
     """
     pair = _check_pair(pair, allow_same_pol=False)
     _check_range(lo, hi, tol)
-    n = max(int(scan_points), 401)
+    n = _SCAN_POINTS
     gap = _gap_function(params, pair)
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     gs = _gaps(params, pair, xs)
@@ -202,7 +207,7 @@ def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
     roots = []
     for i in range(n - 1):
         ga, gb = gs[i], gs[i + 1]
-        if ga == 0.0 and abs(ga) < tol:
+        if ga == 0.0:
             roots.append(xs[i])
             continue
         if ga * gb < 0:
@@ -218,10 +223,9 @@ def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
     return CrossingScan(detunings=tuple(merged), identically_degenerate=False)
 
 
-def _bisect(gap, a: float, b: float, ga: float, tol: float,
-            max_iter: int = 200) -> float:
+def _bisect(gap, a: float, b: float, ga: float, tol: float) -> float:
     mid = 0.5 * (a + b)
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         gm = gap(mid)
         if abs(gm) < tol:
@@ -231,11 +235,8 @@ def _bisect(gap, a: float, b: float, ga: float, tol: float,
         else:
             b = mid
     raise ConvergenceError(
-        f"bisection did not reach |gap| < {tol} in {max_iter} iterations",
-        last_estimates=(a, b))
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+        f"bisection did not reach |gap| < {tol} in {_MAX_BISECTIONS} "
+        "iterations", last_estimates=(a, b))
 
 
 def _golden_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
@@ -257,7 +258,7 @@ def _golden_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
 
 
 def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
-            tol: float = 1e-9, scan_points: int = 401) -> tuple[float, float]:
+            tol: float = 1e-9) -> tuple[float, float]:
     """Detuning of closest approach and the |gap| there.
 
     Accepts same-polarization pairs too: an LP/UP pair of one polarization
@@ -265,7 +266,7 @@ def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
     """
     pair = _check_pair(pair, allow_same_pol=True)
     _check_range(lo, hi, tol)
-    n = max(int(scan_points), 401)
+    n = _SCAN_POINTS
     gap = _gap_function(params, pair)
     xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     gs = [abs(g) for g in _gaps(params, pair, xs)]

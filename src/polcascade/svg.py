@@ -21,10 +21,10 @@ _MARGIN_B = 50
 _PALETTE = ("#1f6fb2", "#c23b22", "#2a9d66", "#8250c4", "#b8860b", "#444444")
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 6  # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -2,8 +2,11 @@
 
 Covers self and cross overlaps, all three schemes, narrow through wide
 windows, and an energy-distinguishable pair, for checking the adaptive
-quadrature against the brute-force midpoint rule.
+quadrature against the brute-force midpoint rule.  Also the cascade
+channels with each channel's own biexciton width (cascade_channels).
 """
+from dataclasses import replace
+
 from polcascade.cascade import enumerate_channels
 from polcascade.experiments import tracked_window
 from polcascade.model import scheme_preset
@@ -14,6 +17,17 @@ from polcascade.polariton import find_crossings
 def _chan(params, pol, branch):
     return {(c.pol, c.branch): c
             for c in enumerate_channels(params)}[(pol, branch)]
+
+
+def cascade_channels(params, own_xx_width=False):
+    """enumerate_channels(params).  With own_xx_width, each channel's
+    two-photon resonance has its own share of the biexciton width instead
+    of the total, so the biexciton poles of two channels differ."""
+    channels = enumerate_channels(params)
+    if own_xx_width:
+        return [replace(c, xx_total_width=c.xx_channel_width)
+                for c in channels]
+    return channels
 
 
 def scheme3_crossing():

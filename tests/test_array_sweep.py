@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import polcascade
+from _corpus import cascade_channels
 from polcascade.cascade import channel_arrays, enumerate_channels
 from polcascade.experiments import tracked_window
 from polcascade.model import HBAR_MEV_PS, SystemParams
@@ -37,7 +38,7 @@ params_st = st.builds(
 
 # ------------------------------------------------------- channel solve
 
-def scalar_channels(params, per_channel_xx_width):
+def scalar_channels(params):
     """Per-point polariton solve and channel enumeration in Python floats.
 
     The formulas channel_arrays evaluates on arrays, written out one
@@ -74,8 +75,7 @@ def scalar_channels(params, per_channel_xx_width):
             p2 = e_xx - p1
             p1 = e_xx - p2
         rows.append((energy, x_ex, x_ph, linewidth, p1, p2,
-                     float(np.sqrt(weight / total)), width,
-                     width if per_channel_xx_width else xx_total))
+                     float(np.sqrt(weight / total)), width, xx_total))
     return rows
 
 
@@ -86,17 +86,16 @@ def channel_rows(channels):
 
 
 @settings(max_examples=40, deadline=None)
-@given(params=params_st, per_channel=st.booleans(),
+@given(params=params_st,
        deltas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12))
-def test_channel_arrays_equal_the_scalar_solve(params, per_channel, deltas):
-    arrays = channel_arrays(params, params.ex_mean + np.array(deltas),
-                            per_channel)
+def test_channel_arrays_equal_the_scalar_solve(params, deltas):
+    arrays = channel_arrays(params, params.ex_mean + np.array(deltas))
     assert not arrays.vanished.any()
     for i, delta in enumerate(deltas):
         at = params.with_detuning(delta)
-        expected = scalar_channels(at, per_channel)
+        expected = scalar_channels(at)
         assert channel_rows(arrays.channels(i)) == expected
-        assert channel_rows(enumerate_channels(at, per_channel)) == expected
+        assert channel_rows(enumerate_channels(at)) == expected
 
 
 # ---------------------------------------------------------- Hermitian
@@ -109,7 +108,7 @@ def test_channel_arrays_equal_the_scalar_solve(params, per_channel, deltas):
 def test_windowed_overlap_is_hermitian(params, detuning, width, per_channel,
                                        pair, pairing):
     at = params.with_detuning(detuning)
-    chans = enumerate_channels(at, per_channel_xx_width=per_channel)
+    chans = cascade_channels(at, own_xx_width=per_channel)
     a, b = (chans[i] for i in pair)
     w = tracked_window(at, pairing, width)
     ab = windowed_overlap(a, b, w)
@@ -131,8 +130,7 @@ def test_near_bare_exciton_self_overlap_is_exact():
     p = SystemParams(ex_mean=1000.0, delta_x=0.45, cav_mean=926.5,
                      delta_c=0.45, rabi=0.19, tau_c=24.0, tau_xx=845.0,
                      binding=4.2)
-    a, _ = pairing_channels(enumerate_channels(p, per_channel_xx_width=True),
-                            "UP-UP")
+    a, _ = pairing_channels(cascade_channels(p, own_xx_width=True), "UP-UP")
     assert a.intermediate.linewidth < 5e-8
     value = windowed_overlap(a, a, tracked_window(p, "UP-UP", 0.5))
     assert value.imag == 0.0

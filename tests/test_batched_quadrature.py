@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _corpus import cascade_channels
 from polcascade import experiments, kernels, pairstate
 from polcascade.cascade import enumerate_channels
 from polcascade.errors import EmptyWindowError, ValidationError
@@ -43,11 +44,10 @@ def grids(draw, max_points=40):
     return start + step * np.arange(n)
 
 
-def boxes_for(params, width, per_channel_xx_width=False, offset=(0, 0)):
+def boxes_for(params, width, own_xx_width=False, offset=(0, 0)):
     """Self and cross boxes of every pairing, on tracked windows moved by
     offset (meV along k1, k2)."""
-    chans = enumerate_channels(params,
-                               per_channel_xx_width=per_channel_xx_width)
+    chans = cascade_channels(params, own_xx_width=own_xx_width)
     boxes = []
     for pairing in PAIRINGS:
         ch_a, ch_b = pairing_channels(chans, pairing)
@@ -149,7 +149,7 @@ def test_mixed_batch_covers_every_form():
     # along it, off the polariton lines (the rule over u), in one batch.
     p = scheme_preset(2).with_detuning(0.05)
     boxes = (boxes_for(p, 0.2) + boxes_for(p, 2e-4)
-             + boxes_for(p, 0.3, per_channel_xx_width=True)
+             + boxes_for(p, 0.3, own_xx_width=True)
              + boxes_for(p, 0.1, offset=(0.5, 0.5))
              + boxes_for(p, 0.1, offset=(-0.5, 0.5)))
     assert set(forms_used(boxes)) == {"_ridge_rule", "_sheared_rule",

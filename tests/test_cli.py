@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.metadata
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +16,10 @@ from numpy.testing import assert_allclose
 from polcascade.cli import (SETTINGS, RunConfig, _as_bool, build_config,
                             main, parse_config_file)
 from polcascade.errors import ValidationError
+from polcascade.experiments import (default_delta_grid, fig4_sweep,
+                                    optimize_detuning, spectrum_grid,
+                                    sweep_gamma, tracked_window)
+from polcascade.model import SystemParams, scheme_preset
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +53,35 @@ def test_help_lists_every_config_flag(capsys):
         if field.name == "command":
             continue
         assert f"--{field.name.replace('_', '-')}" in text, field.name
+
+
+def _default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+GRID = default_delta_grid()
+# (CLI or preset value, library default) for each setting written once.
+DEFAULT_PAIRS = {
+    **{f"width-{f.__name__}": (SETTINGS["width"][0], _default(f, "width"))
+       for f in (tracked_window, sweep_gamma, fig4_sweep, optimize_detuning)},
+    "sweep_lo": (SETTINGS["sweep_lo"][0], GRID[0]),
+    "sweep_hi": (SETTINGS["sweep_hi"][0], GRID[-1]),
+    "sweep_points": (SETTINGS["sweep_points"][0], GRID.size),
+    "lo": (SETTINGS["lo"][0], _default(optimize_detuning, "lo")),
+    "hi": (SETTINGS["hi"][0], _default(optimize_detuning, "hi")),
+    "margin": (SETTINGS["margin"][0], _default(spectrum_grid, "margin")),
+    "points": (SETTINGS["points"][0], _default(spectrum_grid, "points")),
+    **{f"scheme{k}-{name}": (getattr(scheme_preset(k), name),
+                             getattr(SystemParams(), name))
+       for k in (1, 2, 3) for name in ("rabi", "tau_c", "tau_xx", "binding")},
+}
+
+
+@pytest.mark.parametrize("pair", list(DEFAULT_PAIRS.values()),
+                         ids=list(DEFAULT_PAIRS))
+def test_cli_and_preset_defaults_equal_the_library_defaults(pair):
+    value, library = pair
+    assert value == library
 
 
 def test_unknown_command_exits_one(capsys):
@@ -144,11 +178,17 @@ def test_bad_config_value_exits_one(capsys, tmp_path):
     ("gamma", "--reference", "sideways"),
     ("sweep", "--sweep-lo", "0.4", "--sweep-hi", "-0.4"),
     ("sample", "--n", "0"),
+    ("sample", "--angle-a", "nan"),
+    ("sample", "--angle-b", "inf"),
+    ("sample", "--seed", "-1"),
+    ("spectrum", "--margin", "nan"),
 ])
 def test_validation_failures_exit_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+    # The message names the key that caused it.
+    assert argv[1].removeprefix("--").replace("-", "_") in err
 
 
 def test_nonconvergence_exits_two(capsys):

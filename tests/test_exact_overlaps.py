@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _corpus import cascade_channels
 from polcascade import kernels, pairstate
-from polcascade.cascade import enumerate_channels
 from polcascade.experiments import tracked_window
 from polcascade.model import SystemParams
 
@@ -82,8 +82,7 @@ def windows(draw):
     off1, off2 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
     k1 = [k + off1 for k in tracked.k1_interval]
     k2 = [k + off2 for k in tracked.k2_interval]
-    channels = enumerate_channels(params,
-                                  per_channel_xx_width=draw(st.booleans()))
+    channels = cascade_channels(params, own_xx_width=draw(st.booleans()))
     return pairstate.pairing_channels(channels, pairing), k1, k2
 
 
@@ -242,8 +241,8 @@ def seeded_windows(count, seed):
         pairing = ("LP-LP", "UP-UP", "LP-UP")[rng.integers(3)]
         tracked = tracked_window(params, pairing, rng.uniform(0.005, 2.0))
         off1, off2 = rng.uniform(-1.0, 1.0, 2)
-        channels = enumerate_channels(
-            params, per_channel_xx_width=bool(rng.integers(2)))
+        channels = cascade_channels(params,
+                                    own_xx_width=bool(rng.integers(2)))
         sides.append(pairstate._sides(
             pairstate.pairing_channels(channels, pairing)))
         bounds.append([k + off1 for k in tracked.k1_interval]

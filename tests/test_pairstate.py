@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from _corpus import overlap_corpus, scheme3_crossing
+from _corpus import cascade_channels, overlap_corpus, scheme3_crossing
 from polcascade import kernels, pairstate
 from polcascade.cascade import enumerate_channels
 from polcascade.errors import EmptyWindowError, ValidationError
@@ -505,7 +505,7 @@ def test_self_overlaps_are_real_and_grow_with_the_window(
     center1, center2 = tracked.center1 + off1, tracked.center2 + off2
     widths = width * np.cumprod([1.0] + growth)
     pair = pairing_channels(
-        enumerate_channels(params, per_channel_xx_width=per_channel), pairing)
+        cascade_channels(params, own_xx_width=per_channel), pairing)
     side_a, side_b = (np.repeat(kernel_side, widths.size, axis=1)
                       for kernel_side in (pairstate._sides([ch]) for ch in pair))
     self_a, self_b, _ = kernels.window_overlaps(
@@ -535,7 +535,7 @@ def test_overlaps_and_gamma_prime_match_the_midpoint_oracle(
     # which one cell reaches twice as far.  The window is moved by up to
     # its width from the tracked centers.
     ch_a, ch_b = pairing_channels(
-        enumerate_channels(params, per_channel_xx_width=per_channel), pairing)
+        cascade_channels(params, own_xx_width=per_channel), pairing)
     _, gxx_a, _, gxx_b, _, g_a, _, g_b, _ = pairstate._pole_args(ch_a, ch_b)
     width = cells * min(gxx_a / 2, gxx_b / 2, g_a, g_b) * ORACLE_N / 10
     tracked = tracked_window(params, pairing, width)
