@@ -190,16 +190,16 @@ def _validate_config(cfg: RunConfig) -> None:
     for name in ("width", "margin"):
         if not getattr(cfg, name) > 0:
             raise ValidationError(f"{name} must be > 0")
-    for name, least in (("points", 1), ("sweep_points", 1), ("n", 1),
+    for name, least in (("points", 2), ("sweep_points", 1), ("n", 1),
                         ("seed", 0)):
         if getattr(cfg, name) < least:
             raise ValidationError(f"{name} must be >= {least}")
-    for name in ("angle_a", "angle_b"):
+    for name in ("angle_a", "angle_b", "sweep_lo", "sweep_hi", "lo", "hi"):
         if not math.isfinite(getattr(cfg, name)):
             raise ValidationError(f"{name} must be finite")
-    if not (math.isfinite(cfg.sweep_lo) and math.isfinite(cfg.sweep_hi)
-            and cfg.sweep_lo < cfg.sweep_hi):
-        raise ValidationError("sweep range must satisfy sweep_lo < sweep_hi")
+    for lo, hi in (("sweep_lo", "sweep_hi"), ("lo", "hi")):
+        if not getattr(cfg, lo) < getattr(cfg, hi):
+            raise ValidationError(f"{lo} must be < {hi}")
 
 
 def _param_overrides(cfg: RunConfig) -> dict:

@@ -27,7 +27,12 @@ biexciton width is positive.  So one table of 12 terms per point gives
 all 24, directly or conjugated: rows s = p_a - w1, p_a,
 p_b - w1, p_b (the upper-half-plane u-poles, w1 the k1 width), columns
 r = pa_a, conj pa_a, conj pa_b for the a rows and pa_b, conj pa_b,
-conj pa_a for the b rows.  A self overlap is -Re X / (2 gxx g) pref^2
+conj pa_a for the b rows.  The two photons of a cascade pair come from
+one biexciton decay, so the two channels of a sweep or gamma_prime point
+share their u-pole, p_a = p_b, and their rows are the same: a batch
+where every point shares it takes a table of 8 terms, rows p - w1, p and
+columns pa_a, conj pa_a, pa_b, conj pa_b, with the same bits.  A self
+overlap is -Re X / (2 gxx g) pref^2
 with X = (J00 - J01) - (J10 - J11) over its channel's rows, real by
 construction; the cross overlap sums eight table entries, four of them
 conjugated.  Each complex log of the table is taken once, and only on
@@ -273,29 +278,46 @@ def _dilog_form(w1, w2, p, pa):
     the conjugate of the other's.  The terms with s in the lower half
     plane are J(conj s, conj r) = conj J(s, r), since v is real and
     log(v - s) never meets its cut while Im s = gxx > 0.  So one table
-    holds every term of a point's three boxes: rows s = p_a - w1, p_a,
-    p_b - w1, p_b and columns r = pa_a, conj pa_a, conj pa_b for the a
-    rows, pa_b, conj pa_b, conj pa_a for the b rows.  A self integral is
+    of 12 terms holds every term of a point's three boxes: rows s =
+    p_a - w1, p_a, p_b - w1, p_b and columns r = pa_a, conj pa_a,
+    conj pa_b for the a rows, pa_b, conj pa_b, conj pa_a for the b rows.
+    Where the two channels of every point share their u-pole, p_a = p_b,
+    as the two photons of one biexciton decay do, the a and b rows are
+    the same and 8 terms suffice: rows s = p - w1, p and columns
+    r = pa_a, conj pa_a, pa_b, conj pa_b.  A self integral is
     2 Re X / ((2i gxx)(2i g)) with X = (J00 - J01) - (J10 - J11) over the
     channel's rows; the cross integral sums the Y = (J00 - J02) -
-    (J10 - J12) of a with the conjugated Y of b.
+    (J10 - J12) of a with the conjugated Y of b.  Each entry is the same
+    number in either table, so either gives the same bits.
     """
     pa_bar = np.conj(pa)
     # Axes of the table: row s (p - w1, p), channel (a, b), column r, point.
-    j, size = _dilog_table(w2, np.array([p - w1, p])[:, :, None],
-                           np.array([[pa[0], pa_bar[0], pa_bar[1]],
-                                     [pa[1], pa_bar[1], pa_bar[0]]]))
-    # Column 0 less columns 1 and 2, row p - w1 less row p: X and Y of
-    # each channel, and the summed sizes of their terms.
-    xy = j[:, :, :1] - j[:, :, 1:]
-    xy = xy[0] - xy[1]
-    sizes = size[:, :, :1] + size[:, :, 1:]
-    sizes = sizes[0] + sizes[1]
-    x = xy[:, 0].real
-    total = xy[0, 1] + np.conj(xy[1, 1])
+    # Column 0 holds r = pa of the channel, column 1 its conj pa, and
+    # [other] the other channel's conj pa.
+    if (p[0] == p[1]).all():
+        j, size = _dilog_table(w2, np.array([p[0] - w1, p[0]])[:, None, None],
+                               np.array([[pa[0], pa_bar[0]],
+                                         [pa[1], pa_bar[1]]]))
+        other = np.s_[:, ::-1, 1]
+    else:
+        j, size = _dilog_table(w2, np.array([p - w1, p])[:, :, None],
+                               np.array([[pa[0], pa_bar[0], pa_bar[1]],
+                                         [pa[1], pa_bar[1], pa_bar[0]]]))
+        other = np.s_[:, :, 2]
+    # Column 0 less column 1 (X) and the other column (Y), row p - w1
+    # less row p, for each channel, and the summed sizes of their terms.
+    x = j[:, :, 0].real - j[:, :, 1].real
+    x = x[0] - x[1]
+    y = j[:, :, 0] - j[other]
+    y = y[0] - y[1]
+    total = y[0] + np.conj(y[1])
+    size_x = size[:, :, 0] + size[:, :, 1]
+    size_x = size_x[0] + size_x[1]
+    size_y = size[:, :, 0] + size[other]
+    size_y = size_y[0] + size_y[1]
     with np.errstate(divide="ignore"):
-        cancellation = np.array([*(sizes[:, 0] / np.abs(x)),
-                                 (sizes[0, 1] + sizes[1, 1]) / np.abs(total)])
+        cancellation = np.array([*(size_x / np.abs(x)),
+                                 (size_y[0] + size_y[1]) / np.abs(total)])
     return (-x / (2 * p.imag * pa.imag),
             total / (p[0] - np.conj(p[1])) / (pa[0] - pa_bar[1]),
             cancellation)

@@ -11,7 +11,9 @@ point.  It takes channel pairs, not single boxes: each point gives the
 _side rows of two channels (the H and V sides of gamma') and one
 window, and gets back both self overlaps and the cross overlap.  Their
 24 dilogarithm terms are the entries of one 12-term table or their
-conjugates (see kernels).  Every caller takes that one path: detuning sweeps through
+conjugates, and of an 8-term table where the two channels share their
+biexciton pole, as the channels of every cascade pair do (see kernels).
+Every caller takes that one path: detuning sweeps through
 gamma_prime_arrays, straight from cascade.channel_arrays; gamma_prime and
 gamma_prime_from_channels through _pair_overlaps; and windowed_overlap,
 one box of two channel objects, through _overlap_boxes.  The all-space

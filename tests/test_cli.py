@@ -182,6 +182,10 @@ def test_bad_config_value_exits_one(capsys, tmp_path):
     ("sample", "--angle-b", "inf"),
     ("sample", "--seed", "-1"),
     ("spectrum", "--margin", "nan"),
+    ("spectrum", "--points", "1"),
+    ("optimize", "--lo", "nan"),
+    ("optimize", "--hi", "inf"),
+    ("optimize", "--lo", "0.3", "--hi", "0.1"),
 ])
 def test_validation_failures_exit_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

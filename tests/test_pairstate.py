@@ -481,6 +481,64 @@ def test_gamma_prime_stays_within_one_half(params, pairing, width, off1,
     assert abs(coh.gamma) <= 0.5 + ROUNDOFF
 
 
+def tracked_gamma_prime(params, pairing, width):
+    return gamma_prime(params, pairing,
+                       tracked_window(params, pairing, width)).gamma
+
+
+def rounding_allowance(pairing, *systems):
+    """How far gamma' of one of these systems may read from another's.
+
+    A level energy near E rounds by up to eps E / 2, and gamma' moves
+    with a line or the ridge on the scale of the narrowest width of the
+    pair: a polariton linewidth or the biexciton width.  So a system
+    moved or rescaled reads gamma' to about eps E / width of itself.  A
+    census of 10,000 random draws of each property below read at most
+    0.74 times that (up to 2.4e-10 relative), and the allowance is 4
+    times.
+    """
+    def ratio(params):
+        narrowest = min(min(ch.xx_total_width, ch.intermediate.linewidth)
+                        for ch in pairing_channels(enumerate_channels(params),
+                                                   pairing))
+        energy = max(abs(params.ex_mean), abs(params.cav_mean))
+        return np.finfo(float).eps * energy / narrowest
+
+    return 4 * max(ratio(p) for p in systems)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=near_resonance(), pairing=st.sampled_from(("LP-LP", "UP-UP",
+                                                          "LP-UP")),
+       width=st.floats(0.01, 1.0), shift=st.floats(-300.0, 300.0))
+def test_gamma_prime_is_unchanged_by_an_energy_shift(params, pairing, width,
+                                                     shift):
+    # Every line and every tracked window moves by the shift.
+    moved = params.replace(ex_mean=params.ex_mean + shift,
+                           cav_mean=params.cav_mean + shift)
+    want = tracked_gamma_prime(params, pairing, width)
+    got = tracked_gamma_prime(moved, pairing, width)
+    assert abs(got - want) <= rounding_allowance(pairing, params, moved) * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=near_resonance(), pairing=st.sampled_from(("LP-LP", "UP-UP",
+                                                          "LP-UP")),
+       width=st.floats(0.01, 1.0), scale=st.floats(0.09, 11.0))
+def test_gamma_prime_is_unchanged_by_a_change_of_energy_unit(params, pairing,
+                                                            width, scale):
+    # Energies, the window width and linewidths all scale; lifetimes,
+    # being inverse energies, take the inverse scale.
+    scaled = params.replace(
+        ex_mean=params.ex_mean * scale, delta_x=params.delta_x * scale,
+        cav_mean=params.cav_mean * scale, delta_c=params.delta_c * scale,
+        rabi=params.rabi * scale, binding=params.binding * scale,
+        tau_c=params.tau_c / scale, tau_xx=params.tau_xx / scale)
+    want = tracked_gamma_prime(params, pairing, width)
+    got = tracked_gamma_prime(scaled, pairing, width * scale)
+    assert abs(got - want) <= rounding_allowance(pairing, params, scaled) * abs(want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=near_resonance(detuning=50.0))
 def test_unprojected_within_one_half_and_conjugated_by_hv_relabeling(params):
