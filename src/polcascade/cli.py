@@ -200,6 +200,21 @@ def _validate_config(cfg: RunConfig) -> None:
     for lo, hi in (("sweep_lo", "sweep_hi"), ("lo", "hi")):
         if not getattr(cfg, lo) < getattr(cfg, hi):
             raise ValidationError(f"{lo} must be < {hi}")
+    _figure_ids(cfg.figures)
+
+
+def _figure_ids(text: str) -> list[str]:
+    """The ids that a figures setting names, each once, in the order first
+    named; an empty list or an unknown id is refused."""
+    if text.strip().lower() == "all":
+        return list(FIGURE_IDS)
+    wanted = list(dict.fromkeys(
+        f.strip().lower() for f in text.split(",") if f.strip()))
+    if not wanted or not set(wanted) <= set(FIGURE_IDS):
+        raise ValidationError(
+            f"figures must be 'all' or ids among {', '.join(FIGURE_IDS)}, "
+            f"got {text!r}")
+    return wanted
 
 
 def _param_overrides(cfg: RunConfig) -> dict:
@@ -225,11 +240,16 @@ def effective_pairing(cfg: RunConfig) -> str:
     return cfg.pairing if cfg.pairing is not None else SCHEME_PAIRING[cfg.scheme]
 
 
+def _fixed_window(cfg: RunConfig) -> DetectorWindow | None:
+    """The window that center1, center2 and width fix; None if tracked."""
+    if cfg.center1 is None:
+        return None
+    return DetectorWindow(cfg.center1, cfg.center2, cfg.width)
+
+
 def effective_window(cfg: RunConfig, params: SystemParams) -> DetectorWindow:
-    if cfg.center1 is not None:
-        return DetectorWindow(center1=cfg.center1, center2=cfg.center2,
-                              width=cfg.width)
-    return tracked_window(params, effective_pairing(cfg), cfg.width)
+    return _fixed_window(cfg) or tracked_window(
+        params, effective_pairing(cfg), cfg.width)
 
 
 def _output_header(cfg: RunConfig) -> list[str]:
@@ -304,12 +324,8 @@ def _cmd_optimize(cfg: RunConfig) -> dict:
         raise ValidationError(
             f"optimize uses the scheme {cfg.scheme} preset and pairing and "
             f"cannot take {', '.join(ignored)}")
-    window = None
-    if cfg.center1 is not None:
-        window = DetectorWindow(center1=cfg.center1, center2=cfg.center2,
-                                width=cfg.width)
-    delta, value = optimize_detuning(cfg.scheme, lo=cfg.lo, hi=cfg.hi,
-                                     width=cfg.width, window=window)
+    delta, value = optimize_detuning(cfg.scheme, cfg.lo, cfg.hi, cfg.width,
+                                     window=_fixed_window(cfg))
     return {"delta_cx": delta, "abs_gamma": value,
             "pairing": SCHEME_PAIRING[cfg.scheme]}
 
@@ -338,10 +354,7 @@ def _cmd_sample(cfg: RunConfig) -> dict:
 
 
 def _cmd_figures(cfg: RunConfig) -> dict:
-    if cfg.figures.strip().lower() == "all":
-        wanted = list(FIGURE_IDS)
-    else:
-        wanted = [f.strip() for f in cfg.figures.split(",") if f.strip()]
+    wanted = _figure_ids(cfg.figures)
     outputs = []
     for fig in wanted:
         outputs.extend(reproduce_figure(fig, cfg.out_dir, svg=cfg.svg))

@@ -23,11 +23,13 @@ integrates every overlap in one exact kernels.window_overlaps call.  A
 SweepCurve keeps these arrays; its rows view builds SweepRows on demand,
 each equal to gamma_prime at its detuning bit for bit.  Longer grids
 run one chunk after another in this process; results are identical for
-any chunk size.
+any chunk size.  optimize_detuning takes the same path: scan, then zoom
+by array sweeps.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -37,10 +39,12 @@ from .cascade import (STATE_ORDER, _write_rows_csv, channel_arrays,
                       enumerate_channels, pl_spectrum, write_spectrum_csv)
 from .errors import ConvergenceError, ValidationError
 from .model import SystemParams, scheme_id, scheme_preset
-from .pairstate import (_GAMMA_BOUND, DetectorWindow, gamma_prime,
-                        gamma_prime_arrays, invalid_windows, normalize_pairing,
-                        pairing_labels)
-from .polariton import (PolaritonArrays, _golden_min, anticrossing_sweep,
+# gamma_prime is not called here; it is imported only so that the
+# benchmark tracer's experiments site resolves.
+from .pairstate import (_GAMMA_BOUND, DetectorWindow,  # noqa: F401
+                        gamma_prime, gamma_prime_arrays, invalid_windows,
+                        normalize_pairing, pairing_labels)
+from .polariton import (PolaritonArrays, _zoom_min, anticrossing_sweep,
                         detuning_grid, find_crossings, per_element)
 from .svg import line_plot
 
@@ -221,40 +225,33 @@ def optimize_detuning(scheme: int | str, lo: float = _GRID_LO,
                       hi: float = _GRID_HI, width: float = _WINDOW_WIDTH,
                       scan_points: int = 50,
                       window: DetectorWindow | None = None) -> tuple[float, float]:
-    """Detuning maximizing |gamma'| for a scheme: scan, then golden section.
+    """Detuning maximizing |gamma'| for a scheme: scan, then zoom by array
+    sweeps, each one sweep_gamma call.
 
-    Returns (delta_cx, abs_gamma).  A flat objective (for instance from a
-    fixed window that misses every line) is refused rather than resolved
-    to an arbitrary point.  The scan is one sweep_gamma call; the
-    golden-section steps evaluate one point at a time.  scheme is an int
-    or a name that scheme_id accepts.
+    Returns (delta_cx, abs_gamma), abs_gamma equal to |gamma_prime| at
+    delta_cx.  A flat objective (say, a fixed window that misses every
+    line) is refused.  scheme is an int or a name scheme_id accepts.
     """
     scheme = scheme_id(scheme)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"invalid range ({lo!r}, {hi!r})")
-    if scan_points < 3:
-        raise ValidationError("scan_points must be >= 3")
+    if not (isinstance(scan_points, numbers.Integral) and scan_points >= 3):
+        raise ValidationError("scan_points must be an integer >= 3")
     params = scheme_preset(scheme)
     pairing = SCHEME_PAIRING[scheme]
 
-    def objective(delta: float) -> float:
-        at = params.with_detuning(delta)
-        w = window if window is not None else tracked_window(at, pairing, width)
-        return abs(gamma_prime(at, pairing, w).gamma)
+    def neg_abs_gamma(deltas):
+        return -sweep_gamma(params, pairing, deltas=deltas, width=width,
+                            window=window).abs_gamma
 
     xs = np.linspace(lo, hi, scan_points)
-    # One array sweep; each point equals objective at its detuning.
-    vals = sweep_gamma(params, pairing, deltas=xs, width=width,
-                       window=window).abs_gamma.tolist()
-    if max(vals) - min(vals) < 1e-12:
+    vals = neg_abs_gamma(xs)
+    if vals.max() - vals.min() < 1e-12:
         raise ConvergenceError(
             "|gamma'| is flat over the scan range; no detuning optimum exists")
-    best = int(np.argmax(vals))
-    a = float(xs[max(0, best - 1)])
-    b = float(xs[min(len(xs) - 1, best + 1)])
-    delta, neg = _golden_min(lambda d: -objective(d), a, b, xtol=1e-4)
-    if -neg < vals[best]:
-        return float(xs[best]), vals[best]
+    best = int(np.argmin(vals))
+    delta, neg = _zoom_min(neg_abs_gamma, xs.item(max(best - 1, 0)),
+                           xs.item(min(best + 1, scan_points - 1)), xtol=1e-4)
     return delta, -neg
 
 

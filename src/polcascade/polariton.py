@@ -160,13 +160,6 @@ def _gaps(params: SystemParams, pair: StatePair, deltas) -> list[float]:
     return (energy[a] - energy[b]).tolist()
 
 
-def _gap_function(params: SystemParams, pair: StatePair):
-    def gap(delta_cx: float) -> float:
-        return _gaps(params, pair, [delta_cx])[0]
-
-    return gap
-
-
 def _check_range(lo: float, hi: float, tol: float) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"need finite lo < hi, got [{lo}, {hi}]")
@@ -184,7 +177,15 @@ class CrossingScan:
 
 _SCAN_POINTS = 401
 _MAX_BISECTIONS = 200
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Points per pass of _zoom_min; each pass narrows the bracket fourfold.
+_ZOOM_POINTS = 9
+
+
+def _scan(params: SystemParams, pair: StatePair, lo: float, hi: float):
+    """_SCAN_POINTS even steps over [lo, hi] and the gaps there, as lists."""
+    n = _SCAN_POINTS
+    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return xs, _gaps(params, pair, xs)
 
 
 def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
@@ -198,22 +199,14 @@ def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
     """
     pair = _check_pair(pair, allow_same_pol=False)
     _check_range(lo, hi, tol)
-    n = _SCAN_POINTS
-    gap = _gap_function(params, pair)
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    gs = _gaps(params, pair, xs)
+    xs, gs = _scan(params, pair, lo, hi)
     if max(abs(g) for g in gs) < tol:
         return CrossingScan(detunings=(), identically_degenerate=True)
-    roots = []
-    for i in range(n - 1):
-        ga, gb = gs[i], gs[i + 1]
-        if ga == 0.0:
-            roots.append(xs[i])
-            continue
-        if ga * gb < 0:
-            roots.append(_bisect(gap, xs[i], xs[i + 1], ga, tol))
-    if gs[-1] == 0.0:
-        roots.append(xs[-1])
+    # Scan nodes where the gap is exactly zero, then one bisection per
+    # bracketed sign change.
+    roots = [x for x, g in zip(xs, gs) if g == 0.0]
+    roots += [_bisect(params, pair, a, b, ga, tol)
+              for a, b, ga, gb in zip(xs, xs[1:], gs, gs[1:]) if ga * gb < 0]
     # Merge duplicates from roots landing on scan nodes.
     roots.sort()
     merged = []
@@ -223,11 +216,11 @@ def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
     return CrossingScan(detunings=tuple(merged), identically_degenerate=False)
 
 
-def _bisect(gap, a: float, b: float, ga: float, tol: float) -> float:
-    mid = 0.5 * (a + b)
+def _bisect(params: SystemParams, pair: StatePair, a: float, b: float,
+            ga: float, tol: float) -> float:
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (a + b)
-        gm = gap(mid)
+        gm = _gaps(params, pair, [mid])[0]
         if abs(gm) < tol:
             return mid
         if (ga < 0) == (gm < 0):
@@ -239,22 +232,24 @@ def _bisect(gap, a: float, b: float, ga: float, tol: float) -> float:
         "iterations", last_estimates=(a, b))
 
 
-def _golden_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b]."""
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return x, f(x)
+def _zoom_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
+    """Least value of f on [a, b] and where it lies: (x, f(x)).
+
+    f maps an array of points to an array of values.  Each pass evaluates
+    _ZOOM_POINTS evenly spaced points of the bracket and keeps the two
+    steps about the least, until the bracket is at most xtol wide or
+    stops narrowing.  x is the best point evaluated."""
+    best_x, best_f = a, math.inf
+    while True:
+        xs = np.linspace(a, b, _ZOOM_POINTS)
+        fs = f(xs)
+        i = int(np.argmin(fs))
+        if fs[i] < best_f:
+            best_x, best_f = xs.item(i), fs.item(i)
+        width = b - a
+        a, b = xs.item(max(i - 1, 0)), xs.item(min(i + 1, _ZOOM_POINTS - 1))
+        if b - a <= xtol or b - a >= width:
+            return best_x, best_f
 
 
 def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
@@ -266,17 +261,11 @@ def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
     """
     pair = _check_pair(pair, allow_same_pol=True)
     _check_range(lo, hi, tol)
-    n = _SCAN_POINTS
-    gap = _gap_function(params, pair)
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    gs = [abs(g) for g in _gaps(params, pair, xs)]
-    i_best = min(range(n), key=gs.__getitem__)
-    a = xs[max(0, i_best - 1)]
-    b = xs[min(n - 1, i_best + 1)]
-    x, g = _golden_min(lambda d: abs(gap(d)), a, b, xtol=max(tol, 1e-12))
-    if gs[i_best] < g:
-        return xs[i_best], gs[i_best]
-    return x, g
+    xs, gs = _scan(params, pair, lo, hi)
+    i = int(np.argmin(np.abs(gs)))
+    return _zoom_min(lambda d: np.abs(_gaps(params, pair, d)),
+                     xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)],
+                     xtol=max(tol, 1e-12))
 
 
 def detuning_grid(deltas) -> np.ndarray:

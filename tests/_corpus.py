@@ -4,7 +4,11 @@ Covers self and cross overlaps, all three schemes, narrow through wide
 windows, and an energy-distinguishable pair, for checking the adaptive
 quadrature against the brute-force midpoint rule.  Also the cascade
 channels with each channel's own biexciton width (cascade_channels).
+And a frozen golden-section search (golden_min), the refinement that
+optimize_detuning and min_gap used before their array zoom, as the
+reference for both.
 """
+import math
 from dataclasses import replace
 
 from polcascade.cascade import enumerate_channels
@@ -28,6 +32,28 @@ def cascade_channels(params, own_xx_width=False):
         return [replace(c, xx_total_width=c.xx_channel_width)
                 for c in channels]
     return channels
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(f, a, b, xtol):
+    """Golden-section minimum of the one-point function f on [a, b]:
+    (x, f(x))."""
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    x = c if fc < fd else d
+    return x, f(x)
 
 
 def scheme3_crossing():

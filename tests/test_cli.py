@@ -111,6 +111,8 @@ def test_flag_and_config_line_give_equal_configs(tmp_path, key):
         text = "false" if default else "true"
     elif key == "reference":
         text = "relative_to_ex_mean"
+    elif key == "figures":
+        text = "2a,4"
     else:
         text = _SAMPLE_TEXT[parse]
     base = ["gamma", *((_PARTNER[key], "0.4") if key in _PARTNER else ())]
@@ -186,13 +188,18 @@ def test_bad_config_value_exits_one(capsys, tmp_path):
     ("optimize", "--lo", "nan"),
     ("optimize", "--hi", "inf"),
     ("optimize", "--lo", "0.3", "--hi", "0.1"),
+    ("figures", "--figures", "2a,9z"),
+    ("figures", "--figures", ","),
 ])
-def test_validation_failures_exit_one(capsys, argv):
+def test_validation_failures_exit_one(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
     # The message names the key that caused it.
     assert argv[1].removeprefix("--").replace("-", "_") in err
+    # The whole input is checked before any file is written.
+    assert os.listdir(tmp_path) == []
 
 
 def test_nonconvergence_exits_two(capsys):
@@ -269,6 +276,15 @@ def test_figures_subset(capsys, tmp_path):
     data = payload(capsys, "figures", "--figures", "2a",
                    "--out-dir", str(tmp_path), "--svg", "false")
     assert [os.path.basename(p) for p in data["outputs"]] == ["fig2a.csv"]
+
+
+def test_figures_writes_each_id_once_in_first_named_order(capsys, tmp_path):
+    data = payload(capsys, "figures", "--figures", "4,2a,4,2A",
+                   "--out-dir", str(tmp_path), "--svg", "false")
+    assert data["figures"] == ["4", "2a"]
+    assert [os.path.basename(p) for p in data["outputs"]] == [
+        "fig4_scheme1.csv", "fig4_scheme2.csv", "fig4_scheme3.csv",
+        "fig2a.csv"]
 
 
 def test_sample_determinism_across_dirs(capsys, tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _corpus import scheme3_crossing
+from _corpus import golden_min, scheme3_crossing
+from polcascade import experiments
 from polcascade.cascade import enumerate_channels
 from polcascade.errors import (ConvergenceError, EmptyWindowError,
                                ValidationError)
@@ -213,11 +214,59 @@ def test_optimize_scheme3_default_range_matches_sweep_peak():
     assert val >= peak.abs_gamma - 1e-9
 
 
+def golden_optimum(scheme, lo, hi):
+    """optimize_detuning as it was before the array zoom: the 50-point
+    scan, golden section over one-point gamma_prime calls, and the scan
+    point when it beats the refinement."""
+    params = scheme_preset(scheme)
+    pairing = SCHEME_PAIRING[scheme]
+
+    def objective(delta):
+        at = params.with_detuning(delta)
+        return abs(gamma_prime(at, pairing, tracked_window(at, pairing)).gamma)
+
+    xs = np.linspace(lo, hi, 50)
+    vals = [objective(float(x)) for x in xs]
+    best = int(np.argmax(vals))
+    delta, neg = golden_min(lambda d: -objective(d), float(xs[max(0, best - 1)]),
+                            float(xs[min(len(xs) - 1, best + 1)]), xtol=1e-4)
+    if -neg < vals[best]:
+        return float(xs[best]), vals[best]
+    return delta, -neg
+
+
+@pytest.mark.parametrize("scheme", [1, 2, 3])
+@pytest.mark.parametrize("lo, hi", [(-0.4, 0.4), (0.1, 0.4), (-0.1, 0.1)])
+def test_optimize_matches_golden_section_reference(scheme, lo, hi):
+    delta, val = optimize_detuning(scheme, lo=lo, hi=hi)
+    ref_delta, ref_val = golden_optimum(scheme, lo, hi)
+    assert abs(delta - ref_delta) <= 1e-4
+    assert abs(val - ref_val) <= 1e-8
+    # The value reported is gamma_prime's at the returned detuning.
+    at = scheme_preset(scheme).with_detuning(delta)
+    pairing = SCHEME_PAIRING[scheme]
+    assert val == abs(gamma_prime(at, pairing,
+                                  tracked_window(at, pairing)).gamma)
+
+
+def test_optimize_runs_on_array_sweeps_only(monkeypatch):
+    def one_point(*args, **kwargs):
+        raise AssertionError("optimize_detuning made a one-point call")
+
+    monkeypatch.setattr(experiments, "tracked_window", one_point)
+    monkeypatch.setattr(experiments, "gamma_prime", one_point)
+    delta, val = optimize_detuning(3, lo=0.1, hi=0.4)
+    assert abs(delta - scheme3_crossing()) <= 0.02
+    fixed = DetectorWindow(center1=997.12, center2=999.88, width=0.4)
+    optimize_detuning(1, lo=-0.1, hi=0.1, window=fixed)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(scheme=5),
     dict(scheme=1, lo=0.2, hi=0.1),
     dict(scheme=1, lo=0.0, hi=math.inf),
     dict(scheme=1, scan_points=2),
+    dict(scheme=1, scan_points=5.5),
 ])
 def test_optimize_rejects(kwargs):
     with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _corpus import golden_min
 from polcascade.errors import ValidationError
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
 from polcascade.polariton import (STATE_ORDER, anticrossing_sweep,
@@ -199,6 +200,52 @@ def test_min_gap_scheme2_cross_pair():
 def test_min_gap_scheme1_zero_everywhere():
     _, gap = min_gap(scheme_preset(1), (("H", "LP"), ("V", "LP")), -0.4, 0.4)
     assert gap <= 1e-12
+
+
+def golden_min_gap(params, pair, lo, hi, tol=1e-9):
+    """min_gap as it was before the array zoom: the 401-node scan, golden
+    section over one-point gaps, and the scan node when it beats the
+    refinement."""
+    a, b = (STATE_ORDER.index(label) for label in pair)
+
+    def gap(delta):
+        energy = anticrossing_sweep(params, [delta]).energy[:, 0]
+        return abs(energy[a] - energy[b])
+
+    xs = [lo + (hi - lo) * i / 400 for i in range(401)]
+    gs = [gap(x) for x in xs]
+    i = min(range(401), key=gs.__getitem__)
+    x, g = golden_min(gap, xs[max(0, i - 1)], xs[min(400, i + 1)], xtol=tol)
+    if gs[i] < g:
+        return xs[i], gs[i]
+    return x, g
+
+
+@pytest.mark.parametrize("scheme, pair, lo, hi", [
+    (2, (("H", "LP"), ("H", "UP")), -2.0, 2.0),
+    (2, (("H", "LP"), ("V", "UP")), -0.4, 0.4),
+    (1, (("H", "LP"), ("V", "LP")), -0.4, 0.4),
+])
+def test_min_gap_matches_golden_section_reference(scheme, pair, lo, hi):
+    tol = 1e-9
+    params = scheme_preset(scheme)
+    delta, gap = min_gap(params, pair, lo, hi, tol=tol)
+    ref_delta, ref_gap = golden_min_gap(params, pair, lo, hi, tol=tol)
+    assert abs(gap - ref_gap) <= tol
+    # The same-polarization minimum is quadratic, so its position is
+    # known only to about the square root of the gap's rounding.
+    assert abs(delta - ref_delta) <= 1e-6
+
+
+def test_min_gap_ends_where_the_bracket_cannot_narrow():
+    # At detunings near 1e6 meV adjacent floats are 1.2e-10 apart, so a
+    # bracket never gets below tol = 1e-12; the search must still end.
+    p = scheme_preset(2)
+    delta, gap = min_gap(p, (("H", "LP"), ("V", "UP")), 1e6, 1e6 + 1.0,
+                         tol=1e-12)
+    # The gap only grows with the detuning here, so the search ends at lo.
+    energy = anticrossing_sweep(p, [1e6]).energy[:, 0]
+    assert (delta, gap) == (1e6, abs(energy[0] - energy[3]))
 
 
 def test_anticrossing_sweep_rows_match_point_solutions():

@@ -2,9 +2,12 @@
 
 perfbench/tracing.py looks every target of its SITES up with getattr when
 a traced run starts, so a name removed from the package breaks that run.
-This test fails first.
+This test fails first.  An import that only such a site needs is the one
+unused import a module may keep.
 """
+import ast
 import importlib.util
+import inspect
 import os
 import sys
 
@@ -28,3 +31,32 @@ def test_every_traced_site_resolves():
                if not hasattr(owner, attr)]
     assert tracing.SITES
     assert not missing, missing
+
+
+def imported_names(tree):
+    """Every name an import binds in a module, except __future__ flags."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name).partition(".")[0]
+                        for alias in node.names)
+
+
+def test_every_import_is_used_or_traced():
+    tracing = load_tracing()
+    traced = {(owner.__name__, attr) for site in tracing.SITES
+              for owner, attr in site.targets if inspect.ismodule(owner)}
+    package = os.path.join(ROOT, "src", "polcascade")
+    unused = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py") or filename == "__init__.py":
+            continue
+        module = f"polcascade.{filename[:-3]}"
+        with open(os.path.join(package, filename)) as fh:
+            tree = ast.parse(fh.read())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{module}.{name}" for name in imported_names(tree)
+                   if name not in used and (module, name) not in traced]
+    assert not unused, unused
