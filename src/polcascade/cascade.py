@@ -16,7 +16,7 @@ from .model import HBAR_MEV_PS, SystemParams
 # here only so that the benchmark tracer's (cascade, "solve_polaritons")
 # site resolves; patching it here changes nothing.
 from .polariton import (STATE_ORDER, PolaritonArrays, PolaritonState,  # noqa: F401
-                        per_element, polariton_arrays, solve_polaritons)
+                        polariton_arrays, solve_polaritons)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,8 @@ def channel_arrays(params: SystemParams, cav_mean) -> ChannelArrays:
     for bit; enumerate_channels is the one-point case.
     """
     states = polariton_arrays(params, cav_mean)
-    x_ex2, x_ph2 = per_element(pow, np.array([states.x_ex, states.x_ph]), 2.0)
+    x_ex2 = states.x_ex * states.x_ex
+    x_ph2 = states.x_ph * states.x_ph
     raw = x_ex2 * x_ph2 / 4.0
     widths = x_ex2 * (HBAR_MEV_PS / params.tau_xx)
     # Pairwise sums keep H/V relabeling bit-exact under a sign flip of
@@ -146,7 +147,8 @@ class Spectrum:
 
 def _lorentzian(grid: np.ndarray, center: float, halfwidth: float) -> np.ndarray:
     # Unit-area line; halfwidth is the HWHM.
-    return (halfwidth / np.pi) / ((grid - center) ** 2 + halfwidth ** 2)
+    d = grid - center
+    return (halfwidth / np.pi) / (d * d + halfwidth * halfwidth)
 
 
 def _validate_grid(grid: np.ndarray) -> np.ndarray:
@@ -180,7 +182,7 @@ def pl_spectrum(params: SystemParams, energy_grid,
     channels = enumerate_channels(params)
     out = {"H": np.zeros_like(grid), "V": np.zeros_like(grid)}
     for ch in channels:
-        w = ch.amp ** 2
+        w = ch.amp * ch.amp
         g1 = ch.xx_total_width + ch.intermediate.linewidth
         g2 = ch.intermediate.linewidth
         acc = out[ch.pol]
@@ -195,16 +197,17 @@ def channel_table(params: SystemParams) -> dict:
     channels = enumerate_channels(params)
     rows = []
     for ch in channels:
+        s = ch.intermediate
         rows.append({
             "pol": ch.pol,
             "branch": ch.branch,
-            "energy_mev": ch.intermediate.energy,
+            "energy_mev": s.energy,
             "photon1_mev": ch.photon1,
             "photon2_mev": ch.photon2,
-            "amp2": ch.amp ** 2,
-            "x_ex2": ch.intermediate.x_ex ** 2,
-            "x_ph2": ch.intermediate.x_ph ** 2,
-            "linewidth_mev": ch.intermediate.linewidth,
+            "amp2": ch.amp * ch.amp,
+            "x_ex2": s.x_ex * s.x_ex,
+            "x_ph2": s.x_ph * s.x_ph,
+            "linewidth_mev": s.linewidth,
             "xx_channel_width_mev": ch.xx_channel_width,
         })
     return {

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, fields, make_dataclass, replace
 
@@ -147,6 +148,10 @@ def _build_parser() -> _Parser:
         prog="polcascade",
         description="Polariton-cascade photon pairs: spectra, coherence "
                     "curves, entanglement tests, figure reproduction.")
+    # argparse reads only -1 and -.5 as negative numbers, not -1e-2 or -inf;
+    # no option string looks like a number, so every float form is a value.
+    parser._negative_number_matcher = re.compile(
+        r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.I)
     parser.add_argument("--version", action="version",
                         version=f"polcascade {__version__}")
     parser.add_argument("command", choices=_DISPATCH, help="what to run")

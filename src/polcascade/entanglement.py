@@ -21,8 +21,8 @@ _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
 
-# Entries allowed to be nonzero in an X-shaped matrix.
-_X_PATTERN = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1))
+# Entries that must vanish in an X-shaped matrix (off both diagonals).
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +53,7 @@ class TwoQubitDensityMatrix:
         return complex(self.matrix[0, 3])
 
     def is_x_form(self) -> bool:
-        mask = np.ones((4, 4), dtype=bool)
-        for i, j in _X_PATTERN:
-            mask[i, j] = False
-        return bool(np.max(np.abs(self.matrix[mask])) <= 1e-14)
+        return bool(np.max(np.abs(self.matrix[_OFF_X])) <= 1e-14)
 
 
 @dataclass(frozen=True)
@@ -83,9 +80,10 @@ def x_state(p_hh: float, p_vv: float, gamma: complex) -> TwoQubitDensityMatrix:
     gamma = complex(gamma)
     # Reject, never clip: a corner exceeding the populations' geometric
     # mean is not a state.
-    if abs(gamma) ** 2 > p_hh * p_vv + 1e-12:
+    gamma2 = abs(gamma) * abs(gamma)
+    if gamma2 > p_hh * p_vv + 1e-12:
         raise ValidationError(
-            f"|gamma|^2 = {abs(gamma) ** 2!r} exceeds pHH*pVV = {p_hh * p_vv!r}")
+            f"|gamma|^2 = {gamma2!r} exceeds pHH*pVV = {p_hh * p_vv!r}")
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = p_hh
     m[3, 3] = p_vv
@@ -214,8 +212,10 @@ def sample_coincidences(rho: TwoQubitDensityMatrix, basis_pair, n: int,
     Returns the 2x2 integer count table; identical (rho, angles, n, seed)
     give identical counts.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    # NumPy's multinomial takes n as a C long.
+    if not (isinstance(n, int) and 1 <= n <= 2**63 - 1):
+        raise ValidationError(
+            f"n must be an integer in [1, 2**63 - 1], got {n!r}")
     angle_a, angle_b = basis_pair
     probs = born_probabilities(rho, angle_a, angle_b)
     rng = np.random.default_rng(seed)

@@ -45,7 +45,7 @@ from .pairstate import (_GAMMA_BOUND, DetectorWindow,  # noqa: F401
                         gamma_prime, gamma_prime_arrays, invalid_windows,
                         normalize_pairing, pairing_labels)
 from .polariton import (PolaritonArrays, _zoom_min, anticrossing_sweep,
-                        detuning_grid, find_crossings, per_element)
+                        detuning_grid, find_crossings)
 from .svg import line_plot
 
 # Branch pairing correlated in each scheme's coherence curve; scheme 2
@@ -277,8 +277,7 @@ def write_anticrossing_files(csv_path: str, params: SystemParams, deltas,
     deltas = np.asarray(deltas, dtype=float)
     states = anticrossing_sweep(params, deltas)
     energies = dict(zip(STATE_ORDER, states.energy))
-    # pow, as the scalar x_ex ** 2; np.square differs in the last bit.
-    x_ex2 = per_element(pow, states.x_ex, 2.0)
+    x_ex2 = states.x_ex * states.x_ex
     _write_rows_csv(csv_path, header_lines, {
         "delta_cx_mev": deltas,
         **{f"E_{p}_{b}": e for (p, b), e in energies.items()},

@@ -325,7 +325,7 @@ def gamma_prime(params: SystemParams, pairing: str,
 def channel_norm(ch: CascadeChannel) -> float:
     """All-space norm of one channel's packet, x_ex^2 x_ph^2 / 4."""
     s = ch.intermediate
-    return (s.x_ex ** 2 * s.x_ph ** 2) / 4.0
+    return (s.x_ex * s.x_ex * (s.x_ph * s.x_ph)) / 4.0
 
 
 def _residue(g_a, g_b, e_a, e_b) -> complex:

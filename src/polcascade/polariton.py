@@ -6,7 +6,6 @@ branches with Hopfield weights that set radiative linewidths.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -75,17 +74,6 @@ class PolaritonArrays:
             for (pol, branch), energy, x_ex, x_ph, linewidth in columns))
 
 
-def per_element(fn, array, *scalars) -> np.ndarray:
-    """fn(x, *scalars) on Python floats, element by element, as an array.
-
-    For the libm functions whose NumPy loops round differently
-    (math.hypot against np.hypot, pow(x, 2.0) against np.square), so that
-    array results equal the scalar formulas bit for bit.
-    """
-    columns = [array.ravel().tolist(), *map(itertools.repeat, scalars)]
-    return np.array(list(map(fn, *columns)), dtype=float).reshape(array.shape)
-
-
 # Signs that turn the LP photon fraction 0.5 (1 + dr) into the photon
 # (first row) and exciton (second row) fractions of LP and UP; a sign
 # flip is exact, so 1 + (-dr) equals the scalar 1 - dr bit for bit.
@@ -96,9 +84,8 @@ def polariton_arrays(params: SystemParams, cav_mean) -> PolaritonArrays:
     """Diagonalize both polarization subsystems at each cavity-mode mean.
 
     cav_mean replaces params.cav_mean, one point per element; all other
-    parameters are shared.  Column i equals the scalar solve of
-    params.replace(cav_mean=cav_mean[i]) bit for bit, and solve_polaritons
-    is the one-point case.
+    parameters are shared.  Column i equals the one-point case,
+    solve_polaritons(params.replace(cav_mean=cav_mean[i])), bit for bit.
     """
     cav = np.asarray(cav_mean, dtype=float)
     # Axes (pol, branch, point) from here on, pol in H, V order.
@@ -108,7 +95,9 @@ def polariton_arrays(params: SystemParams, cav_mean) -> PolaritonArrays:
                             (-params.delta_c) / 2])[:, None, None]
     mean = 0.5 * (e_exc + e_cav)
     delta = e_exc - e_cav
-    r = per_element(math.hypot, delta, params.rabi)
+    # CPython's math.hypot rounds correctly; np.hypot (libm's) may not.
+    r = np.array([math.hypot(d, params.rabi) for d in delta.ravel().tolist()]
+                 ).reshape(delta.shape)
     # LP photon fraction grows as the cavity mode dives below the exciton.
     x_ph2, x_ex2 = np.minimum(1.0, np.maximum(
         0.0, 0.5 * (1.0 + _FRACTION_SIGN * (delta / r))))

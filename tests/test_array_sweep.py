@@ -3,7 +3,7 @@
 A sweep chunk solves its channels in one array pass
 (cascade.channel_arrays), checked bit for bit against the per-point solve
 kept here.  Also here: the Hermitian symmetry of the overlaps, a box with
-a 5e-8 meV line against 40-digit arithmetic, and the lazy import of the
+a 5e-8 meV line against 40-digit arithmetic, and an import that loads no
 process pool.
 """
 import math
@@ -18,8 +18,9 @@ import polcascade
 from _corpus import cascade_channels
 from polcascade.cascade import channel_arrays, enumerate_channels
 from polcascade.experiments import tracked_window
-from polcascade.model import HBAR_MEV_PS, SystemParams
-from polcascade.pairstate import pairing_channels, windowed_overlap
+from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
+from polcascade.pairstate import (channel_norm, pairing_channels,
+                                  windowed_overlap)
 
 PAIRINGS = ("LP-LP", "UP-UP", "LP-UP")
 
@@ -58,8 +59,8 @@ def scalar_channels(params):
                                      (mean + half, x_ph2_lp, x_ex2_lp)):
             states.append((energy, math.sqrt(x_ex2), math.sqrt(x_ph2),
                            x_ph2 * (HBAR_MEV_PS / params.tau_c)))
-    raw = [x_ex ** 2 * x_ph ** 2 / 4.0 for _, x_ex, x_ph, _ in states]
-    widths = [x_ex ** 2 * (HBAR_MEV_PS / params.tau_xx)
+    raw = [x_ex * x_ex * (x_ph * x_ph) / 4.0 for _, x_ex, x_ph, _ in states]
+    widths = [x_ex * x_ex * (HBAR_MEV_PS / params.tau_xx)
               for _, x_ex, _, _ in states]
     total = (raw[0] + raw[2]) + (raw[1] + raw[3])
     xx_total = (widths[0] + widths[2]) + (widths[1] + widths[3])
@@ -96,6 +97,23 @@ def test_channel_arrays_equal_the_scalar_solve(params, deltas):
         expected = scalar_channels(at)
         assert channel_rows(arrays.channels(i)) == expected
         assert channel_rows(enumerate_channels(at)) == expected
+
+
+def test_squares_are_products():
+    # Scheme 1 at delta = -0.3874 gives an H-UP exciton amplitude whose
+    # square by the C library's pow(x, 2.0) can sit one ulp off the
+    # correctly rounded x * x.  Every square in the channel solve is the
+    # product.
+    p = scheme_preset(1).with_detuning(-0.3874)
+    arrays = channel_arrays(p, [p.cav_mean])
+    x_ex = arrays.states.x_ex[1, 0].item()
+    x_ph = arrays.states.x_ph[1, 0].item()
+    assert x_ex == 0.9776124083729136
+    assert (arrays.xx_channel_width[1, 0].item()
+            == x_ex * x_ex * (HBAR_MEV_PS / p.tau_xx))
+    h_up = enumerate_channels(p)[1]
+    assert (h_up.pol, h_up.branch) == ("H", "UP")
+    assert channel_norm(h_up) == x_ex * x_ex * (x_ph * x_ph) / 4.0
 
 
 # ---------------------------------------------------------- Hermitian
@@ -137,7 +155,7 @@ def test_near_bare_exciton_self_overlap_is_exact():
     assert abs(value.real - 4.1328815685537765e-7) <= 1e-12 * 4.13e-7
 
 
-# --------------------------------------------------------- lazy import
+# -------------------------------------------------------------- import
 
 def test_import_leaves_the_process_pool_unloaded():
     src = os.path.dirname(os.path.dirname(polcascade.__file__))

@@ -190,6 +190,8 @@ def test_bad_config_value_exits_one(capsys, tmp_path):
     ("optimize", "--lo", "0.3", "--hi", "0.1"),
     ("figures", "--figures", "2a,9z"),
     ("figures", "--figures", ","),
+    ("sample", "--n", "9223372036854775808"),   # 2**63: beyond NumPy's C long
+    ("sweep", "--sweep-lo", "-inf"),
 ])
 def test_validation_failures_exit_one(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -200,6 +202,13 @@ def test_validation_failures_exit_one(capsys, monkeypatch, tmp_path, argv):
     assert argv[1].removeprefix("--").replace("-", "_") in err
     # The whole input is checked before any file is written.
     assert os.listdir(tmp_path) == []
+
+
+def test_negative_numbers_in_exponent_form_are_values(capsys, tmp_path):
+    assert (payload(capsys, "gamma", "--delta-cx", "-1e-2")
+            == payload(capsys, "gamma", "--delta-cx", "-0.01"))
+    payload(capsys, "sweep", "--sweep-lo", "-1e-3", "--sweep-points", "3",
+            "--out-dir", str(tmp_path))
 
 
 def test_nonconvergence_exits_two(capsys):

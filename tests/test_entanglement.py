@@ -240,6 +240,14 @@ def test_sampler_rejects_bad_n():
         sample_coincidences(rho, (0.0, 0.0), 0, seed=1)
 
 
+def test_sampler_rejects_n_beyond_int64():
+    rho = x_state(0.5, 0.5, 0.0)
+    with pytest.raises(ValidationError, match=r"2\*\*63 - 1"):
+        sample_coincidences(rho, (0.0, 0.0), 2**63, seed=1)
+    assert sample_coincidences(rho, (0.0, 0.0), 2**63 - 1, seed=1).sum() \
+        == 2**63 - 1
+
+
 def test_phi_plus_forbidden_outcomes_never_drawn():
     counts = sample_coincidences(x_state(0.5, 0.5, 0.5), (0.0, 0.0),
                                  100000, seed=5)

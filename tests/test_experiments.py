@@ -306,8 +306,8 @@ def test_anticrossing_figure_contents(tmp_path):
 
 
 def test_anticrossing_csv_matches_point_solutions(tmp_path):
-    # The exciton fractions are squared on the way to the file, as the
-    # scalar x_ex ** 2, and read back bit for bit.
+    # The exciton fractions are squared on the way to the file as
+    # x_ex * x_ex, and read back bit for bit.
     p = scheme_preset(2)
     deltas = np.linspace(-0.4, 0.4, 9)
     csv_path = str(tmp_path / "anticrossing.csv")
@@ -320,7 +320,7 @@ def test_anticrossing_csv_matches_point_solutions(tmp_path):
     for i, delta in enumerate(deltas.tolist()):
         for s in solve_polaritons(p.with_detuning(delta)):
             cell = rows[i][columns.index(f"xex2_{s.pol}_{s.branch}")]
-            assert float(cell) == s.x_ex ** 2
+            assert float(cell) == s.x_ex * s.x_ex
             cell = rows[i][columns.index(f"E_{s.pol}_{s.branch}")]
             assert float(cell) == s.energy
 
