@@ -36,7 +36,7 @@ from .experiments import (_GRID_HI, _GRID_LO, _GRID_POINTS, _SPECTRUM_MARGIN,
                           write_anticrossing_files, write_spectrum_files)
 from .model import SystemParams, scheme_id, scheme_preset
 from .pairstate import DetectorWindow, gamma_prime, gamma_unprojected
-from .polariton import anticrossing_sweep  # noqa: F401
+from .polariton import anticrossing_sweep, hypot  # noqa: F401
 from .svg import line_plot  # noqa: F401
 
 
@@ -294,17 +294,15 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
 def _cmd_gamma(cfg: RunConfig) -> dict:
     params = effective_params(cfg)
     if cfg.unprojected:
-        g = gamma_unprojected(params)
-        return {"gamma": {"re": g.real, "im": g.imag, "abs": abs(g)},
-                "projected": False}
-    pairing = effective_pairing(cfg)
-    w = effective_window(cfg, params)
-    coh = gamma_prime(params, pairing, w)
-    return {"gamma": {"re": coh.gamma.real, "im": coh.gamma.imag,
-                      "abs": abs(coh.gamma)},
-            "projected": True, "pairing": coh.pairing,
-            "window": asdict(w),
-            "channel_norms": dict(coh.channel_norms)}
+        g, rest = gamma_unprojected(params), {"projected": False}
+    else:
+        w = effective_window(cfg, params)
+        coh = gamma_prime(params, effective_pairing(cfg), w)
+        g, rest = coh.gamma, {"projected": True, "pairing": coh.pairing,
+                              "window": asdict(w),
+                              "channel_norms": dict(coh.channel_norms)}
+    magnitude = hypot(g.real, g.imag)
+    return {"gamma": {"re": g.real, "im": g.imag, "abs": magnitude}, **rest}
 
 
 def _cmd_entangle(cfg: RunConfig) -> dict:

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .polariton import hypot
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -80,7 +81,8 @@ def x_state(p_hh: float, p_vv: float, gamma: complex) -> TwoQubitDensityMatrix:
     gamma = complex(gamma)
     # Reject, never clip: a corner exceeding the populations' geometric
     # mean is not a state.
-    gamma2 = abs(gamma) * abs(gamma)
+    magnitude = hypot(gamma.real, gamma.imag)
+    gamma2 = magnitude * magnitude
     if gamma2 > p_hh * p_vv + 1e-12:
         raise ValidationError(
             f"|gamma|^2 = {gamma2!r} exceeds pHH*pVV = {p_hh * p_vv!r}")
@@ -104,7 +106,7 @@ def _x_pt_eigenvalues(pt: np.ndarray) -> np.ndarray:
     for i, j in ((0, 3), (1, 2)):
         a = pt[i, i].real
         d = pt[j, j].real
-        r = math.hypot((a - d) / 2.0, abs(pt[i, j]))
+        r = hypot((a - d) / 2.0, hypot(pt[i, j].real, pt[i, j].imag))
         mean = (a + d) / 2.0
         out.extend((mean - r, mean + r))
     return np.array(sorted(out))
@@ -147,7 +149,7 @@ def peres_test(rho: TwoQubitDensityMatrix) -> EntanglementReport:
         negativity=negativity,
         entangled=min_eig < -1e-10,
         chsh_max=chsh_bound(rho),
-        gamma_magnitude=abs(rho.gamma),
+        gamma_magnitude=hypot(rho.gamma.real, rho.gamma.imag),
     )
 
 

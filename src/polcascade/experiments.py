@@ -45,7 +45,7 @@ from .pairstate import (_GAMMA_BOUND, DetectorWindow,  # noqa: F401
                         gamma_prime, gamma_prime_arrays, invalid_windows,
                         normalize_pairing, pairing_labels)
 from .polariton import (PolaritonArrays, _zoom_min, anticrossing_sweep,
-                        detuning_grid, find_crossings)
+                        detuning_grid, find_crossings, hypot)
 from .svg import line_plot
 
 # Branch pairing correlated in each scheme's coherence curve; scheme 2
@@ -121,7 +121,7 @@ class SweepRow:
 
     @property
     def abs_gamma(self) -> float:
-        return abs(self.gamma)
+        return hypot(self.gamma.real, self.gamma.imag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +146,8 @@ class SweepCurve:
 
     @property
     def abs_gamma(self) -> np.ndarray:
-        # hypot, as Python's abs of a complex; np.abs differs in the last bit.
-        return np.hypot(self.gamma.real, self.gamma.imag)
+        """|gamma'| per point by polariton.hypot, as rows[i].abs_gamma."""
+        return hypot(self.gamma.real, self.gamma.imag)
 
     @property
     def rows(self) -> tuple:
@@ -284,7 +284,7 @@ def write_anticrossing_files(csv_path: str, params: SystemParams, deltas,
         **{f"xex2_{p}_{b}": x for (p, b), x in zip(STATE_ORDER, x_ex2)}})
     paths = [csv_path]
     if svg:
-        svg_path = csv_path[:-4] + ".svg"
+        svg_path = os.path.splitext(csv_path)[0] + ".svg"
         line_plot(svg_path, [(f"{p} {b}", deltas, e)
                              for (p, b), e in energies.items()],
                   title=title, xlabel="cavity-exciton detuning (meV)",
@@ -312,7 +312,7 @@ def write_spectrum_files(csv_path: str, params: SystemParams, grid,
     write_spectrum_csv(csv_path, spectrum, header_lines=header_lines)
     paths = [csv_path]
     if svg:
-        svg_path = csv_path[:-4] + ".svg"
+        svg_path = os.path.splitext(csv_path)[0] + ".svg"
         line_plot(svg_path, [
             ("H", grid, spectrum.intensity_h),
             ("V", grid, spectrum.intensity_v),

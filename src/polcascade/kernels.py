@@ -476,9 +476,12 @@ def window_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     return self_[0], self_[1], np.where(pref_ab != 0, cross * pref_ab, 0)
 
 
-def midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2, exx_a, gxx_a,
-                     exx_b, gxx_b, e_a, g_a, e_b, g_b, pref):
-    """Midpoint-rule value of the same window integral on an n1 x n2 grid."""
+def midpoint_overlap(side_a, side_b, k1_lo, k1_hi, n1, k2_lo, k2_hi, n2):
+    """Midpoint-rule value of the window integral of conj(amplitude_a) *
+    amplitude_b on an n1 x n2 grid.  side_a and side_b are one column
+    each of window_overlaps' sides: exx, gxx, e, g, pref."""
+    exx_a, gxx_a, e_a, g_a, pref_a = side_a
+    exx_b, gxx_b, e_b, g_b, pref_b = side_b
     n1 = int(n1)
     n2 = int(n2)
     h1 = (k1_hi - k1_lo) / n1
@@ -499,4 +502,4 @@ def midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2, exx_a, gxx_a,
             fu = 1.0 / ((u - p) * (u - q))
         gv = 1.0 / ((k2 - pa) * (k2 - pb))
         total += np.sum(fu * gv[None, :])
-    return pref * h1 * h2 * total
+    return pref_a * pref_b * h1 * h2 * total

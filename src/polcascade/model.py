@@ -37,6 +37,8 @@ def lifetime_to_linewidth(tau_ps: float) -> float:
 
 
 def _require_finite(name: str, value: float) -> None:
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
 

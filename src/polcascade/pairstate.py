@@ -32,6 +32,7 @@ from .cascade import (STATE_ORDER, CascadeChannel, ChannelArrays,
                       channel_arrays, enumerate_channels)
 from .errors import EmptyWindowError, ValidationError
 from .model import SystemParams
+from .polariton import hypot
 
 TWO_PI = 2.0 * math.pi
 # |gamma'| <= 1/2 by Cauchy-Schwarz and AM-GM, plus a roundoff allowance.
@@ -138,9 +139,10 @@ class PairCoherence:
     pairing: str = ""
 
     def __post_init__(self):
-        if abs(self.gamma) > _GAMMA_BOUND:
+        magnitude = hypot(self.gamma.real, self.gamma.imag)
+        if magnitude > _GAMMA_BOUND:
             raise ValidationError(
-                f"|gamma| = {abs(self.gamma)!r} exceeds the 1/2 bound")
+                f"|gamma| = {magnitude!r} exceeds the 1/2 bound")
         for label, norm in self.channel_norms.items():
             if norm < 0:
                 raise ValidationError(f"negative channel norm for {label}")
@@ -151,21 +153,14 @@ def _prefactor(x_ex, x_ph, gxx, g):
     return x_ex * x_ph * np.sqrt(gxx * g) / TWO_PI
 
 
-def _amp_prefactor(ch: CascadeChannel) -> float:
-    s = ch.intermediate
-    return float(_prefactor(s.x_ex, s.x_ph, ch.xx_total_width, s.linewidth))
-
-
 def amplitude(ch: CascadeChannel, k1: float, k2: float) -> complex:
     """Two-photon amplitude of one channel at photon energies (k1, k2)."""
     if k1 <= 0 or k2 <= 0:
         raise ValidationError(f"photon energies must be positive, got {(k1, k2)!r}")
-    pref = _amp_prefactor(ch)
+    exx, gxx, e, g, pref = _sides([ch])[:, 0].tolist()
     if pref == 0.0:
         return 0j
-    eps_xx = ch.e_xx - 1j * ch.xx_total_width
-    eps_pol = ch.intermediate.energy - 1j * ch.intermediate.linewidth
-    return pref / ((k1 + k2 - eps_xx) * (k2 - eps_pol))
+    return pref / ((k1 + k2 - (exx - 1j * gxx)) * (k2 - (e - 1j * g)))
 
 
 def window_value(w: DetectorWindow, k1: float, k2: float) -> int:
@@ -189,15 +184,6 @@ def _sides(channels):
         (ch.e_xx, ch.xx_total_width, ch.intermediate.energy,
          ch.intermediate.linewidth, ch.intermediate.x_ex, ch.intermediate.x_ph)
         for ch in channels]).T)
-
-
-def _pole_args(ch_a: CascadeChannel, ch_b: CascadeChannel) -> list:
-    """The nine pole parameters of conj(amplitude_a) * amplitude_b that
-    kernels.overlap_integrand and kernels.midpoint_overlap take: exx_a,
-    gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b and pref_a * pref_b."""
-    (exx_a, gxx_a, e_a, g_a, pref_a), (exx_b, gxx_b, e_b, g_b, pref_b) = (
-        _sides([ch_a, ch_b]).T.tolist())
-    return [exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, pref_a * pref_b]
 
 
 def _overlap_boxes(boxes) -> list:
@@ -227,11 +213,11 @@ def brute_force_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
     """Midpoint-rule cross check of windowed_overlap on an n x n grid."""
     if not (isinstance(n, int) and n >= 2):
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
-    args = _pole_args(ch_a, ch_b)
-    if args[-1] == 0.0:
+    side_a, side_b = _sides([ch_a, ch_b]).T.tolist()
+    if side_a[4] * side_b[4] == 0.0:
         return 0j
-    return complex(kernels.midpoint_overlap(*w.k1_interval, n,
-                                            *w.k2_interval, n, *args))
+    return complex(kernels.midpoint_overlap(side_a, side_b, *w.k1_interval, n,
+                                            *w.k2_interval, n))
 
 
 def _pair_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
@@ -240,29 +226,19 @@ def _pair_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     side_a and side_b hold the _side rows of the channel on each side of
     every point.  Point i's window is the box (k1_lo[i], k1_hi[i]) x
     (k2_lo[i], k2_hi[i]).  The self_a, self_b and cross overlaps of all
-    points come from one kernels.window_overlaps call.  Raises for the
-    first failing point: EmptyWindowError when its window holds no
-    emission, or the ValidationError of a |gamma'| above 1/2.  Returns
-    (self_a, self_b, gamma).
+    points come from one kernels.window_overlaps call.  Raises
+    EmptyWindowError if a window holds no emission.  Returns (self_a,
+    self_b, gamma); the |gamma'| <= 1/2 bound is checked where the result
+    is built, by PairCoherence or SweepCurve.
     """
     self_a, self_b, cross = kernels.window_overlaps(side_a, side_b, k1_lo,
                                                     k1_hi, k2_lo, k2_hi)
     norm = self_a + self_b
-    empty = norm < 1e-300
-    # Divides each part by the real norm; empty windows raise below.
-    norm = np.where(empty, 1.0, norm)
-    gamma = np.empty(cross.shape, dtype=complex)
-    gamma.real = cross.real / norm
-    gamma.imag = cross.imag / norm
-    bad = empty | (np.abs(gamma) > _GAMMA_BOUND)
-    if bad.any():
-        i = int(bad.argmax())
-        if empty[i]:
-            raise EmptyWindowError(
-                "empty window: no emission inside the acceptance")
-        raise ValidationError(
-            f"|gamma| = {abs(complex(gamma[i]))!r} exceeds the 1/2 bound")
-    return self_a, self_b, gamma
+    if (norm < 1e-300).any():
+        raise EmptyWindowError(
+            "empty window: no emission inside the acceptance")
+    # Divides each part by the real norm.
+    return self_a, self_b, kernels._join(cross.real / norm, cross.imag / norm)
 
 
 def gamma_prime_arrays(channels: ChannelArrays, pairing: str, center1,
@@ -272,8 +248,8 @@ def gamma_prime_arrays(channels: ChannelArrays, pairing: str, center1,
 
     Point i's window has centers center1[i], center2[i] and full width
     width, one number for all points or an array of one per point.
-    Returns the self_a, self_b and gamma arrays; errors are raised in the
-    order of _pair_overlaps.
+    Returns the self_a, self_b and gamma arrays, raising as _pair_overlaps
+    does; the caller's SweepCurve or PairCoherence checks the 1/2 bound.
     """
     def side(row):
         """The _side rows of one channel at every point."""

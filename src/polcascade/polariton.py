@@ -74,6 +74,14 @@ class PolaritonArrays:
             for (pol, branch), energy, x_ex, x_ph, linewidth in columns))
 
 
+def hypot(x, y):
+    """CPython's math.hypot, per element where x or y is an array: the one
+    modulus rule, correctly rounded where the C library's may not be."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.asarray(np.frompyfunc(math.hypot, 2, 1)(x, y), dtype=float)
+    return math.hypot(x, y)
+
+
 # Signs that turn the LP photon fraction 0.5 (1 + dr) into the photon
 # (first row) and exciton (second row) fractions of LP and UP; a sign
 # flip is exact, so 1 + (-dr) equals the scalar 1 - dr bit for bit.
@@ -95,9 +103,7 @@ def polariton_arrays(params: SystemParams, cav_mean) -> PolaritonArrays:
                             (-params.delta_c) / 2])[:, None, None]
     mean = 0.5 * (e_exc + e_cav)
     delta = e_exc - e_cav
-    # CPython's math.hypot rounds correctly; np.hypot (libm's) may not.
-    r = np.array([math.hypot(d, params.rabi) for d in delta.ravel().tolist()]
-                 ).reshape(delta.shape)
+    r = hypot(delta, params.rabi)
     # LP photon fraction grows as the cavity mode dives below the exciton.
     x_ph2, x_ex2 = np.minimum(1.0, np.maximum(
         0.0, 0.5 * (1.0 + _FRACTION_SIGN * (delta / r))))

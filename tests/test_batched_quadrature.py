@@ -400,14 +400,15 @@ def test_sweep_checks_weights_before_the_window_of_each_point(
 
 def test_self_kernel_is_real_and_matches_complex_form():
     ch = enumerate_channels(scheme_preset(1))[0]
-    args = pairstate._pole_args(ch, ch)
+    exx, gxx, e, g, pref_one = pairstate._sides([ch])[:, 0].tolist()
+    pref = pref_one * pref_one
     v = np.linspace(ch.intermediate.energy - 0.1,
                     ch.intermediate.energy + 0.1, 257)
     k1_lo, k1_hi = ch.photon1 - 0.1, ch.photon1 + 0.1
-    got = kernels.overlap_integrand(v, k1_lo, k1_hi, *args)
+    got = kernels.overlap_integrand(v, k1_lo, k1_hi, exx, gxx, exx, gxx,
+                                    e, g, e, g, pref)
     # Real up to roundoff: both factors share every pole.
     assert np.all(np.abs(got.imag) <= 1e-14 * np.abs(got.real))
-    exx, gxx, _, _, e, g, _, _, pref = args
     fu = (np.arctan((k1_hi + v - exx) / gxx)
           - np.arctan((k1_lo + v - exx) / gxx)) / gxx
     expected = pref * fu / ((v - (e + 1j * g)) * (v - (e - 1j * g)))

@@ -19,6 +19,7 @@ from polcascade.errors import EmptyWindowError, ValidationError
 from polcascade.experiments import tracked_window
 from polcascade.model import SystemParams, scheme_preset
 from polcascade.pairstate import DetectorWindow
+from polcascade.polariton import hypot
 
 
 def random_x_states(rng, count):
@@ -111,7 +112,7 @@ def test_peres_random_x_states_iff_gamma():
         assert rep.entangled == (rep.negativity > 0.0)
         assert rep.negativity >= 0.0
         assert 2.0 - 1e-12 <= rep.chsh_max <= 2.0 * math.sqrt(2.0) * (1 + 1e-12)
-        assert rep.gamma_magnitude == abs(rho.gamma)
+        assert rep.gamma_magnitude == hypot(rho.gamma.real, rho.gamma.imag)
 
 
 def test_balanced_min_pt_eigenvalue_is_minus_gamma():

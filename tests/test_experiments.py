@@ -14,11 +14,12 @@ from polcascade.experiments import (FIGURE_IDS, SCHEME_PAIRING, SweepCurve,
                                     SweepRow, default_delta_grid, fig4_sweep,
                                     optimize_detuning, reproduce_figure,
                                     sweep_gamma, tracked_window,
-                                    write_anticrossing_files)
+                                    write_anticrossing_files,
+                                    write_spectrum_files)
 from polcascade.model import scheme_preset
 from polcascade.pairstate import (DetectorWindow, gamma_prime,
                                   pairing_channels)
-from polcascade.polariton import anticrossing_sweep, solve_polaritons
+from polcascade.polariton import anticrossing_sweep, hypot, solve_polaritons
 
 
 def read_csv(path):
@@ -245,8 +246,8 @@ def test_optimize_matches_golden_section_reference(scheme, lo, hi):
     # The value reported is gamma_prime's at the returned detuning.
     at = scheme_preset(scheme).with_detuning(delta)
     pairing = SCHEME_PAIRING[scheme]
-    assert val == abs(gamma_prime(at, pairing,
-                                  tracked_window(at, pairing)).gamma)
+    g = gamma_prime(at, pairing, tracked_window(at, pairing)).gamma
+    assert val == hypot(g.real, g.imag)
 
 
 def test_optimize_runs_on_array_sweeps_only(monkeypatch):
@@ -323,6 +324,21 @@ def test_anticrossing_csv_matches_point_solutions(tmp_path):
             assert float(cell) == s.x_ex * s.x_ex
             cell = rows[i][columns.index(f"E_{s.pol}_{s.branch}")]
             assert float(cell) == s.energy
+
+
+def test_svg_beside_a_csv_path_without_extension(tmp_path):
+    # The SVG takes the CSV path less its extension, if any, so a path
+    # without one never yields a hidden file named ".svg".
+    p = scheme_preset(1)
+    levels, spec = str(tmp_path / "levels"), str(tmp_path / "spec")
+    paths, _ = write_anticrossing_files(levels, p, np.linspace(-0.1, 0.1, 3),
+                                        ["levels"], "levels")
+    assert paths == [levels, levels + ".svg"]
+    grid = np.linspace(997.0, 1001.0, 11)
+    assert write_spectrum_files(spec, p, grid, ["spectrum"],
+                                "spectrum") == [spec, spec + ".svg"]
+    assert sorted(os.listdir(tmp_path)) == ["levels", "levels.svg", "spec",
+                                            "spec.svg"]
 
 
 def test_spectrum_figure_four_peaks_per_polarization(tmp_path):

@@ -62,9 +62,9 @@ def test_midpoint_matches_amplitude_product_sum():
     amp_b = 1.0 / ((kk1 + kk2 - (exx_b - 1j * gxx_b))
                    * (kk2 - (e_b - 1j * g_b)))
     expected = pref * h1 * h2 * np.sum(np.conj(amp_a) * amp_b)
-    got = kernels.midpoint_overlap(k1_lo, k1_hi, n1, k2_lo, k2_hi, n2,
-                                   exx_a, gxx_a, exx_b, gxx_b,
-                                   e_a, g_a, e_b, g_b, pref)
+    got = kernels.midpoint_overlap((exx_a, gxx_a, e_a, g_a, pref),
+                                   (exx_b, gxx_b, e_b, g_b, 1.0),
+                                   k1_lo, k1_hi, n1, k2_lo, k2_hi, n2)
     assert_allclose(got, expected, rtol=1e-12)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -134,6 +135,15 @@ def test_invalid_params_rejected(field, value):
     good[field] = value
     with pytest.raises(ValidationError):
         SystemParams(**good)
+
+
+@pytest.mark.parametrize("value", [None, "0.2"])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(
+    SystemParams)])
+def test_non_number_params_name_their_field(field, value):
+    # Refused by name, before math.isfinite could raise a bare TypeError.
+    with pytest.raises(ValidationError, match=f"^{field} must be a real "):
+        SystemParams(**{field: value})
 
 
 def test_params_are_immutable():

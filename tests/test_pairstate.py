@@ -594,7 +594,8 @@ def test_overlaps_and_gamma_prime_match_the_midpoint_oracle(
     # its width from the tracked centers.
     ch_a, ch_b = pairing_channels(
         cascade_channels(params, own_xx_width=per_channel), pairing)
-    _, gxx_a, _, gxx_b, _, g_a, _, g_b, _ = pairstate._pole_args(ch_a, ch_b)
+    (_, gxx_a, _, g_a, _), (_, gxx_b, _, g_b, _) = (
+        pairstate._sides([ch_a, ch_b]).T.tolist())
     width = cells * min(gxx_a / 2, gxx_b / 2, g_a, g_b) * ORACLE_N / 10
     tracked = tracked_window(params, pairing, width)
     w = DetectorWindow(center1=tracked.center1 + off1 * width,
