@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import HBAR_MEV_PS, SystemParams
+from .model import HBAR_MEV_PS, SystemParams, _require_grid
 # cascade no longer calls solve_polaritons.  The name stays importable from
 # here only so that the benchmark tracer's (cascade, "solve_polaritons")
 # site resolves; patching it here changes nothing.
@@ -151,20 +151,6 @@ def _lorentzian(grid: np.ndarray, center: float, halfwidth: float) -> np.ndarray
     return (halfwidth / np.pi) / (d * d + halfwidth * halfwidth)
 
 
-def _validate_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValidationError("energy grid must be a 1-d array of >= 2 points")
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("energy grid contains non-finite values")
-    steps = np.diff(grid)
-    if not np.all(steps > 0):
-        raise ValidationError("energy grid must be strictly increasing")
-    if np.min(steps) < 1e-12:
-        raise ValidationError("energy grid points closer than 1e-12 meV")
-    return grid
-
-
 def pl_spectrum(params: SystemParams, energy_grid,
                 reference: str = "absolute") -> Spectrum:
     """Luminescence spectrum of the full cascade.
@@ -177,7 +163,9 @@ def pl_spectrum(params: SystemParams, energy_grid,
     if reference not in ("absolute", "relative_to_ex_mean"):
         raise ValidationError(
             f"reference must be 'absolute' or 'relative_to_ex_mean', got {reference!r}")
-    grid = _validate_grid(energy_grid)
+    grid = _require_grid("energy grid", energy_grid, least=2)
+    if np.diff(grid).min() < 1e-12:
+        raise ValidationError("energy grid points closer than 1e-12 meV")
     offset = params.ex_mean if reference == "relative_to_ex_mean" else 0.0
     channels = enumerate_channels(params)
     out = {"H": np.zeros_like(grid), "V": np.zeros_like(grid)}

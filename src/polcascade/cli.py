@@ -34,7 +34,9 @@ from .experiments import (_GRID_HI, _GRID_LO, _GRID_POINTS, _SPECTRUM_MARGIN,
                           SCHEME_PAIRING, optimize_detuning, reproduce_figure,
                           spectrum_grid, tracked_window,
                           write_anticrossing_files, write_spectrum_files)
-from .model import SystemParams, scheme_id, scheme_preset
+from .model import (SystemParams, _require_count, _require_finite,
+                    _require_positive, _require_range, scheme_id,
+                    scheme_preset)
 from .pairstate import DetectorWindow, gamma_prime, gamma_unprojected
 from .polariton import anticrossing_sweep, hypot  # noqa: F401
 from .svg import line_plot  # noqa: F401
@@ -193,18 +195,14 @@ def _validate_config(cfg: RunConfig) -> None:
             f"reference must be absolute or relative_to_ex_mean, "
             f"got {cfg.reference!r}")
     for name in ("width", "margin"):
-        if not getattr(cfg, name) > 0:
-            raise ValidationError(f"{name} must be > 0")
+        _require_positive(name, getattr(cfg, name))
     for name, least in (("points", 2), ("sweep_points", 1), ("n", 1),
                         ("seed", 0)):
-        if getattr(cfg, name) < least:
-            raise ValidationError(f"{name} must be >= {least}")
-    for name in ("angle_a", "angle_b", "sweep_lo", "sweep_hi", "lo", "hi"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ValidationError(f"{name} must be finite")
+        _require_count(name, getattr(cfg, name), least)
+    for name in ("angle_a", "angle_b"):
+        _require_finite(name, getattr(cfg, name))
     for lo, hi in (("sweep_lo", "sweep_hi"), ("lo", "hi")):
-        if not getattr(cfg, lo) < getattr(cfg, hi):
-            raise ValidationError(f"{lo} must be < {hi}")
+        _require_range(lo, hi, getattr(cfg, lo), getattr(cfg, hi))
     _figure_ids(cfg.figures)
 
 

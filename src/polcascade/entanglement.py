@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .model import _require_count, _require_finite
 from .polariton import hypot
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,12 +74,15 @@ class EntanglementReport:
 
 def x_state(p_hh: float, p_vv: float, gamma: complex) -> TwoQubitDensityMatrix:
     """The cascade's state family: HH/VV populations with corner coherence."""
+    _require_finite("p_hh", p_hh)
+    _require_finite("p_vv", p_vv)
+    gamma = complex(*(_require_finite("gamma", part) for part in (
+        getattr(gamma, "real", gamma), getattr(gamma, "imag", 0.0))))
     if p_hh < 0 or p_vv < 0:
         raise ValidationError(f"populations must be >= 0, got {(p_hh, p_vv)!r}")
     if abs(p_hh + p_vv - 1.0) > 1e-12:
         raise ValidationError(
             f"populations must sum to 1, got {p_hh + p_vv!r}")
-    gamma = complex(gamma)
     # Reject, never clip: a corner exceeding the populations' geometric
     # mean is not a state.
     magnitude = hypot(gamma.real, gamma.imag)
@@ -164,8 +168,8 @@ def _polarizer_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
 def born_probabilities(rho: TwoQubitDensityMatrix, angle_a: float,
                        angle_b: float) -> np.ndarray:
     """2x2 outcome probabilities; rows = analyzer A port, cols = B port."""
-    pa = _polarizer_projectors(angle_a)
-    pb = _polarizer_projectors(angle_b)
+    pa = _polarizer_projectors(_require_finite("angle_a", angle_a))
+    pb = _polarizer_projectors(_require_finite("angle_b", angle_b))
     probs = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
@@ -200,7 +204,14 @@ def optimal_chsh_angles(gamma: float) -> tuple[float, float, float, float]:
 
 def correlation_from_counts(counts) -> float:
     """Empirical correlation of one 2x2 coincidence-count table."""
-    c = np.asarray(counts, dtype=float)
+    try:
+        c = np.asarray(counts, dtype=float)
+        valid = c.shape == (2, 2) and bool(np.all(np.isfinite(c) & (c >= 0)))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValidationError(
+            f"counts must be a 2x2 table of finite counts >= 0, got {counts!r}")
     total = c.sum()
     if total <= 0:
         raise ValidationError("counts table is empty")
@@ -214,10 +225,7 @@ def sample_coincidences(rho: TwoQubitDensityMatrix, basis_pair, n: int,
     Returns the 2x2 integer count table; identical (rho, angles, n, seed)
     give identical counts.
     """
-    # NumPy's multinomial takes n as a C long.
-    if not (isinstance(n, int) and 1 <= n <= 2**63 - 1):
-        raise ValidationError(
-            f"n must be an integer in [1, 2**63 - 1], got {n!r}")
+    n = _require_count("n", n, 1)
     angle_a, angle_b = basis_pair
     probs = born_probabilities(rho, angle_a, angle_b)
     rng = np.random.default_rng(seed)

@@ -28,24 +28,23 @@ by array sweeps.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .cascade import (STATE_ORDER, _write_rows_csv, channel_arrays,
                       enumerate_channels, pl_spectrum, write_spectrum_csv)
 from .errors import ConvergenceError, ValidationError
-from .model import SystemParams, scheme_id, scheme_preset
+from .model import (SystemParams, _require_count, _require_finite,
+                    _require_grid, _require_range, scheme_id, scheme_preset)
 # gamma_prime is not called here; it is imported only so that the
 # benchmark tracer's experiments site resolves.
 from .pairstate import (_GAMMA_BOUND, DetectorWindow,  # noqa: F401
                         gamma_prime, gamma_prime_arrays, invalid_windows,
                         normalize_pairing, pairing_labels)
 from .polariton import (PolaritonArrays, _zoom_min, anticrossing_sweep,
-                        detuning_grid, find_crossings, hypot)
+                        find_crossings, hypot)
 from .svg import line_plot
 
 # Branch pairing correlated in each scheme's coherence curve; scheme 2
@@ -61,6 +60,8 @@ _GRID_POINTS = 161
 _WINDOW_WIDTH = 0.2
 _SPECTRUM_MARGIN = 0.5
 _SPECTRUM_POINTS = 4001
+# Evenly spaced detunings of optimize_detuning's first scan.
+_SCAN_POINTS = 50
 
 # Grid points per batched overlap call: one standard grid, so a default
 # sweep pays the per-call work (channel solve, window checks, kernel
@@ -127,8 +128,9 @@ class SweepRow:
 @dataclass(frozen=True, eq=False)
 class SweepCurve:
     """|gamma'| versus detuning for one scheme.  Point i has detuning
-    deltas[i], coherence gamma[i] and the window with centers center1[i],
-    center2[i] and full width width[i]."""
+    deltas[i], coherence gamma[i], |gamma'| abs_gamma[i] and the window
+    with centers center1[i], center2[i] and full width width[i].
+    abs_gamma is taken once, by polariton.hypot, as rows[i].abs_gamma."""
 
     deltas: np.ndarray
     gamma: np.ndarray
@@ -137,17 +139,15 @@ class SweepCurve:
     width: np.ndarray
     pairing: str
     scheme: int = 0
+    abs_gamma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.deltas) <= 0):
             raise ValidationError("sweep rows must be sorted by detuning")
+        object.__setattr__(self, "abs_gamma",
+                           hypot(self.gamma.real, self.gamma.imag))
         if np.any(self.abs_gamma > _GAMMA_BOUND):
             raise ValidationError("a sweep row violates the |gamma'| <= 1/2 bound")
-
-    @property
-    def abs_gamma(self) -> np.ndarray:
-        """|gamma'| per point by polariton.hypot, as rows[i].abs_gamma."""
-        return hypot(self.gamma.real, self.gamma.imag)
 
     @property
     def rows(self) -> tuple:
@@ -200,7 +200,8 @@ def sweep_gamma(params: SystemParams, pairing: str, deltas=None,
     another.
     """
     pairing = normalize_pairing(pairing)
-    grid = default_delta_grid() if deltas is None else detuning_grid(deltas)
+    grid = (default_delta_grid() if deltas is None
+            else _require_grid("detuning grid", deltas))
     chunks = [_sweep_point((params, grid[i:i + _CHUNK_POINTS], pairing,
                             width, window))
               for i in range(0, grid.size, _CHUNK_POINTS)]
@@ -223,20 +224,16 @@ def fig4_sweep(scheme: int | str, deltas=None, width: float = _WINDOW_WIDTH,
 
 def optimize_detuning(scheme: int | str, lo: float = _GRID_LO,
                       hi: float = _GRID_HI, width: float = _WINDOW_WIDTH,
-                      scan_points: int = 50,
                       window: DetectorWindow | None = None) -> tuple[float, float]:
-    """Detuning maximizing |gamma'| for a scheme: scan, then zoom by array
-    sweeps, each one sweep_gamma call.
+    """Detuning maximizing |gamma'| for a scheme: scan _SCAN_POINTS points,
+    then zoom by array sweeps, each one sweep_gamma call.
 
     Returns (delta_cx, abs_gamma), abs_gamma equal to |gamma_prime| at
     delta_cx.  A flat objective (say, a fixed window that misses every
     line) is refused.  scheme is an int or a name scheme_id accepts.
     """
     scheme = scheme_id(scheme)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValidationError(f"invalid range ({lo!r}, {hi!r})")
-    if not (isinstance(scan_points, numbers.Integral) and scan_points >= 3):
-        raise ValidationError("scan_points must be an integer >= 3")
+    _require_range("lo", "hi", lo, hi)
     params = scheme_preset(scheme)
     pairing = SCHEME_PAIRING[scheme]
 
@@ -244,14 +241,14 @@ def optimize_detuning(scheme: int | str, lo: float = _GRID_LO,
         return -sweep_gamma(params, pairing, deltas=deltas, width=width,
                             window=window).abs_gamma
 
-    xs = np.linspace(lo, hi, scan_points)
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
     vals = neg_abs_gamma(xs)
     if vals.max() - vals.min() < 1e-12:
         raise ConvergenceError(
             "|gamma'| is flat over the scan range; no detuning optimum exists")
     best = int(np.argmin(vals))
     delta, neg = _zoom_min(neg_abs_gamma, xs.item(max(best - 1, 0)),
-                           xs.item(min(best + 1, scan_points - 1)), xtol=1e-4)
+                           xs.item(min(best + 1, _SCAN_POINTS - 1)), xtol=1e-4)
     return delta, -neg
 
 
@@ -259,8 +256,8 @@ def _provenance(figure: str, params: SystemParams, extra=()) -> list[str]:
     from . import __version__
 
     lines = [f"polcascade {__version__}", f"figure {figure}"]
-    for field in fields(params):
-        lines.append(f"{field.name} = {getattr(params, field.name)!r}")
+    for f in fields(params):
+        lines.append(f"{f.name} = {getattr(params, f.name)!r}")
     lines.extend(extra)
     return lines
 
@@ -297,6 +294,8 @@ def spectrum_grid(params: SystemParams, margin: float = _SPECTRUM_MARGIN,
                   points: int = _SPECTRUM_POINTS) -> np.ndarray:
     """Energy grid from margin meV below the lowest line to above the
     highest."""
+    _require_finite("margin", margin)
+    points = _require_count("points", points, 2)
     lines = []
     for ch in enumerate_channels(params):
         lines.extend((ch.photon1, ch.photon2))

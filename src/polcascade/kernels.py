@@ -482,8 +482,6 @@ def midpoint_overlap(side_a, side_b, k1_lo, k1_hi, n1, k2_lo, k2_hi, n2):
     each of window_overlaps' sides: exx, gxx, e, g, pref."""
     exx_a, gxx_a, e_a, g_a, pref_a = side_a
     exx_b, gxx_b, e_b, g_b, pref_b = side_b
-    n1 = int(n1)
-    n2 = int(n2)
     h1 = (k1_hi - k1_lo) / n1
     h2 = (k2_hi - k2_lo) / n2
     k1 = k1_lo + (np.arange(n1) + 0.5) * h1

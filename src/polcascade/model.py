@@ -3,6 +3,12 @@
 All energies are in meV, lifetimes in ps.  Level positions are stored as a
 mean plus a fine-structure splitting for each of the exciton doublet and the
 cavity mode doublet; polarization-resolved levels are derived on access.
+
+The package's input rules, one per kind, are here; each raises a
+ValidationError naming the input: _require_finite, _require_positive (inf
+passes), _require_count (an integer, not a bool, up to 2**63 - 1),
+_require_range (finite lo < hi) and _require_grid (a 1-d, finite,
+strictly increasing grid).
 """
 from __future__ import annotations
 
@@ -11,6 +17,8 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -31,16 +39,73 @@ def hbar_mev_ps() -> float:
 
 def lifetime_to_linewidth(tau_ps: float) -> float:
     """Half width at half maximum (meV) of a state with lifetime tau_ps."""
-    if not tau_ps > 0:
-        raise ValidationError(f"lifetime must be positive, got {tau_ps}")
-    return HBAR_MEV_PS / tau_ps
+    return HBAR_MEV_PS / _require_positive("tau_ps", tau_ps)
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require_real(name: str, value):
     if not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    return value
+
+
+def _require_finite(name: str, value):
+    """value, a real number that is neither NaN nor infinite."""
+    if not math.isfinite(_require_real(name, value)):
         raise ValidationError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_positive(name: str, value):
+    """value, a real number above 0; inf passes."""
+    if not _require_real(name, value) > 0:
+        raise ValidationError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _require_count(name: str, value, least: int) -> int:
+    """value as an int: an integer, not a bool, from least up to 2**63 - 1,
+    the largest C long that NumPy takes."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not least <= value <= 2**63 - 1):
+        raise ValidationError(
+            f"{name} must be an integer in [{least}, 2**63 - 1], got {value!r}")
+    return int(value)
+
+
+def _require_range(lo_name: str, hi_name: str, lo, hi) -> None:
+    """lo and hi finite, with lo < hi; a failure names lo_name or hi_name."""
+    _require_finite(lo_name, lo)
+    _require_finite(hi_name, hi)
+    if not lo < hi:
+        raise ValidationError(f"need {lo_name} < {hi_name}, got [{lo}, {hi}]")
+
+
+def _require_grid(name: str, values, least: int = 1) -> np.ndarray:
+    """values as a new float array.  A grid must be a 1-d sequence of at
+    least least finite numbers in strictly increasing order; each fault
+    raises its own ValidationError."""
+    try:
+        grid = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold only numbers: {exc}") from None
+    if grid.ndim != 1:
+        raise ValidationError(f"{name} must be 1-d, got shape {grid.shape}")
+    if grid.size < least:
+        raise ValidationError(
+            f"{name} is empty" if grid.size == 0 else
+            f"{name} must hold at least {least} points, got {grid.size}")
+    bad = ~np.isfinite(grid)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValidationError(
+            f"{name} must be finite, got {grid.item(i)!r} at index {i}")
+    bad = np.diff(grid) <= 0
+    if bad.any():
+        i = int(bad.argmax()) + 1
+        raise ValidationError(
+            f"{name} must be strictly increasing, got "
+            f"{grid.item(i - 1)!r} then {grid.item(i)!r} at index {i}")
+    return grid
 
 
 def _exact_mean_split(a: float, b: float) -> tuple[float, float]:
@@ -100,14 +165,8 @@ class SystemParams:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             _require_finite(field.name, getattr(self, field.name))
-        if not self.rabi > 0:
-            raise ValidationError(f"rabi must be positive, got {self.rabi}")
-        if not self.tau_c > 0:
-            raise ValidationError(f"tau_c must be positive, got {self.tau_c}")
-        if not self.tau_xx > 0:
-            raise ValidationError(f"tau_xx must be positive, got {self.tau_xx}")
-        if not self.binding > 0:
-            raise ValidationError(f"binding must be positive, got {self.binding}")
+        for name in ("rabi", "tau_c", "tau_xx", "binding"):
+            _require_positive(name, getattr(self, name))
         # Strong-coupling treatment assumes the biexciton line is far from
         # the polariton doublets: binding well above hbar*Omega_R.
         if self.binding < 10 * (self.rabi / 2):

@@ -31,7 +31,8 @@ from . import kernels
 from .cascade import (STATE_ORDER, CascadeChannel, ChannelArrays,
                       channel_arrays, enumerate_channels)
 from .errors import EmptyWindowError, ValidationError
-from .model import SystemParams
+from .model import (SystemParams, _require_count, _require_finite,
+                    _require_positive)
 from .polariton import hypot
 
 TWO_PI = 2.0 * math.pi
@@ -125,9 +126,7 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (isinstance(self.rel_tol, (int, float))
-                and math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValidationError(f"rel_tol must be > 0, got {self.rel_tol!r}")
+        _require_positive("rel_tol", _require_finite("rel_tol", self.rel_tol))
 
 
 @dataclass(frozen=True)
@@ -211,8 +210,7 @@ def windowed_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
 def brute_force_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
                         w: DetectorWindow, n: int = 4000) -> complex:
     """Midpoint-rule cross check of windowed_overlap on an n x n grid."""
-    if not (isinstance(n, int) and n >= 2):
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
+    n = _require_count("n", n, 2)
     side_a, side_b = _sides([ch_a, ch_b]).T.tolist()
     if side_a[4] * side_b[4] == 0.0:
         return 0j

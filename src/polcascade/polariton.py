@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .model import BRANCHES, HBAR_MEV_PS, POLARIZATIONS, SystemParams
+from .model import (BRANCHES, HBAR_MEV_PS, POLARIZATIONS, SystemParams,
+                    _require_grid, _require_positive, _require_range)
 
 
 @dataclass(frozen=True)
@@ -155,13 +156,6 @@ def _gaps(params: SystemParams, pair: StatePair, deltas) -> list[float]:
     return (energy[a] - energy[b]).tolist()
 
 
-def _check_range(lo: float, hi: float, tol: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValidationError(f"need finite lo < hi, got [{lo}, {hi}]")
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-
-
 @dataclass(frozen=True)
 class CrossingScan:
     """Result of a crossing search along the mode-exciton detuning axis."""
@@ -193,7 +187,8 @@ def find_crossings(params: SystemParams, pair: StatePair, lo: float, hi: float,
     on the scan the pair is reported as identically degenerate instead.
     """
     pair = _check_pair(pair, allow_same_pol=False)
-    _check_range(lo, hi, tol)
+    _require_range("lo", "hi", lo, hi)
+    _require_positive("tol", tol)
     xs, gs = _scan(params, pair, lo, hi)
     if max(abs(g) for g in gs) < tol:
         return CrossingScan(detunings=(), identically_degenerate=True)
@@ -255,7 +250,8 @@ def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
     never crosses and its closest approach is the Rabi splitting.
     """
     pair = _check_pair(pair, allow_same_pol=True)
-    _check_range(lo, hi, tol)
+    _require_range("lo", "hi", lo, hi)
+    _require_positive("tol", tol)
     xs, gs = _scan(params, pair, lo, hi)
     i = int(np.argmin(np.abs(gs)))
     return _zoom_min(lambda d: np.abs(_gaps(params, pair, d)),
@@ -263,40 +259,13 @@ def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
                      xtol=max(tol, 1e-12))
 
 
-def detuning_grid(deltas) -> np.ndarray:
-    """deltas as a new float array.  A grid must be a non-empty 1-d
-    sequence of finite numbers in strictly increasing order; each fault
-    raises its own ValidationError."""
-    try:
-        grid = np.array(deltas, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"detuning grid must hold only numbers: {exc}") from None
-    if grid.ndim != 1:
-        raise ValidationError(
-            f"detuning grid must be 1-d, got shape {grid.shape}")
-    if grid.size == 0:
-        raise ValidationError("detuning grid is empty")
-    bad = ~np.isfinite(grid)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValidationError(
-            f"detuning grid must be finite, got {grid.item(i)!r} at index {i}")
-    bad = np.diff(grid) <= 0
-    if bad.any():
-        i = int(bad.argmax()) + 1
-        raise ValidationError(
-            f"detuning grid must be strictly increasing, got "
-            f"{grid.item(i - 1)!r} then {grid.item(i)!r} at index {i}")
-    return grid
-
-
 def anticrossing_sweep(params: SystemParams, deltas) -> PolaritonArrays:
     """Solve the four polariton states across a detuning grid.
 
-    The grid must pass detuning_grid.  One array solve covers it: the
+    The grid must pass model._require_grid.  One array solve covers it: the
     result has one row per state in STATE_ORDER and one column per
     detuning, and column i equals solve_polaritons at deltas[i] bit for
     bit.
     """
-    return polariton_arrays(params, params.ex_mean + detuning_grid(deltas))
+    return polariton_arrays(
+        params, params.ex_mean + _require_grid("detuning grid", deltas))

@@ -191,6 +191,7 @@ def test_bad_config_value_exits_one(capsys, tmp_path):
     ("figures", "--figures", "2a,9z"),
     ("figures", "--figures", ","),
     ("sample", "--n", "9223372036854775808"),   # 2**63: beyond NumPy's C long
+    ("sample", "--seed", "9223372036854775808"),  # counts stop at 2**63 - 1
     ("sweep", "--sweep-lo", "-inf"),
 ])
 def test_validation_failures_exit_one(capsys, monkeypatch, tmp_path, argv):

@@ -266,8 +266,6 @@ def test_optimize_runs_on_array_sweeps_only(monkeypatch):
     dict(scheme=5),
     dict(scheme=1, lo=0.2, hi=0.1),
     dict(scheme=1, lo=0.0, hi=math.inf),
-    dict(scheme=1, scan_points=2),
-    dict(scheme=1, scan_points=5.5),
 ])
 def test_optimize_rejects(kwargs):
     with pytest.raises(ValidationError):

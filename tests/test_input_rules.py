@@ -1,0 +1,138 @@
+"""One input rule per kind, in model, named by the input it refuses.
+
+Numbers, counts, ranges and grids are checked by model's _require_*
+rules.  Each refusal below is a ValidationError whose message names the
+argument; the accepted rows are inputs of those kinds that must pass.  An
+ast guard keeps the rules in one module: math.isfinite and the numbers
+module appear only in model.py.
+"""
+import ast
+import math
+import os
+
+import numpy as np
+import pytest
+
+from polcascade.cascade import enumerate_channels, pl_spectrum
+from polcascade.entanglement import (born_probabilities, chsh_value,
+                                     correlation, correlation_from_counts,
+                                     sample_coincidences, x_state)
+from polcascade.errors import ValidationError
+from polcascade.experiments import (optimize_detuning, spectrum_grid,
+                                    tracked_window)
+from polcascade.model import SystemParams, lifetime_to_linewidth, scheme_preset
+from polcascade.pairstate import (QuadratureSpec, brute_force_overlap,
+                                  pairing_channels)
+from polcascade.polariton import find_crossings, min_gap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "polcascade")
+
+p = scheme_preset(1)
+pair = (("H", "LP"), ("V", "LP"))
+rho = x_state(0.5, 0.5, 0.3)
+window = tracked_window(p, "LP-LP")
+ch_a, ch_b = pairing_channels(enumerate_channels(p), "LP-LP")
+
+# (name the message must hold, call)
+REFUSED = {
+    "find_crossings lo text": ("lo", lambda: find_crossings(p, pair, "a", 0.5)),
+    "find_crossings hi nan": (
+        "hi", lambda: find_crossings(p, pair, -0.5, math.nan)),
+    "find_crossings tol zero": (
+        "tol", lambda: find_crossings(p, pair, -0.5, 0.5, tol=0.0)),
+    "min_gap lo above hi": ("lo", lambda: min_gap(p, pair, 0.5, -0.5)),
+    "min_gap tol text": ("tol", lambda: min_gap(p, pair, -0.5, 0.5, tol="1")),
+    "optimize lo None": ("lo", lambda: optimize_detuning(1, lo=None)),
+    "optimize hi inf": ("hi", lambda: optimize_detuning(1, hi=math.inf)),
+    "lifetime text": ("tau_ps", lambda: lifetime_to_linewidth("5")),
+    "x_state population text": ("p_hh", lambda: x_state("0.5", 0.5, 0)),
+    "x_state population nan": ("p_vv", lambda: x_state(0.5, math.nan, 0)),
+    "x_state gamma text": ("gamma", lambda: x_state(0.5, 0.5, "a")),
+    "x_state gamma nan": (
+        "gamma", lambda: x_state(0.5, 0.5, complex(0.1, math.nan))),
+    "pl_spectrum text grid": ("energy grid",
+                              lambda: pl_spectrum(p, ["a", "b"])),
+    "pl_spectrum one point": ("energy grid", lambda: pl_spectrum(p, [1.0])),
+    "spectrum_grid points float": (
+        "points", lambda: spectrum_grid(p, points=2.5)),
+    "spectrum_grid points one": ("points", lambda: spectrum_grid(p, points=1)),
+    "spectrum_grid margin nan": (
+        "margin", lambda: spectrum_grid(p, margin=math.nan)),
+    "sample n bool": (
+        "n", lambda: sample_coincidences(rho, (0, 0.3), True, 1)),
+    "brute_force n bool": (
+        "n", lambda: brute_force_overlap(ch_a, ch_b, window, n=True)),
+    "rel_tol text": ("rel_tol", lambda: QuadratureSpec(rel_tol="1e-9")),
+    "rel_tol inf": ("rel_tol", lambda: QuadratureSpec(rel_tol=math.inf)),
+    "params rabi inf": ("rabi", lambda: SystemParams(rabi=math.inf)),
+    "born angle_a nan": (
+        "angle_a", lambda: born_probabilities(rho, math.nan, 0.0)),
+    "correlation angle_b inf": (
+        "angle_b", lambda: correlation(rho, 0.0, math.inf)),
+    "chsh angle nan": (
+        "angle_a", lambda: chsh_value(rho, (0.0, math.nan, 0.1, -0.1))),
+    "sample angle_a nan": (
+        "angle_a", lambda: sample_coincidences(rho, (math.nan, 0.3), 10, 1)),
+    "sample angle_b inf": (
+        "angle_b", lambda: sample_coincidences(rho, (0.0, math.inf), 10, 1)),
+    "counts 3x3": ("counts", lambda: correlation_from_counts(np.ones((3, 3)))),
+    "counts negative": (
+        "counts", lambda: correlation_from_counts([[1, -3], [0, 5]])),
+    "counts nan": (
+        "counts", lambda: correlation_from_counts([[1, math.nan], [0, 5]])),
+    "counts inf": (
+        "counts", lambda: correlation_from_counts([[1, math.inf], [0, 5]])),
+    "counts text": (
+        "counts", lambda: correlation_from_counts([["a", 1], [0, 5]])),
+}
+
+
+@pytest.mark.parametrize("name, call", REFUSED.values(), ids=list(REFUSED))
+def test_refusal_names_the_argument(name, call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert name in str(exc.value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    counts = sample_coincidences(rho, (0.0, 0.3), np.int64(10), 1)
+    assert counts.sum() == 10
+    assert np.array_equal(counts, sample_coincidences(rho, (0.0, 0.3), 10, 1))
+    assert (brute_force_overlap(ch_a, ch_b, window, n=np.int64(10))
+            == brute_force_overlap(ch_a, ch_b, window, n=10))
+
+
+def test_accepted_edges():
+    assert lifetime_to_linewidth(math.inf) == 0.0
+    QuadratureSpec(rel_tol=1e-12)
+    # A list seed, as the benchmark's study workload passes.
+    assert sample_coincidences(rho, (0.0, 0.3), 10, [0, 3]).sum() == 10
+    assert (x_state(0.5, 0.5, np.complex128(0.3 - 0.1j)).gamma
+            == x_state(0.5, 0.5, 0.3 - 0.1j).gamma)
+    assert correlation_from_counts([[3, 0], [0, 1]]) == 1.0
+
+
+def test_rules_live_in_model():
+    found = []
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py") or filename == "model.py":
+            continue
+        with open(os.path.join(PACKAGE, filename)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            where = f"{filename}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Import):
+                found += [f"{where} imports numbers" for alias in node.names
+                          if alias.name == "numbers"]
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "numbers":
+                    found.append(f"{where} imports from numbers")
+                found += [f"{where} imports math.isfinite"
+                          for alias in node.names
+                          if node.module == "math" and alias.name == "isfinite"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "math"):
+                found.append(f"{where} uses math.isfinite")
+    assert not found, found

@@ -54,7 +54,7 @@ def _fig4_point(scheme):
 
 
 def _optimum(scheme):
-    return optimize_detuning(scheme, lo=-0.05, hi=0.05, scan_points=5)
+    return optimize_detuning(scheme, lo=-0.05, hi=0.05)
 
 
 # Every library entry point that takes a scheme id reads it by one rule.

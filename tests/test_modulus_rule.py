@@ -13,10 +13,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from polcascade import kernels
+from polcascade import experiments, kernels
 from polcascade.cascade import enumerate_channels
 from polcascade.errors import ValidationError
-from polcascade.experiments import SweepCurve, sweep_gamma, tracked_window
+from polcascade.experiments import (SweepCurve, optimize_detuning,
+                                    sweep_gamma, tracked_window)
 from polcascade.model import scheme_preset
 from polcascade.pairstate import (gamma_prime, gamma_prime_from_channels,
                                   pairing_channels)
@@ -65,6 +66,33 @@ def test_sweep_and_row_moduli_are_correctly_rounded():
     exact = correctly_rounded(gammas)
     assert curve.abs_gamma.tolist() == exact.tolist()
     assert [row.abs_gamma for row in curve.rows] == exact.tolist()
+
+
+def test_each_curve_takes_one_modulus_pass(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(x, y):
+        calls.append(np.shape(x))
+        return hypot(x, y)
+
+    monkeypatch.setattr(experiments, "hypot", counted)
+    curve = sweep_gamma(scheme_preset(1), "LP-LP",
+                        deltas=np.linspace(-0.1, 0.1, 5))
+    assert curve.abs_gamma.tolist() == hypot(curve.gamma.real,
+                                             curve.gamma.imag).tolist()
+    curve.peak()
+    assert calls == [(5,)]
+    # The bound check, the fig4 CSV and the fig4 SVG read one pass each.
+    calls.clear()
+    experiments._figure_gamma_curves(str(tmp_path), svg=True)
+    assert calls == [(161,)] * 3
+    # optimize's objective reads the pass of each sweep.
+    sweeps = []
+    monkeypatch.setattr(experiments, "sweep_gamma",
+                        lambda *a, **k: sweeps.append(1) or sweep_gamma(*a, **k))
+    calls.clear()
+    optimize_detuning(1, lo=-0.05, hi=0.05)
+    assert len(calls) == len(sweeps) > 1
 
 
 def test_bound_is_checked_where_each_result_is_built(monkeypatch):
