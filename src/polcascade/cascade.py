@@ -59,7 +59,10 @@ class ChannelArrays:
     Each field has one row per channel, in the (H,LP), (H,UP), (V,LP),
     (V,UP) order of STATE_ORDER, and one column per point.  vanished
     flags the points where every branching weight is zero; their amp
-    entries are NaN.
+    entries are NaN.  e_biexciton is the biexciton energy of every point,
+    the one u-pole energy that the channels of a pair share: where a
+    photon energy is not positive, photon1 + photon2 of two rows can
+    differ from it, and from each other, by an ulp.
     """
 
     states: PolaritonArrays
@@ -69,6 +72,7 @@ class ChannelArrays:
     xx_channel_width: np.ndarray
     xx_total_width: np.ndarray
     vanished: np.ndarray
+    e_biexciton: float
 
     def check(self, i: int) -> None:
         """Raise ValidationError if every branching weight of point i
@@ -114,7 +118,7 @@ def channel_arrays(params: SystemParams, cav_mean) -> ChannelArrays:
         # NaN where the weights vanished, without a 0/0 warning.
         amp=np.sqrt(raw / np.where(vanished, np.nan, total)),
         xx_channel_width=widths, xx_total_width=total_width,
-        vanished=vanished)
+        vanished=vanished, e_biexciton=params.e_biexciton)
 
 
 def enumerate_channels(params: SystemParams) -> list[CascadeChannel]:
@@ -128,11 +132,6 @@ def enumerate_channels(params: SystemParams) -> list[CascadeChannel]:
     arrays = channel_arrays(params, [params.cav_mean])
     arrays.check(0)
     return arrays.channels(0)
-
-
-def gamma_xx_total(params: SystemParams) -> float:
-    """Total biexciton half width: sum of the four channel widths, meV."""
-    return enumerate_channels(params)[0].xx_total_width
 
 
 @dataclass(frozen=True)

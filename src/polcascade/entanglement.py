@@ -198,7 +198,7 @@ def optimal_chsh_angles(gamma: float) -> tuple[float, float, float, float]:
     With E(a,b) = cos2a cos2b + 2*gamma sin2a sin2b the optimum is a = 0,
     a' = pi/4 and analyzers B at +-atan(2 gamma)/2, giving 2 sqrt(1+4g^2).
     """
-    phi = math.atan(2.0 * gamma) / 2.0
+    phi = math.atan(2.0 * _require_finite("gamma", gamma)) / 2.0
     return (0.0, math.pi / 4.0, phi, -phi)
 
 

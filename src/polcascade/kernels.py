@@ -16,29 +16,25 @@ midpoint_overlap is the brute-force 2-d midpoint rule over the original
 
 window_overlaps integrates the boxes of a batch of channel pairs
 exactly: for each point, the self overlaps of both channels and their
-cross overlap over one window.  Partial fractions in u and v turn a box
-into eight integrals J(s, r) = int log(v - s) / (v - r) dv, each a
-difference of complex dilogarithms ('t Hooft and Veltman, Nucl. Phys.
-B153 (1979) 365): _dilog_form, which takes every tracked window.  A
-point's three boxes share terms, and a term whose s is a
+cross overlap over one window.  Both photons of a pair come from one
+biexciton decay, so the two channels of a point share their u-pole p;
+a pair whose u-poles differ is refused.  Partial fractions in u and v
+turn a box into eight integrals J(s, r) = int log(v - s) / (v - r) dv,
+each a difference of complex dilogarithms ('t Hooft and Veltman, Nucl.
+Phys. B153 (1979) 365): _dilog_form, which takes every tracked window.
+A point's three boxes share terms, and a term whose s is a
 lower-half-plane u-pole is the conjugate of one in the upper half plane,
-J(conj s, conj r) = conj J(s, r), which holds because every channel's
-biexciton width is positive.  So one table of 12 terms per point gives
-all 24, directly or conjugated: rows s = p_a - w1, p_a,
-p_b - w1, p_b (the upper-half-plane u-poles, w1 the k1 width), columns
-r = pa_a, conj pa_a, conj pa_b for the a rows and pa_b, conj pa_b,
-conj pa_a for the b rows.  The two photons of a cascade pair come from
-one biexciton decay, so the two channels of a sweep or gamma_prime point
-share their u-pole, p_a = p_b, and their rows are the same: a batch
-where every point shares it takes a table of 8 terms, rows p - w1, p and
-columns pa_a, conj pa_a, pa_b, conj pa_b, with the same bits.  A self
-overlap is -Re X / (2 gxx g) pref^2
-with X = (J00 - J01) - (J10 - J11) over its channel's rows, real by
-construction; the cross overlap sums eight table entries, four of them
-conjugated.  Each complex log of the table is taken once, and only on
-the entries that use it: at each window edge, log(1 - z) on every entry
-and log w once per row; the other logs of _dilog only on the entries
-its maps move, and those of the cut only where the path crosses it.
+J(conj s, conj r) = conj J(s, r), which holds because the biexciton
+width is positive.  So one table of 8 terms per point gives all 24,
+directly or conjugated: rows s = p - w1, p (w1 the k1 width) and
+columns r = pa_a, conj pa_a, pa_b, conj pa_b.  A self overlap is
+-Re X / (2 gxx g) pref^2 with X = (J00 - J01) - (J10 - J11) over its
+channel's columns, real by construction; the cross overlap sums eight
+table entries, four of them conjugated.  Each complex log of the table
+is taken once, and only on the entries that use it: at each window edge,
+log(1 - z) on every entry and log w once per row; the other logs of
+_dilog only on the entries its maps move, and those of the cut only
+where the path crosses it.
 
 A sum cancels once poles lie outside the box (3 meV off the ridge, 7
 digits were left), so a box whose sum cancels by more than
@@ -61,6 +57,8 @@ import math
 from functools import cache
 
 import numpy as np
+
+from .errors import ValidationError
 
 # Kept for callers that record which implementation ran; NumPy is the only one.
 BACKEND = "python"
@@ -267,59 +265,46 @@ def _dilog_form(w1, w2, p, pa):
     """The self and cross box integrals (pref 1) of channel pairs, and
     how much each sum cancels: the sum of its terms' sizes over its size.
 
-    p and pa hold the upper-half-plane poles of the a and b channels
-    along u and v, relative to the box corner: v runs over [0, w2], the
-    u-poles sit at exx - k1_lo - k2_lo + i gxx.  Returns the real self
+    p holds each point's upper-half-plane biexciton pole along u, which
+    both channels share, and pa the polariton poles of the a and b
+    channels along v, relative to the box corner: v runs over [0, w2],
+    the u-pole sits at exx - k1_lo - k2_lo + i gxx.  Returns the real self
     integrals (row a, row b), the complex cross integral, and the
     cancellations of the self_a, self_b and cross sums as rows.
 
-    Partial fractions put s at p - w1, p, conj(p) - w1 and conj(p) of
-    the two channels in the box, and r at the polariton pole of one and
-    the conjugate of the other's.  The terms with s in the lower half
-    plane are J(conj s, conj r) = conj J(s, r), since v is real and
-    log(v - s) never meets its cut while Im s = gxx > 0.  So one table
-    of 12 terms holds every term of a point's three boxes: rows s =
-    p_a - w1, p_a, p_b - w1, p_b and columns r = pa_a, conj pa_a,
-    conj pa_b for the a rows, pa_b, conj pa_b, conj pa_a for the b rows.
-    Where the two channels of every point share their u-pole, p_a = p_b,
-    as the two photons of one biexciton decay do, the a and b rows are
-    the same and 8 terms suffice: rows s = p - w1, p and columns
-    r = pa_a, conj pa_a, pa_b, conj pa_b.  A self integral is
-    2 Re X / ((2i gxx)(2i g)) with X = (J00 - J01) - (J10 - J11) over the
-    channel's rows; the cross integral sums the Y = (J00 - J02) -
-    (J10 - J12) of a with the conjugated Y of b.  Each entry is the same
-    number in either table, so either gives the same bits.
+    Partial fractions put s at p - w1, p, conj(p) - w1 and conj(p), and r
+    at the polariton pole of one channel and the conjugate of the
+    other's.  The terms with s in the lower half plane are J(conj s,
+    conj r) = conj J(s, r), since v is real and log(v - s) never meets
+    its cut while Im s = gxx > 0.  So one table of 8 terms holds every
+    term of a point's three boxes: rows s = p - w1, p and columns r =
+    pa_a, conj pa_a, pa_b, conj pa_b.  A self integral is
+    2 Re X / ((2i gxx)(2i g)) with X = (J00 - J01) - (J10 - J11) over its
+    channel's columns; the cross integral sums the Y = (J00 - J03) -
+    (J10 - J13) of a with the conjugated Y of b.
     """
     pa_bar = np.conj(pa)
-    # Axes of the table: row s (p - w1, p), channel (a, b), column r, point.
-    # Column 0 holds r = pa of the channel, column 1 its conj pa, and
-    # [other] the other channel's conj pa.
-    if (p[0] == p[1]).all():
-        j, size = _dilog_table(w2, np.array([p[0] - w1, p[0]])[:, None, None],
-                               np.array([[pa[0], pa_bar[0]],
-                                         [pa[1], pa_bar[1]]]))
-        other = np.s_[:, ::-1, 1]
-    else:
-        j, size = _dilog_table(w2, np.array([p - w1, p])[:, :, None],
-                               np.array([[pa[0], pa_bar[0], pa_bar[1]],
-                                         [pa[1], pa_bar[1], pa_bar[0]]]))
-        other = np.s_[:, :, 2]
-    # Column 0 less column 1 (X) and the other column (Y), row p - w1
-    # less row p, for each channel, and the summed sizes of their terms.
+    # Axes of the table: row s (p - w1, p), channel (a, b), column r
+    # (pa, conj pa of the channel), point.
+    j, size = _dilog_table(w2, np.array([p - w1, p])[:, None, None],
+                           np.array([[pa[0], pa_bar[0]], [pa[1], pa_bar[1]]]))
+    # Column 0 less column 1 (X) and less the other channel's column 1
+    # (Y), row p - w1 less row p, for each channel, and the summed sizes
+    # of their terms.
     x = j[:, :, 0].real - j[:, :, 1].real
     x = x[0] - x[1]
-    y = j[:, :, 0] - j[other]
+    y = j[:, :, 0] - j[:, ::-1, 1]
     y = y[0] - y[1]
     total = y[0] + np.conj(y[1])
     size_x = size[:, :, 0] + size[:, :, 1]
     size_x = size_x[0] + size_x[1]
-    size_y = size[:, :, 0] + size[other]
+    size_y = size[:, :, 0] + size[:, ::-1, 1]
     size_y = size_y[0] + size_y[1]
     with np.errstate(divide="ignore"):
         cancellation = np.array([*(size_x / np.abs(x)),
                                  (size_y[0] + size_y[1]) / np.abs(total)])
     return (-x / (2 * p.imag * pa.imag),
-            total / (p[0] - np.conj(p[1])) / (pa[0] - pa_bar[1]),
+            total / (p - np.conj(p)) / (pa[0] - pa_bar[1]),
             cancellation)
 
 
@@ -417,17 +402,16 @@ def _exact_overlaps(w1, w2, p, pa, depth=0):
         # [0, w2]: those of the v at which k1 + v meets a u-pole (segments
         # [p - w1, p]), or those of both polariton poles.
         margin = _MARGIN * w2
-        ridge_far = _gap(p.real - w1, p.real, 0.0, w2) >= margin
+        ridge = _gap(p.real - w1, p.real, 0.0, w2) >= margin
         poles_far = _gap(pa.real, pa.real, 0.0, w2) >= margin
         values = (self_[0], self_[1], cross)
         for box, (a, b) in enumerate(((0, 0), (1, 1), (0, 1))):
-            ridge = ridge_far[a] & ridge_far[b]
             for form, chosen in ((_ridge_rule, ridge),
                                  (_sheared_rule,
                                   ~ridge & poles_far[a] & poles_far[b])):
                 i = (stuck[box] & chosen).nonzero()[0]
                 if i.size:
-                    got = form(w1[i], w2[i], p[a, i], np.conj(p[b, i]),
+                    got = form(w1[i], w2[i], p[i], np.conj(p[i]),
                                pa[a, i], np.conj(pa[b, i]))
                     values[box][i] = got.real if a == b else got
                     stuck[box, i] = False
@@ -435,7 +419,7 @@ def _exact_overlaps(w1, w2, p, pa, depth=0):
         if i.size and depth < _MAX_DEPTH:
             half = 0.5 * w2[i]
             (self_lo, cross_lo), (self_hi, cross_hi) = (
-                _exact_overlaps(w1[i], half, p[:, i] - shift,
+                _exact_overlaps(w1[i], half, p[i] - shift,
                                 pa[:, i] - shift, depth + 1)
                 for shift in (0.0, half))
             for box, (value, lo, hi) in enumerate(zip(
@@ -451,24 +435,34 @@ def window_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     Point i pairs two channels over the box [k1_lo[i], k1_hi[i]] x
     [k2_lo[i], k2_hi[i]].  Column i of side_a holds the rows exx, gxx, e,
     g, pref of channel a, whose amplitude is pref / ((k1 + k2 - exx +
-    i gxx)(k2 - e + i g)); side_b holds channel b's.  Returns self_a and
-    self_b, the real integrals of each channel's |amplitude|^2, and
-    cross, that of conj(amplitude_a) * amplitude_b: all 0 for an empty
-    box, and a value is 0 where an amplitude in it vanishes.
+    i gxx)(k2 - e + i g)); side_b holds channel b's.  Both photons of a
+    pair come from one biexciton decay, so the two channels of a point
+    must share their biexciton pole (exx, gxx); a point whose channels do
+    not raises ValidationError.  Returns self_a and self_b, the real
+    integrals of each channel's |amplitude|^2, and cross, that of
+    conj(amplitude_a) * amplitude_b: all 0 for an empty box, and a value
+    is 0 where an amplitude in it vanishes.
     """
     exx, gxx, e, g, pref = np.array([side_a, side_b]).swapaxes(0, 1)
+    split = ((exx[0] != exx[1]) | (gxx[0] != gxx[1])).nonzero()[0]
+    if split.size:
+        poles = [(exx[k, split[0]].item(), gxx[k, split[0]].item())
+                 for k in (0, 1)]
+        raise ValidationError(
+            "the two channels of a pair must share one biexciton pole, got "
+            "(exx, gxx) = {!r} and {!r}".format(*poles))
     k1_lo, k1_hi, k2_lo, k2_hi = np.array([k1_lo, k1_hi, k2_lo, k2_hi],
                                           dtype=float)
     w1 = k1_hi - k1_lo
     w2 = k2_hi - k2_lo
     # Each difference of two nearby energies is exact.
-    p = _join((exx - k1_lo) - k2_lo, gxx)
+    p = _join((exx[0] - k1_lo) - k2_lo, gxx[0])
     pa = _join(e - k2_lo, g)
     live = ((w1 > 0) & (w2 > 0)).nonzero()[0]
-    self_ = np.zeros(p.shape)
+    self_ = np.zeros(pa.shape)
     cross = np.zeros(w1.shape, dtype=complex)
     self_[:, live], cross[live] = _exact_overlaps(w1[live], w2[live],
-                                                  p[:, live], pa[:, live])
+                                                  p[live], pa[:, live])
     # A vanishing amplitude gives 0, also where a zero width (the self
     # values divide by gxx g) leaves the unscaled value infinite.
     self_ = np.where(pref != 0, self_ * (pref * pref), 0.0)

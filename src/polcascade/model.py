@@ -5,10 +5,10 @@ mean plus a fine-structure splitting for each of the exciton doublet and the
 cavity mode doublet; polarization-resolved levels are derived on access.
 
 The package's input rules, one per kind, are here; each raises a
-ValidationError naming the input: _require_finite, _require_positive (inf
-passes), _require_count (an integer, not a bool, up to 2**63 - 1),
-_require_range (finite lo < hi) and _require_grid (a 1-d, finite,
-strictly increasing grid).
+ValidationError naming the input, and none takes a bool as a number:
+_require_finite, _require_positive (inf passes), _require_count (an
+integer up to 2**63 - 1), _require_range (finite lo < hi) and
+_require_grid (a 1-d, finite, strictly increasing grid).
 """
 from __future__ import annotations
 
@@ -32,18 +32,14 @@ BRANCHES = ("LP", "UP")
 PRESET_EX_MEAN = 1000.0  # meV
 
 
-def hbar_mev_ps() -> float:
-    """Return hbar in meV*ps."""
-    return HBAR_MEV_PS
-
-
 def lifetime_to_linewidth(tau_ps: float) -> float:
     """Half width at half maximum (meV) of a state with lifetime tau_ps."""
     return HBAR_MEV_PS / _require_positive("tau_ps", tau_ps)
 
 
 def _require_real(name: str, value):
-    if not isinstance(value, numbers.Real):
+    """value, a real number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     return value
 
@@ -108,43 +104,6 @@ def _require_grid(name: str, values, least: int = 1) -> np.ndarray:
     return grid
 
 
-def _exact_mean_split(a: float, b: float) -> tuple[float, float]:
-    """Find (mean, delta) whose reconstruction reproduces a and b.
-
-    Reconstruction is mean + delta/2 -> a and mean - delta/2 -> b.  An
-    exactly reproducing pair does not always exist in float arithmetic;
-    a small lattice of candidates around the naive values is searched and
-    the naive pair is returned (reconstruction then within 1 ulp) when
-    none reproduces exactly.
-    """
-    mean0 = (a + b) / 2
-    delta0 = a - b
-    means = [mean0]
-    deltas = [delta0]
-    for k in (1, 2):
-        means.append(_nudge(mean0, k))
-        means.append(_nudge(mean0, -k))
-        deltas.append(_nudge(delta0, k))
-        deltas.append(_nudge(delta0, -k))
-    # Anchored candidates: pinning one side exactly often fixes the other.
-    for m in list(means):
-        deltas.append(2 * (a - m))
-        deltas.append(2 * (m - b))
-    for m in means:
-        for d in deltas:
-            h = d / 2
-            if m + h == a and m - h == b:
-                return m, d
-    return mean0, delta0
-
-
-def _nudge(x: float, k: int) -> float:
-    toward = math.inf if k > 0 else -math.inf
-    for _ in range(abs(k)):
-        x = math.nextafter(x, toward)
-    return x
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Dot and cavity parameters.
@@ -176,15 +135,6 @@ class SystemParams:
                 "not modeled",
                 stacklevel=2,
             )
-
-    @classmethod
-    def from_levels(cls, e_h: float, e_v: float, e_c_h: float, e_c_v: float,
-                    **kwargs) -> "SystemParams":
-        """Build from the four level energies (meV)."""
-        ex_mean, delta_x = _exact_mean_split(e_h, e_v)
-        cav_mean, delta_c = _exact_mean_split(e_c_h, e_c_v)
-        return cls(ex_mean=ex_mean, delta_x=delta_x,
-                   cav_mean=cav_mean, delta_c=delta_c, **kwargs)
 
     def replace(self, **changes) -> "SystemParams":
         return dataclasses.replace(self, **changes)

@@ -6,19 +6,20 @@ ratio of packet overlaps: over all space for the unprojected coherence, or
 over a detector window for the spectrally filtered one.
 
 Window integrals are exact to roundoff: kernels.window_overlaps has no
-tolerance and no failure path, and each value depends only on its own
-point.  It takes channel pairs, not single boxes: each point gives the
-_side rows of two channels (the H and V sides of gamma') and one
-window, and gets back both self overlaps and the cross overlap.  Their
-24 dilogarithm terms are the entries of one 12-term table or their
-conjugates, and of an 8-term table where the two channels share their
-biexciton pole, as the channels of every cascade pair do (see kernels).
-Every caller takes that one path: detuning sweeps through
-gamma_prime_arrays, straight from cascade.channel_arrays; gamma_prime and
-gamma_prime_from_channels through _pair_overlaps; and windowed_overlap,
-one box of two channel objects, through _overlap_boxes.  The all-space
-overlaps of gamma_unprojected need no window: they are residue integrals
-in closed form.
+tolerance, and each value depends only on its own point.  It takes
+channel pairs, not single boxes: each point gives the _side rows of two
+channels (the H and V sides of gamma') and one window, and gets back both
+self overlaps and the cross overlap.  Both photons of a pair come from
+one biexciton decay, so the two channels share their biexciton pole, and
+the 24 dilogarithm terms of a point are the entries of one 8-term table
+or their conjugates (see kernels); a pair whose poles differ is the one
+input it refuses.  Every caller takes that one path: detuning sweeps
+through gamma_prime_arrays, straight from cascade.channel_arrays, which
+gives both sides of a point the cascade's one biexciton energy;
+gamma_prime and gamma_prime_from_channels through _pair_overlaps; and
+windowed_overlap, one box of two channel objects, through _overlap_boxes.
+The all-space overlaps of gamma_unprojected need no window: they are
+residue integrals in closed form.
 """
 from __future__ import annotations
 
@@ -154,19 +155,12 @@ def _prefactor(x_ex, x_ph, gxx, g):
 
 def amplitude(ch: CascadeChannel, k1: float, k2: float) -> complex:
     """Two-photon amplitude of one channel at photon energies (k1, k2)."""
-    if k1 <= 0 or k2 <= 0:
-        raise ValidationError(f"photon energies must be positive, got {(k1, k2)!r}")
+    for name, k in (("k1", k1), ("k2", k2)):
+        _require_positive(name, _require_finite(name, k))
     exx, gxx, e, g, pref = _sides([ch])[:, 0].tolist()
     if pref == 0.0:
         return 0j
     return pref / ((k1 + k2 - (exx - 1j * gxx)) * (k2 - (e - 1j * g)))
-
-
-def window_value(w: DetectorWindow, k1: float, k2: float) -> int:
-    """1 inside the closed acceptance rectangle, else 0."""
-    half = w.width / 2
-    inside = abs(k1 - w.center1) <= half and abs(k2 - w.center2) <= half
-    return 1 if inside else 0
 
 
 def _side(e_xx, xx_total_width, energy, linewidth, x_ex, x_ph):
@@ -246,14 +240,17 @@ def gamma_prime_arrays(channels: ChannelArrays, pairing: str, center1,
 
     Point i's window has centers center1[i], center2[i] and full width
     width, one number for all points or an array of one per point.
-    Returns the self_a, self_b and gamma arrays, raising as _pair_overlaps
-    does; the caller's SweepCurve or PairCoherence checks the 1/2 bound.
+    Both sides of a point take the cascade's biexciton energy as the
+    energy of their shared u-pole.  Returns the self_a, self_b and gamma
+    arrays, raising as _pair_overlaps does; the caller's SweepCurve or
+    PairCoherence checks the 1/2 bound.
     """
+    e_xx = np.full(channels.vanished.shape, channels.e_biexciton)
+
     def side(row):
         """The _side rows of one channel at every point."""
         s = channels.states
-        return _side(channels.photon1[row] + channels.photon2[row],
-                     channels.xx_total_width[row], s.energy[row],
+        return _side(e_xx, channels.xx_total_width[row], s.energy[row],
                      s.linewidth[row], s.x_ex[row], s.x_ph[row])
 
     row_a, row_b = (STATE_ORDER.index(label)
@@ -326,10 +323,13 @@ def gamma_unprojected(params: SystemParams,
                       2 pi / ((g_a + g_b) - i (e_a - e_b))
         = sqrt(n_a n_b) _residue(G) _residue(g),
 
-    with n the channel norm, and a self overlap is the norm.  gamma is
-    the H-V overlaps of LP and UP over the four norms.  Each _residue has
-    modulus <= 1 and sqrt(n_a n_b) <= (n_a + n_b) / 2, so |gamma| <= 1/2
-    by construction, up to a few ulps where H and V nearly coincide.
+    with n the channel norm, and a self overlap is the norm.  Both
+    photons come from one biexciton decay, so a and b share the pole
+    (E, G) and _residue(G) is 2G / 2G = 1 exactly: only the residue along
+    v remains.  gamma is the H-V overlaps of LP and UP over the four
+    norms.  _residue has modulus <= 1 and sqrt(n_a n_b) <= (n_a + n_b) /
+    2, so |gamma| <= 1/2 by construction, up to a few ulps where H and V
+    nearly coincide.
     """
     channels = {(c.pol, c.branch): c for c in enumerate_channels(params)}
     norms = {key: channel_norm(ch) for key, ch in channels.items()}
@@ -338,11 +338,9 @@ def gamma_unprojected(params: SystemParams,
         a, b = channels[("H", branch)], channels[("V", branch)]
         pair = math.sqrt(norms[("H", branch)] * norms[("V", branch)])
         if pair > 0:
-            along_u = _residue(a.xx_total_width, b.xx_total_width,
-                               a.e_xx, b.e_xx)
-            along_v = _residue(a.intermediate.linewidth,
-                               b.intermediate.linewidth,
-                               a.intermediate.energy, b.intermediate.energy)
-            cross += pair * along_u * along_v
+            cross += pair * _residue(a.intermediate.linewidth,
+                                     b.intermediate.linewidth,
+                                     a.intermediate.energy,
+                                     b.intermediate.energy)
     return cross / ((norms[("H", "LP")] + norms[("V", "LP")])
                     + (norms[("H", "UP")] + norms[("V", "UP")]))

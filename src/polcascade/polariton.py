@@ -123,11 +123,6 @@ def solve_polaritons(params: SystemParams) -> PolaritonSet:
     return polariton_arrays(params, [params.cav_mean]).states(0)
 
 
-def exciton_cavity_detuning(params: SystemParams, pol: str) -> float:
-    """Per-polarization detuning E_exc(pol) - E_cav(pol), meV."""
-    return params.e_exciton(pol) - params.e_cavity(pol)
-
-
 StatePair = tuple[tuple[str, str], tuple[str, str]]
 
 

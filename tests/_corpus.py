@@ -2,14 +2,12 @@
 
 Covers self and cross overlaps, all three schemes, narrow through wide
 windows, and an energy-distinguishable pair, for checking the adaptive
-quadrature against the brute-force midpoint rule.  Also the cascade
-channels with each channel's own biexciton width (cascade_channels).
-And a frozen golden-section search (golden_min), the refinement that
+quadrature against the brute-force midpoint rule.  Also a frozen
+golden-section search (golden_min), the refinement that
 optimize_detuning and min_gap used before their array zoom, as the
 reference for both.
 """
 import math
-from dataclasses import replace
 
 from polcascade.cascade import enumerate_channels
 from polcascade.experiments import tracked_window
@@ -21,17 +19,6 @@ from polcascade.polariton import find_crossings
 def _chan(params, pol, branch):
     return {(c.pol, c.branch): c
             for c in enumerate_channels(params)}[(pol, branch)]
-
-
-def cascade_channels(params, own_xx_width=False):
-    """enumerate_channels(params).  With own_xx_width, each channel's
-    two-photon resonance has its own share of the biexciton width instead
-    of the total, so the biexciton poles of two channels differ."""
-    channels = enumerate_channels(params)
-    if own_xx_width:
-        return [replace(c, xx_total_width=c.xx_channel_width)
-                for c in channels]
-    return channels
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -6,16 +6,16 @@ kept here.  Also here: the Hermitian symmetry of the overlaps, a box with
 a 5e-8 meV line against 40-digit arithmetic, and an import that loads no
 process pool.
 """
+import dataclasses
 import math
 import os
 import subprocess
 import sys
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import polcascade
-from _corpus import cascade_channels
 from polcascade.cascade import channel_arrays, enumerate_channels
 from polcascade.experiments import tracked_window
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
@@ -99,6 +99,33 @@ def test_channel_arrays_equal_the_scalar_solve(params, deltas):
         assert channel_rows(enumerate_channels(at)) == expected
 
 
+@st.composite
+def positive_photon_params(draw):
+    """Random SystemParams, from far below to far above resonance, whose
+    photon energies are all positive."""
+    ex_mean = draw(st.floats(0.5, 1100.0))
+    params = SystemParams(
+        ex_mean=ex_mean, delta_x=draw(st.floats(-1.0, 1.0)),
+        cav_mean=ex_mean + draw(st.floats(-5.0, 5.0)),
+        delta_c=draw(st.floats(-1.0, 1.0)), rabi=draw(st.floats(0.01, 0.5)),
+        tau_c=draw(st.floats(1.0, 100.0)), tau_xx=draw(st.floats(10.0, 2000.0)),
+        binding=draw(st.floats(3.0, 10.0)))
+    arrays = channel_arrays(params, [params.cav_mean])
+    assume((arrays.photon1 > 0).all() and (arrays.photon2 > 0).all())
+    return params
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=positive_photon_params())
+def test_the_four_channels_share_one_biexciton_pole(params):
+    # Both photons of a pair come from one biexciton decay: with positive
+    # photon energies, each row's photon1 + photon2 is the biexciton energy
+    # exactly, and every row carries the same total width.
+    arrays = channel_arrays(params, [params.cav_mean])
+    assert (arrays.photon1 + arrays.photon2 == params.e_biexciton).all()
+    assert (arrays.xx_total_width == arrays.xx_total_width[0]).all()
+
+
 def test_squares_are_products():
     # Scheme 1 at delta = -0.3874 gives an H-UP exciton amplitude whose
     # square by the C library's pow(x, 2.0) can sit one ulp off the
@@ -120,13 +147,13 @@ def test_squares_are_products():
 
 @settings(max_examples=25, deadline=None)
 @given(params=params_st, detuning=st.floats(-1.0, 1.0),
-       width=st.floats(0.05, 0.5), per_channel=st.booleans(),
+       width=st.floats(0.05, 0.5),
        pair=st.tuples(st.integers(0, 3), st.integers(0, 3)),
        pairing=st.sampled_from(PAIRINGS))
-def test_windowed_overlap_is_hermitian(params, detuning, width, per_channel,
-                                       pair, pairing):
+def test_windowed_overlap_is_hermitian(params, detuning, width, pair,
+                                       pairing):
     at = params.with_detuning(detuning)
-    chans = cascade_channels(at, own_xx_width=per_channel)
+    chans = enumerate_channels(at)
     a, b = (chans[i] for i in pair)
     w = tracked_window(at, pairing, width)
     ab = windowed_overlap(a, b, w)
@@ -148,7 +175,8 @@ def test_near_bare_exciton_self_overlap_is_exact():
     p = SystemParams(ex_mean=1000.0, delta_x=0.45, cav_mean=926.5,
                      delta_c=0.45, rabi=0.19, tau_c=24.0, tau_xx=845.0,
                      binding=4.2)
-    a, _ = pairing_channels(cascade_channels(p, own_xx_width=True), "UP-UP")
+    a, _ = pairing_channels(enumerate_channels(p), "UP-UP")
+    a = dataclasses.replace(a, xx_total_width=a.xx_channel_width)
     assert a.intermediate.linewidth < 5e-8
     value = windowed_overlap(a, a, tracked_window(p, "UP-UP", 0.5))
     assert value.imag == 0.0

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _corpus import cascade_channels
 from polcascade import experiments, kernels, pairstate
 from polcascade.cascade import enumerate_channels
 from polcascade.errors import EmptyWindowError, ValidationError
@@ -44,10 +43,10 @@ def grids(draw, max_points=40):
     return start + step * np.arange(n)
 
 
-def boxes_for(params, width, own_xx_width=False, offset=(0, 0)):
+def boxes_for(params, width, offset=(0, 0)):
     """Self and cross boxes of every pairing, on tracked windows moved by
     offset (meV along k1, k2)."""
-    chans = cascade_channels(params, own_xx_width=own_xx_width)
+    chans = enumerate_channels(params)
     boxes = []
     for pairing in PAIRINGS:
         ch_a, ch_b = pairing_channels(chans, pairing)
@@ -132,13 +131,11 @@ def test_default_grid_is_one_chunk(monkeypatch):
 
 @settings(max_examples=15, deadline=None)
 @given(params=params_st, width=st.floats(0.05, 0.5),
-       narrow=st.floats(1e-4, 1e-3), per_channel=st.booleans(),
+       narrow=st.floats(1e-4, 1e-3),
        offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
-def test_mixed_batch_matches_single_boxes(params, width, narrow, per_channel,
-                                          offset):
-    boxes = (boxes_for(params, width, per_channel)
-             + boxes_for(params, narrow, per_channel)
-             + boxes_for(params, width, per_channel, offset))
+def test_mixed_batch_matches_single_boxes(params, width, narrow, offset):
+    boxes = (boxes_for(params, width) + boxes_for(params, narrow)
+             + boxes_for(params, width, offset))
     alone = [pairstate._overlap_boxes([box])[0] for box in boxes]
     assert pairstate._overlap_boxes(boxes) == alone
 
@@ -149,7 +146,6 @@ def test_mixed_batch_covers_every_form():
     # along it, off the polariton lines (the rule over u), in one batch.
     p = scheme_preset(2).with_detuning(0.05)
     boxes = (boxes_for(p, 0.2) + boxes_for(p, 2e-4)
-             + boxes_for(p, 0.3, own_xx_width=True)
              + boxes_for(p, 0.1, offset=(0.5, 0.5))
              + boxes_for(p, 0.1, offset=(-0.5, 0.5)))
     assert set(forms_used(boxes)) == {"_ridge_rule", "_sheared_rule",
@@ -168,12 +164,11 @@ def test_batch_skips_empty_boxes():
     assert values[1] == pairstate._overlap_boxes([box])[0]
 
 
-def pair_points(params, width, offset=(0, 0), own_xx_width=False):
+def pair_points(params, width, offset=(0, 0)):
     """The window_overlaps arguments of every pairing's channel pair on
     its tracked window moved by offset (meV along k1, k2), one point
-    each.  With own_xx_width, the two channels of a pair have different
-    biexciton poles."""
-    chans = cascade_channels(params, own_xx_width=own_xx_width)
+    each."""
+    chans = enumerate_channels(params)
     sides, bounds = [], []
     for pairing in PAIRINGS:
         pair = pairing_channels(chans, pairing)
@@ -186,20 +181,12 @@ def pair_points(params, width, offset=(0, 0), own_xx_width=False):
 
 def test_pair_values_equal_alone_and_in_a_batch_in_either_order():
     # Tracked windows, windows off the ridge and windows off the lines:
-    # every form, as in test_mixed_batch_covers_every_form.  Pairs that
-    # share their biexciton pole and pairs that do not: alone, a point
-    # takes the 8-term table or the 12-term one, and in the batch the
-    # 12-term one.
+    # every form, as in test_mixed_batch_covers_every_form.
     p = scheme_preset(2).with_detuning(0.05)
     parts = [pair_points(p, 0.2), pair_points(p, 2e-4),
-             pair_points(p, 0.1, (0.5, 0.5)), pair_points(p, 0.1, (-0.5, 0.5)),
-             pair_points(p, 0.2, own_xx_width=True),
-             pair_points(p, 0.1, (0.5, 0.5), own_xx_width=True)]
+             pair_points(p, 0.1, (0.5, 0.5)), pair_points(p, 0.1, (-0.5, 0.5))]
     sides = np.concatenate([s for s, _ in parts])
     bounds = np.concatenate([b for _, b in parts])
-    # Rows exx and gxx of each channel: the biexciton pole.
-    shared = (sides[:, :2, 0] == sides[:, :2, 1]).all(axis=1)
-    assert shared.any() and not shared.all()
 
     def values(order):
         return np.array(kernels.window_overlaps(
@@ -244,50 +231,6 @@ def test_sweep_evaluates_eight_dilogarithm_terms_per_point(n):
     assert terms == 2 * 8 * n
 
 
-@pytest.mark.parametrize("n", [1, 7])
-def test_pairs_with_distinct_biexciton_poles_take_twelve_terms_per_point(n):
-    # With each channel's own biexciton width the two u-poles of a pair
-    # differ, and a point's boxes take the table of 12 terms.
-    p = scheme_preset(2).with_detuning(0.05)
-    pair = pairing_channels(cascade_channels(p, own_xx_width=True), "LP-UP")
-    assert pair[0].xx_total_width != pair[1].xx_total_width
-    w = tracked_window(p, "LP-UP", 0.2)
-    widths = np.linspace(0.05, 0.3, n)
-    side_a, side_b = (np.repeat(pairstate._sides([ch]), n, axis=1)
-                      for ch in pair)
-    terms, _ = dilog_terms(lambda: kernels.window_overlaps(
-        side_a, side_b, w.center1 - widths / 2, w.center1 + widths / 2,
-        w.center2 - widths / 2, w.center2 + widths / 2))
-    assert terms == 2 * 12 * n
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(1, 6))
-def test_eight_and_twelve_term_tables_give_the_same_bits(data, n):
-    # Random pairs that share their u-pole take the 8-term table; with one
-    # point whose u-poles differ appended, the same points take the
-    # 12-term table.  Every value and cancellation keeps its bits.
-    def floats(lo, hi):
-        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=n,
-                                           max_size=n)))
-
-    w1, w2 = floats(1e-3, 1.0), floats(1e-3, 1.0)
-    p = kernels._join(floats(-2.0, 3.0), floats(1e-4, 0.1))
-    pa = kernels._join(np.array([floats(-2.0, 2.0), floats(-2.0, 2.0)]),
-                       np.array([floats(1e-3, 0.3), floats(1e-3, 0.3)]))
-    shared = np.array([p, p])
-    split = np.concatenate([shared, [[0.5 + 1e-3j], [0.4 + 2e-3j]]], axis=1)
-    pa_split = np.concatenate([pa, [[0.3 + 0.01j], [0.2 + 0.02j]]], axis=1)
-    eight_terms, eight = dilog_terms(
-        lambda: kernels._dilog_form(w1, w2, shared, pa))
-    twelve_terms, twelve = dilog_terms(lambda: kernels._dilog_form(
-        np.append(w1, 0.2), np.append(w2, 0.2), split, pa_split))
-    assert (eight_terms, twelve_terms) == (2 * 8 * n, 2 * 12 * (n + 1))
-    # self (rows a, b), cross, and the cancellations of the three sums.
-    for got, want in zip(eight, twelve):
-        assert got.tobytes() == want[..., :n].tobytes()
-
-
 class LogCounter:
     """numpy, with np.log counting the complex elements it takes."""
 
@@ -308,8 +251,7 @@ def test_fig4_sweeps_take_at_most_42_complex_logs_per_point():
     # Per point and window edge: 2 logs of w and 8 of 1 - z for the shared
     # biexciton pole's table, then a log of the mapped 1 - z, of -z or of
     # the reflected argument only for the entries each map moves, and the
-    # cut logs only for entries that cross the cut: 39.6 per point.  The
-    # 12-term table took 61.3, and every log over every entry 128.
+    # cut logs only for entries that cross the cut: 39.6 per point.
     counter = LogCounter()
     points = 0
     with mock.patch.object(kernels, "np", counter):

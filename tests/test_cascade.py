@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polcascade.cascade import (_write_rows_csv, channel_table,
-                                enumerate_channels, gamma_xx_total,
-                                pl_spectrum, write_spectrum_csv)
+                                enumerate_channels, pl_spectrum,
+                                write_spectrum_csv)
 from polcascade.errors import ValidationError
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
 from polcascade.polariton import find_crossings, solve_polaritons
@@ -100,10 +100,10 @@ def test_channel_widths():
                         atol=1e-15)
     # The four exciton fractions pair to 1 per polarization, so the total
     # biexciton width is exactly 2 hbar / tau_xx.
-    assert_allclose(gamma_xx_total(p), 2.0 * HBAR_MEV_PS / p.tau_xx,
+    total = channel_table(p)["gamma_xx_total_mev"]
+    assert_allclose(total, 2.0 * HBAR_MEV_PS / p.tau_xx, atol=1e-15)
+    assert_allclose(sum(c.xx_channel_width for c in chans), total,
                     atol=1e-15)
-    assert_allclose(sum(c.xx_channel_width for c in chans),
-                    gamma_xx_total(p), atol=1e-15)
 
 
 def test_spectrum_four_peaks_per_polarization():
@@ -174,7 +174,7 @@ def test_channel_table_contents():
     p = scheme_preset(3)
     table = channel_table(p)
     assert table["e_xx_mev"] == p.e_biexciton
-    assert_allclose(table["gamma_xx_total_mev"], gamma_xx_total(p),
+    assert_allclose(table["gamma_xx_total_mev"], 2.0 * HBAR_MEV_PS / p.tau_xx,
                     atol=1e-15)
     assert len(table["channels"]) == 4
     states = {(s.pol, s.branch): s for s in solve_polaritons(p)}

