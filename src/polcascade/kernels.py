@@ -207,9 +207,10 @@ def _dilog_table(w2, s, r):
     the side the path leaves it by.  d = 0 gives log^2(w) / 2.
 
     An entry takes at each edge log(1 - z), which serves both the product
-    term and _dilog, plus what _dilog takes for the entries its maps move;
-    each row s takes log w.  Only an entry that crosses the cut takes the
-    two logs of its jump, log x and log w*.
+    term and _dilog (as log((r - edge) / d) where |1 - z| < 1/2), plus
+    what _dilog takes for the entries its maps move; each row s takes
+    log w.  Only an entry that crosses the cut takes the two logs of its
+    jump, log x and log w*.
 
     The work runs on flat arrays: NumPy's loops over the real and
     imaginary parts of a flat array cost less than over a table's axes.
@@ -224,7 +225,7 @@ def _dilog_table(w2, s, r):
         return out.reshape(-1)
 
     d = d.reshape(-1)
-    s_flat, w2_flat = flat(s), flat(w2)
+    s_flat, r_flat, w2_flat = flat(s), flat(r), flat(w2)
     degenerate = d == 0
     d = np.where(degenerate, 1.0, d)
     degenerate_at = degenerate.nonzero()[0]
@@ -237,6 +238,14 @@ def _dilog_table(w2, s, r):
         # log w takes one log per row s, not one per table entry.
         log_w = flat(np.log(edge - s))
         log1p_minus_z = _log1p(-z)
+        # Near z = 1, as where the pole r lies on an edge, 1 - z rounded
+        # from z keeps only the digits of |1 - z|; (r - edge) / d keeps
+        # all.  It takes the side of the cut that z takes.
+        one_minus_z = (r_flat - edge_flat) / d
+        one_minus_z.imag = np.copysign(one_minus_z.imag, -z.imag)
+        near_one = ((np.abs(one_minus_z) < 0.5)
+                    & (one_minus_z != 0)).nonzero()[0]
+        log1p_minus_z[near_one] = np.log(one_minus_z[near_one])
         parts = (_mul(log_w, log1p_minus_z), _dilog(z, log1p_minus_z))
         log_w0 = log_w[degenerate_at]
         parts[0][degenerate_at] = 0.5 * _mul(log_w0, log_w0)
@@ -455,8 +464,13 @@ def window_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
                                           dtype=float)
     w1 = k1_hi - k1_lo
     w2 = k2_hi - k2_lo
-    # Each difference of two nearby energies is exact.
-    p = _join((exx[0] - k1_lo) - k2_lo, gxx[0])
+    # Each difference of two nearby energies is exact, but exx - k1_lo
+    # rounds where exx is more than twice k1_lo: its rounding error
+    # (Knuth's two-sum) is added back after k2_lo, near it, is taken off.
+    head = exx[0] - k1_lo
+    minus_k1 = head - exx[0]
+    error = (exx[0] - (head - minus_k1)) - (k1_lo + minus_k1)
+    p = _join((head - k2_lo) + error, gxx[0])
     pa = _join(e - k2_lo, g)
     live = ((w1 > 0) & (w2 > 0)).nonzero()[0]
     self_ = np.zeros(pa.shape)

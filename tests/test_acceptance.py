@@ -417,9 +417,9 @@ FIGURE_SHA256 = {
     "fig3c.csv": "1a99d0f350ab09e4f6d88b2fd054b94acff8dbdd34cd4bcc66a8502bf79355da",
     "fig3c.svg": "68fcf5046e83b74d32796b13b55a884fedc473bdc53a36217911ace63d9cd6e0",
     "fig4.svg": "58231c2978e0979c0fffef8fa4c621d1086ac538c2bc0212c8f7d97901305553",
-    "fig4_scheme1.csv": "94709b73cbae5efde68441cb211ad379a85f5bcbb6ab7d66b56dbadfcf16caf9",
-    "fig4_scheme2.csv": "5684757f2f53818cc06255820ab6ed463e9d8d66b50ecdf94feef144cb660bd8",
-    "fig4_scheme3.csv": "923d02a5097cb317795ab0906d30906a1beb72f21cfed00e61a974a5ffdfde75",
+    "fig4_scheme1.csv": "9c1a9c018ae1bea5dfc3022206cf3d9b7889a86c659224122c95565d9b90b912",
+    "fig4_scheme2.csv": "9cda203a2a6d313ac8a691886dad27dcc6d0f4bfbf4f50588ac0b2db91f38e1a",
+    "fig4_scheme3.csv": "fe926d9095886030c6f30fce1d567baaa74af5940fc98155352a481ffa77878e",
 }
 
 

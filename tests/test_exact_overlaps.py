@@ -149,6 +149,30 @@ def test_near_degenerate_boxes_are_finite_and_exact(e_a, g_a):
         assert abs(g - n) <= 1e-8 * abs(w)
 
 
+@pytest.mark.parametrize("edge", (900.0, 902.0))
+def test_narrow_line_on_a_window_edge(edge):
+    # A line 2^-15 meV wide on an edge, with the ridge across the middle
+    # of the window, puts z = w/d within 3e-5 of 1 there: 1 - z rounded
+    # from z keeps five digits fewer than its log needs.
+    k1, k2 = (896.0, 898.0), (900.0, 902.0)
+    sides = ((1797.0, 2 ** -6, edge, 2 ** -15, 1e-3),
+             (1797.0, 2 ** -6, edge, 2 ** -14, 1e-3))
+    for g, w in zip(overlaps(*sides, k1, k2), expected(*sides, k1, k2)):
+        assert abs(g - w) <= 1e-12 * abs(w), (g, w)
+
+
+def test_ridge_of_a_biexciton_more_than_twice_k1():
+    # exx - k1_lo = 1028.3125 - 2^-43 has no float: it rounds by 2^-43
+    # meV, which moves a ridge 2^-9 meV wide by 3e-11 of the self overlap.
+    k1, k2 = (1021.75 + 2 ** -43, 1022.0625), (1028.25, 1028.5625)
+    sides = ((2050.0625, 2 ** -9, 1027.0, 2 ** -10, 1e-3),
+             (2050.0625, 2 ** -9, 1028.4375, 2 ** -6, 1e-3))
+    got, want = overlaps(*sides, k1, k2), expected(*sides, k1, k2)
+    scale = math.sqrt(want[0].real * want[1].real)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * max(scale, abs(w)), (g, w)
+
+
 def test_box_beside_a_narrow_ridge_edge():
     # The ridge (gxx = 4.5e-5 meV) ends on the window's lower edge and the
     # line lies 0.5 meV below the window, so the dilogarithm sum cancels

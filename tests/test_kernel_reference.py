@@ -79,7 +79,7 @@ def reference_dilog_table(w2, s, r):
         return out.reshape(-1)
 
     d = d.reshape(-1)
-    s_flat, w2_flat = flat(s), flat(w2)
+    s_flat, r_flat, w2_flat = flat(s), flat(r), flat(w2)
     degenerate = d == 0
     d = np.where(degenerate, 1.0, d)
     f, im, size = [], [], 0.0
@@ -87,8 +87,14 @@ def reference_dilog_table(w2, s, r):
         z = (edge_flat - s_flat) / d
         z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
         log_w = flat(np.log(edge - s))
+        one_minus_z = (r_flat - edge_flat) / d
+        one_minus_z.imag = np.copysign(one_minus_z.imag, -z.imag)
+        near_one = (np.abs(one_minus_z) < 0.5) & (one_minus_z != 0)
+        log1p_minus_z = np.where(
+            near_one, np.log(np.where(near_one, one_minus_z, 1.0)),
+            _log1p(-z))
         parts = (np.where(degenerate, 0.5 * _mul(log_w, log_w),
-                          _mul(log_w, _log1p(-z))),
+                          _mul(log_w, log1p_minus_z)),
                  np.where(degenerate, 0.0, reference_dilog(z)))
         f.append(parts[0] + parts[1])
         size = size + np.abs(parts[0]) + np.abs(parts[1])
