@@ -31,11 +31,10 @@ class CascadeChannel:
     amp: float                     # branching amplitude, real >= 0, sum of squares = 1
     xx_channel_width: float        # this channel's share of the biexciton width, meV
     xx_total_width: float          # total biexciton half width, meV
-
-    @property
-    def e_xx(self) -> float:
-        """Biexciton energy recovered from energy conservation."""
-        return self.photon1 + self.photon2
+    # The cascade's biexciton energy, meV: the u-pole energy that every
+    # channel of the cascade shares, equal to photon1 + photon2 wherever
+    # both photon energies are positive (see ChannelArrays).
+    e_xx: float
 
 
 def _paired_photon_energies(e_xx: float, e_pol: np.ndarray):
@@ -88,7 +87,8 @@ class ChannelArrays:
                       self.xx_total_width[:, i].tolist())
         return [CascadeChannel(pol=pol, branch=branch, intermediate=s,
                                photon1=p1, photon2=p2, amp=amp,
-                               xx_channel_width=own, xx_total_width=total)
+                               xx_channel_width=own, xx_total_width=total,
+                               e_xx=self.e_biexciton)
                 for (pol, branch), s, p1, p2, amp, own, total in columns]
 
 

@@ -35,8 +35,8 @@ from .experiments import (_GRID_HI, _GRID_LO, _GRID_POINTS, _SPECTRUM_MARGIN,
                           spectrum_grid, tracked_window,
                           write_anticrossing_files, write_spectrum_files)
 from .model import (SystemParams, _require_count, _require_finite,
-                    _require_positive, _require_range, scheme_id,
-                    scheme_preset)
+                    _require_positive, _require_range, _require_seed,
+                    scheme_id, scheme_preset)
 from .pairstate import DetectorWindow, gamma_prime, gamma_unprojected
 from .polariton import anticrossing_sweep, hypot  # noqa: F401
 from .svg import line_plot  # noqa: F401
@@ -196,9 +196,9 @@ def _validate_config(cfg: RunConfig) -> None:
             f"got {cfg.reference!r}")
     for name in ("width", "margin"):
         _require_positive(name, getattr(cfg, name))
-    for name, least in (("points", 2), ("sweep_points", 1), ("n", 1),
-                        ("seed", 0)):
+    for name, least in (("points", 2), ("sweep_points", 1), ("n", 1)):
         _require_count(name, getattr(cfg, name), least)
+    _require_seed("seed", cfg.seed)
     for name in ("angle_a", "angle_b"):
         _require_finite(name, getattr(cfg, name))
     for lo, hi in (("sweep_lo", "sweep_hi"), ("lo", "hi")):

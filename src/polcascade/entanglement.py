@@ -6,6 +6,12 @@ are X-shaped: diagonal (pHH, 0, 0, pVV) with corner coherences.  General
 analyzed; the X-form fast paths must agree with the general solvers.
 
 Basis order is (HH, HV, VH, VV).  Analyzer angles are in radians.
+
+The Pauli correlation matrix behind the CHSH bound takes the nine
+constant sigma_i x sigma_j products from one stack built at import, in
+one matmul and one trace; each entry is the same matmul and trace as a
+pair-by-pair loop would take, so its bits do not depend on the stacking.
+Sampling seeds pass model._require_seed.
 """
 from __future__ import annotations
 
@@ -15,13 +21,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import _require_count, _require_finite
+from .model import _require_count, _require_finite, _require_seed
 from .polariton import hypot
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = (_SIGMA_X, _SIGMA_Y, _SIGMA_Z)
+# The nine sigma_i x sigma_j of the correlation matrix, (i, j) in row-major
+# order, as one (9, 4, 4) stack.
+_PAULI_PAIRS = np.array([np.kron(si, sj) for si in _PAULIS for sj in _PAULIS])
 
 # Entries that must vanish in an X-shaped matrix (off both diagonals).
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
@@ -117,12 +126,15 @@ def _x_pt_eigenvalues(pt: np.ndarray) -> np.ndarray:
 
 
 def correlation_matrix(rho: TwoQubitDensityMatrix) -> np.ndarray:
-    """3x3 Pauli correlation matrix T_ij = Tr(rho sigma_i x sigma_j)."""
-    t = np.empty((3, 3))
-    for i, si in enumerate(_PAULIS):
-        for j, sj in enumerate(_PAULIS):
-            t[i, j] = np.trace(rho.matrix @ np.kron(si, sj)).real
-    return t
+    """3x3 Pauli correlation matrix T_ij = Tr(rho sigma_i x sigma_j).
+
+    One matmul over the stack of the nine products and one trace take the
+    same product and trace per pair as nine separate calls, with the same
+    bits; an einsum would add in another order.
+    """
+    t = np.trace(rho.matrix @ _PAULI_PAIRS, axis1=1, axis2=2).real
+    # A contiguous copy, as the loop filled, for chsh_bound's t.T @ t.
+    return t.reshape(3, 3).copy()
 
 
 def chsh_bound(rho: TwoQubitDensityMatrix) -> float:
@@ -223,9 +235,11 @@ def sample_coincidences(rho: TwoQubitDensityMatrix, basis_pair, n: int,
     """n seeded coincidence draws at one pair of analyzer angles.
 
     Returns the 2x2 integer count table; identical (rho, angles, n, seed)
-    give identical counts.
+    give identical counts.  seed must pass model._require_seed: an
+    integer from 0 to 2**63 - 1, or a non-empty list or tuple of them.
     """
     n = _require_count("n", n, 1)
+    seed = _require_seed("seed", seed)
     angle_a, angle_b = basis_pair
     probs = born_probabilities(rho, angle_a, angle_b)
     rng = np.random.default_rng(seed)

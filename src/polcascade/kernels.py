@@ -48,7 +48,8 @@ Boxes are integrated relative to their corner (k1_lo, k2_lo), so window
 widths enter exactly, and each value depends only on its own point.
 Results do not depend on the host's SIMD: the arithmetic is complex log,
 complex divide, abs, and real add, subtract, multiply and divide, whose
-results NumPy's CPU dispatch does not change.  Complex products are
+results NumPy's CPU dispatch does not change.  Every log is taken by
+_log, on complex arrays.  Complex products are
 spelled out in real arithmetic (_mul), because a fused multiply-add would
 round them differently; a product with a real factor rounds the same
 either way.
@@ -100,13 +101,20 @@ def _mul(x, y):
                  x.real * y.imag + x.imag * y.real)
 
 
+def _log(z):
+    """The principal log of z taken as complex, per element: the one log
+    rule of the kernels.  A real argument would reach NumPy's real log,
+    which rounds differently at different SIMD levels."""
+    return np.log(np.asarray(z, dtype=complex))
+
+
 def _log1p_over(x):
     """log(1 + x) / x on complex arrays, accurate for small |x|: with
     u = 1 + x rounded, log(u) / (u - 1) is the same function at the x
     that u represents exactly."""
     u = 1.0 + x
     exact = u == 1.0
-    return np.where(exact, 1.0, np.log(u) / np.where(exact, 1.0, u - 1.0))
+    return np.where(exact, 1.0, _log(u) / np.where(exact, 1.0, u - 1.0))
 
 
 def _log1p(x):
@@ -189,8 +197,8 @@ def _dilog(z, log1p_minus_z):
     u2 = _join(u2r, u2i)
     value = u - 0.25 * u2 + _mul(u, _mul(u2, _join(tr, ti)))
     # Where refl, log(z1) = log(1 - z2) = -u.
-    value[refl] = _PI2_6 - value[refl] + _mul(u[refl], np.log(z2[refl]))
-    log_minus_z = np.log(-z[inv])
+    value[refl] = _PI2_6 - value[refl] + _mul(u[refl], _log(z2[refl]))
+    log_minus_z = _log(-z[inv])
     value[inv] = -value[inv] - _PI2_6 - 0.5 * _mul(log_minus_z, log_minus_z)
     return value
 
@@ -236,7 +244,7 @@ def _dilog_table(w2, s, r):
         # Im z along the path runs with Im(1/d), of sign opposite to Im d.
         z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
         # log w takes one log per row s, not one per table entry.
-        log_w = flat(np.log(edge - s))
+        log_w = flat(_log(edge - s))
         log1p_minus_z = _log1p(-z)
         # Near z = 1, as where the pole r lies on an edge, 1 - z rounded
         # from z keeps only the digits of |1 - z|; (r - edge) / d keeps
@@ -245,7 +253,7 @@ def _dilog_table(w2, s, r):
         one_minus_z.imag = np.copysign(one_minus_z.imag, -z.imag)
         near_one = ((np.abs(one_minus_z) < 0.5)
                     & (one_minus_z != 0)).nonzero()[0]
-        log1p_minus_z[near_one] = np.log(one_minus_z[near_one])
+        log1p_minus_z[near_one] = _log(one_minus_z[near_one])
         parts = (_mul(log_w, log1p_minus_z), _dilog(z, log1p_minus_z))
         log_w0 = log_w[degenerate_at]
         parts[0][degenerate_at] = 0.5 * _mul(log_w0, log_w0)
@@ -263,7 +271,7 @@ def _dilog_table(w2, s, r):
     x = (w_cross / d).real
     cut = (crosses & (x > 1) & ~degenerate).nonzero()[0]
     if cut.size:
-        log_ratio = np.log(x[cut] + 0j) - np.log(w_cross[cut])
+        log_ratio = _log(x[cut]) - _log(w_cross[cut])
         jump = 2 * math.pi * _join(-log_ratio.imag, log_ratio.real)
         j[cut] -= np.copysign(1.0, im_hi[cut] - im_lo[cut]) * jump
         size[cut] += np.abs(jump)
@@ -358,7 +366,7 @@ def _pole_rule(lo, hi, inner, r1, r2, s1, s2):
             c = np.where(near, smooth(np.where(near, r, center)) / (r - other),
                          0)
             f -= c / (x - r)
-            total = total + _mul(c, np.log((hi - r) / (lo - r)))
+            total = total + _mul(c, _log((hi - r) / (lo - r)))
     # accumulate adds the nodes' terms one after another.
     return total + half * np.add.accumulate(weights * f)[-1]
 

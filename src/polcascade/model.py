@@ -7,7 +7,8 @@ cavity mode doublet; polarization-resolved levels are derived on access.
 The package's input rules, one per kind, are here; each raises a
 ValidationError naming the input, and none takes a bool as a number:
 _require_finite, _require_positive (inf passes), _require_count (an
-integer up to 2**63 - 1), _require_range (finite lo < hi) and
+integer up to 2**63 - 1), _require_seed (such an integer from 0, or a
+non-empty list or tuple of them), _require_range (finite lo < hi) and
 _require_grid (a 1-d, finite, strictly increasing grid).
 """
 from __future__ import annotations
@@ -66,6 +67,16 @@ def _require_count(name: str, value, least: int) -> int:
         raise ValidationError(
             f"{name} must be an integer in [{least}, 2**63 - 1], got {value!r}")
     return int(value)
+
+
+def _require_seed(name: str, value):
+    """value as a seed of np.random.default_rng: an int by the count rule
+    from 0, or a non-empty list or tuple of such ints, as a list."""
+    if not isinstance(value, (list, tuple)):
+        return _require_count(name, value, 0)
+    if not value:
+        raise ValidationError(f"{name} must not be an empty sequence")
+    return [_require_count(f"{name}[{i}]", v, 0) for i, v in enumerate(value)]
 
 
 def _require_range(lo_name: str, hi_name: str, lo, hi) -> None:

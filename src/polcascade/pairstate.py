@@ -293,10 +293,14 @@ def gamma_prime(params: SystemParams, pairing: str,
                          pairing=key)
 
 
+def _norm(x_ex, x_ph):
+    """All-space norm of a channel's packet from its Hopfield amplitudes."""
+    return (x_ex * x_ex * (x_ph * x_ph)) / 4.0
+
+
 def channel_norm(ch: CascadeChannel) -> float:
     """All-space norm of one channel's packet, x_ex^2 x_ph^2 / 4."""
-    s = ch.intermediate
-    return (s.x_ex * s.x_ex * (s.x_ph * s.x_ph)) / 4.0
+    return _norm(ch.intermediate.x_ex, ch.intermediate.x_ph)
 
 
 def _residue(g_a, g_b, e_a, e_b) -> complex:
@@ -330,17 +334,24 @@ def gamma_unprojected(params: SystemParams,
     norms.  _residue has modulus <= 1 and sqrt(n_a n_b) <= (n_a + n_b) /
     2, so |gamma| <= 1/2 by construction, up to a few ulps where H and V
     nearly coincide.
+
+    Each state's energy, linewidth and Hopfield amplitudes are read from
+    the one column of cascade.channel_arrays, which raises
+    ValidationError where every branching weight vanished; no channel
+    object is built.
     """
-    channels = {(c.pol, c.branch): c for c in enumerate_channels(params)}
-    norms = {key: channel_norm(ch) for key, ch in channels.items()}
-    cross = 0j
+    arrays = channel_arrays(params, [params.cav_mean])
+    arrays.check(0)
+    s = arrays.states
+    energy, linewidth, x_ex, x_ph = (
+        row[:, 0].tolist() for row in (s.energy, s.linewidth, s.x_ex, s.x_ph))
+    norms = [_norm(*amplitudes) for amplitudes in zip(x_ex, x_ph)]
+    cross, total = 0j, 0.0
     for branch in ("LP", "UP"):
-        a, b = channels[("H", branch)], channels[("V", branch)]
-        pair = math.sqrt(norms[("H", branch)] * norms[("V", branch)])
+        a, b = (STATE_ORDER.index((pol, branch)) for pol in ("H", "V"))
+        total += norms[a] + norms[b]
+        pair = math.sqrt(norms[a] * norms[b])
         if pair > 0:
-            cross += pair * _residue(a.intermediate.linewidth,
-                                     b.intermediate.linewidth,
-                                     a.intermediate.energy,
-                                     b.intermediate.energy)
-    return cross / ((norms[("H", "LP")] + norms[("V", "LP")])
-                    + (norms[("H", "UP")] + norms[("V", "UP")]))
+            cross += pair * _residue(linewidth[a], linewidth[b], energy[a],
+                                     energy[b])
+    return cross / total

@@ -352,6 +352,27 @@ def test_command_output_bytes_match_pinned_digests(capsys, tmp_path, argv):
         assert got == digest, f"{name} changed: sha256 {got}"
 
 
+# The JSON summaries of two commands that write no file.  Without
+# --out-dir they print "out_dir": ".", so the bytes hold in any directory.
+STDOUT_SHA256 = {
+    ("entangle", "--scheme", "1"):
+        "40fb2b1106b5f87dfdbee37a04836c25bde1d43307032baa874ee324438c121c",
+    ("gamma", "--scheme", "1", "--unprojected"):
+        "78e9a241b4b88ece53d3cbb0ab5b4b0d6f135cf0f1e6ea452e9449edaa577457",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_command_stdout_matches_pinned_digest(capsys, monkeypatch, tmp_path,
+                                              argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert list(tmp_path.iterdir()) == []
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert got == STDOUT_SHA256[argv], f"stdout changed: sha256 {got}"
+
+
 # ---------------------------------------------------------- fuzzed configs
 
 # Values for known keys: numbers of every size and sign, booleans, and

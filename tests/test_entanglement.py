@@ -192,6 +192,49 @@ def test_correlation_matrix_of_balanced_state():
     assert_allclose(t, np.diag([0.6, -0.6, 1.0]), atol=1e-14)
 
 
+def loop_correlation_matrix(rho):
+    """The pair-by-pair form: one np.kron, matmul and trace per T_ij."""
+    paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.array([[1, 0], [0, -1]], dtype=complex))
+    t = np.empty((3, 3))
+    for i, si in enumerate(paulis):
+        for j, sj in enumerate(paulis):
+            t[i, j] = np.trace(rho.matrix @ np.kron(si, sj)).real
+    return t
+
+
+def random_general_states(rng, count):
+    """Full-rank states a a^H / Tr, a with complex Gaussian entries."""
+    states = []
+    for _ in range(count):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = a @ a.conj().T
+        m = (m + m.conj().T) / 2
+        states.append(TwoQubitDensityMatrix(m / np.trace(m).real))
+    return states
+
+
+def test_correlation_matrix_equals_the_pair_by_pair_form(monkeypatch):
+    rng = np.random.default_rng(20261020)
+    states = random_x_states(rng, 300) + random_general_states(rng, 300)
+    want = [loop_correlation_matrix(rho) for rho in states]
+    loop_chsh = []
+    for t in want:
+        ev = np.linalg.eigvalsh(t.T @ t)
+        loop_chsh.append(2.0 * math.sqrt(max(ev[-1] + ev[-2], 0.0)))
+
+    def no_kron(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    for rho, t, chsh in zip(states, want, loop_chsh):
+        got = correlation_matrix(rho)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == t.tobytes()
+        assert chsh_bound(rho) == chsh
+
+
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.3, -0.4),
                                   (math.pi / 8, math.pi / 3)])
 def test_correlation_analytic_form(a, b):

@@ -1,10 +1,10 @@
 """One input rule per kind, in model, named by the input it refuses.
 
-Numbers, counts, ranges and grids are checked by model's _require_*
-rules.  Each refusal below is a ValidationError whose message names the
-argument; the accepted rows are inputs of those kinds that must pass.  An
-ast guard keeps the rules in one module: math.isfinite and the numbers
-module appear only in model.py.
+Numbers, counts, seeds, ranges and grids are checked by model's
+_require_* rules.  Each refusal below is a ValidationError whose message
+names the argument; the accepted rows are inputs of those kinds that must
+pass.  An ast guard keeps the rules in one module: math.isfinite and the
+numbers module appear only in model.py.
 """
 import ast
 import math
@@ -94,6 +94,24 @@ REFUSED = {
     "amplitude k1 text": ("k1", lambda: amplitude(ch_a, "1", 2)),
     "amplitude k2 bool": ("k2", lambda: amplitude(ch_a, 997.0, True)),
     "chsh angles gamma nan": ("gamma", lambda: optimal_chsh_angles(math.nan)),
+    "sample seed None": (
+        "seed", lambda: sample_coincidences(rho, (0, 0.3), 10, None)),
+    "sample seed bool": (
+        "seed", lambda: sample_coincidences(rho, (0, 0.3), 10, True)),
+    "sample seed negative": (
+        "seed", lambda: sample_coincidences(rho, (0, 0.3), 10, -1)),
+    "sample seed float": (
+        "seed", lambda: sample_coincidences(rho, (0, 0.3), 10, 1.5)),
+    "sample seed text": (
+        "seed", lambda: sample_coincidences(rho, (0, 0.3), 10, "a")),
+    "sample seed 2**63": (
+        "seed", lambda: sample_coincidences(rho, (0, 0.3), 10, 2**63)),
+    "sample seed empty list": (
+        "seed", lambda: sample_coincidences(rho, (0, 0.3), 10, [])),
+    "sample seed list with a bool": (
+        "seed[1]", lambda: sample_coincidences(rho, (0, 0.3), 10, [0, False])),
+    "sample seed list with a negative": (
+        "seed[0]", lambda: sample_coincidences(rho, (0, 0.3), 10, [-1, 3])),
 }
 
 
@@ -115,8 +133,16 @@ def test_numpy_integer_counts_are_accepted():
 def test_accepted_edges():
     assert lifetime_to_linewidth(math.inf) == 0.0
     QuadratureSpec(rel_tol=1e-12)
-    # A list seed, as the benchmark's study workload passes.
-    assert sample_coincidences(rho, (0.0, 0.3), 10, [0, 3]).sum() == 10
+    # A list seed, as the benchmark's study workload passes; a tuple or
+    # NumPy integers draw the same counts.
+    counts = sample_coincidences(rho, (0.0, 0.3), 10, [0, 3])
+    assert counts.sum() == 10
+    for seed in ((0, 3), [np.int64(0), np.uint8(3)]):
+        assert np.array_equal(
+            sample_coincidences(rho, (0.0, 0.3), 10, seed), counts)
+    assert np.array_equal(sample_coincidences(rho, (0.0, 0.3), 10, 2**63 - 1),
+                          sample_coincidences(rho, (0.0, 0.3), 10,
+                                              np.uint64(2**63 - 1)))
     assert (x_state(0.5, 0.5, np.complex128(0.3 - 0.1j)).gamma
             == x_state(0.5, 0.5, 0.3 - 0.1j).gamma)
     assert correlation_from_counts([[3, 0], [0, 1]]) == 1.0

@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -71,3 +73,31 @@ def test_midpoint_matches_amplitude_product_sum():
 def test_active_backend_is_exported():
     assert kernels.BACKEND == "python"
     assert kernels.overlap_integrand is not None
+
+
+def test_one_log_rule_in_the_kernels():
+    # Every log of the kernels is kernels._log's np.log of a complex
+    # array; no other log, real or complex, is taken there.
+    with open(kernels.__file__) as fh:
+        tree = ast.parse(fh.read())
+    helper = [fn for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_log"]
+    assert len(helper) == 1
+    inside = {id(node) for node in ast.walk(helper[0])}
+    logs = ("log", "log1p", "log2", "log10")
+    found = []
+    for node in ast.walk(tree):
+        where = f"kernels.py:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.ImportFrom) and node.module in (
+                "math", "cmath", "numpy"):
+            found += [f"{where} imports {node.module}.{alias.name}"
+                      for alias in node.names if alias.name in logs]
+        elif (isinstance(node, ast.Attribute) and node.attr in logs
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy", "math", "cmath")
+              and id(node) not in inside):
+            found.append(f"{where} takes {ast.unparse(node)}")
+    assert not found, found
+    # A real argument takes the complex log.
+    x = np.array([0.5, 2.0, 1e300])
+    assert kernels._log(x).tobytes() == np.log(x + 0j).tobytes()

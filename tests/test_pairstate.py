@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from _corpus import overlap_corpus, scheme3_crossing
-from polcascade import kernels, pairstate
+from polcascade import cascade, kernels, pairstate
 from polcascade.cascade import channel_arrays, enumerate_channels
 from polcascade.errors import EmptyWindowError, ValidationError
 from polcascade.experiments import tracked_window
@@ -286,15 +286,23 @@ def test_gamma_prime_gives_a_pair_one_pole_where_photon_sums_differ(pairing):
     arrays = channel_arrays(BELOW_ZERO, [BELOW_ZERO.cav_mean])
     sums = (arrays.photon1 + arrays.photon2)[:, 0]
     assert len(set(sums.tolist())) == 2
-    coh = gamma_prime(BELOW_ZERO, pairing, DetectorWindow(1.0, 1.0, 0.5))
+    w = DetectorWindow(1.0, 1.0, 0.5)
+    coh = gamma_prime(BELOW_ZERO, pairing, w)
     assert abs(coh.gamma) <= 0.5
     if pairing == "UP-UP":
         # The value of the form with one u-pole per channel.
         want = 0.48105309907337324 - 0.0012344809017742274j
         assert abs(coh.gamma - want) <= 1e-15
+    # Channel objects carry the cascade's biexciton energy, so the
+    # object entry points take the same pole and give the same bits.
+    a, b = pairing_channels(enumerate_channels(BELOW_ZERO), pairing)
+    assert a.e_xx == b.e_xx == BELOW_ZERO.e_biexciton
+    assert gamma_prime_from_channels(a, b, w, coh.pairing) == coh
+    cross = windowed_overlap(a, b, w)
+    assert cross / sum(coh.channel_norms.values()) == coh.gamma
 
 
-@pytest.mark.parametrize("field", ["photon1", "xx_total_width"])
+@pytest.mark.parametrize("field", ["e_xx", "xx_total_width"])
 def test_pairs_with_distinct_biexciton_poles_are_refused(field):
     # A hand-built channel whose biexciton energy or width differs from
     # its partner's.
@@ -408,6 +416,55 @@ def test_unprojected_ignores_the_quadrature_spec():
     for params in study_points(10, seed=21):
         assert (gamma_unprojected(params, QuadratureSpec(rel_tol=1e-12))
                 == gamma_unprojected(params))
+
+
+def channel_gamma_unprojected(params):
+    """gamma_unprojected as taken from CascadeChannel objects, one
+    _residue per branch over the four channel norms."""
+    chans = channels_by_key(params)
+    norms = {key: channel_norm(ch) for key, ch in chans.items()}
+    cross = 0j
+    for branch in ("LP", "UP"):
+        a, b = chans[("H", branch)], chans[("V", branch)]
+        pair = math.sqrt(norms[("H", branch)] * norms[("V", branch)])
+        if pair > 0:
+            cross += pair * pairstate._residue(
+                a.intermediate.linewidth, b.intermediate.linewidth,
+                a.intermediate.energy, b.intermediate.energy)
+    return cross / ((norms[("H", "LP")] + norms[("V", "LP")])
+                    + (norms[("H", "UP")] + norms[("V", "UP")]))
+
+
+# Random bindings fall below 10 Rabi half-splittings, which warns.
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_unprojected_equals_the_channel_object_form(monkeypatch):
+    rng = np.random.default_rng(20261020)
+    systems = [BELOW_ZERO, *study_points(50, seed=22)]
+    for i in range(400):
+        # H and V exactly or nearly degenerate in every fourth system,
+        # and photon energies of both signs.
+        delta_x, delta_c = rng.uniform(-1.0, 1.0, 2)
+        if i % 4 == 0:
+            delta_x, delta_c = rng.choice([0.0, 1e-9, -1e-9], 2)
+        ex_mean = rng.uniform(-3.0, 3.0)
+        systems.append(SystemParams(
+            ex_mean=ex_mean, delta_x=delta_x,
+            cav_mean=ex_mean + rng.uniform(-2.0, 2.0), delta_c=delta_c,
+            rabi=rng.uniform(0.05, 1.0), tau_c=rng.uniform(2.0, 40.0),
+            tau_xx=rng.uniform(100.0, 2000.0),
+            binding=rng.uniform(0.5, 5.0)))
+    want = [channel_gamma_unprojected(params) for params in systems]
+
+    def no_channels(*args, **kwargs):
+        raise AssertionError("a CascadeChannel was built")
+
+    monkeypatch.setattr(cascade, "CascadeChannel", no_channels)
+    got = [gamma_unprojected(params) for params in systems]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    # Where every branching weight vanished, it refuses as the channel
+    # enumeration does.
+    with pytest.raises(ValidationError, match="vanished"):
+        gamma_unprojected(scheme_preset(1).with_detuning(1e9))
 
 
 def residue_integral(g_a, g_b, e_a, e_b):
