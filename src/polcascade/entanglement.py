@@ -11,6 +11,8 @@ The Pauli correlation matrix behind the CHSH bound takes the nine
 constant sigma_i x sigma_j products from one stack built at import, in
 one matmul and one trace; each entry is the same matmul and trace as a
 pair-by-pair loop would take, so its bits do not depend on the stacking.
+The Born probabilities take their four analyzer operators the same way,
+as one stack from a broadcast outer product of the two projector pairs.
 Sampling seeds pass model._require_seed.
 """
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import _require_count, _require_finite, _require_seed
+from .model import (_require_count, _require_finite, _require_items,
+                    _require_seed)
 from .polariton import hypot
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -43,7 +46,11 @@ class TwoQubitDensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        try:
+            m = np.asarray(self.matrix, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("density matrix must be a 4x4 array of "
+                                  f"numbers: {exc}") from None
         if m.shape != (4, 4):
             raise ValidationError(f"density matrix must be 4x4, got {m.shape}")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -169,23 +176,30 @@ def peres_test(rho: TwoQubitDensityMatrix) -> EntanglementReport:
     )
 
 
-def _polarizer_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
-    # Transmission port of a linear polarizer at `angle` from H, and the
-    # orthogonal reflection port.
+def _polarizer_projectors(angle: float) -> np.ndarray:
+    """The (2, 2, 2) stack of the transmission port of a linear polarizer
+    at angle from H and the orthogonal reflection port."""
     ket = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
     p0 = np.outer(ket, ket.conj())
-    return p0, np.eye(2, dtype=complex) - p0
+    return np.array([p0, np.eye(2, dtype=complex) - p0])
 
 
 def born_probabilities(rho: TwoQubitDensityMatrix, angle_a: float,
                        angle_b: float) -> np.ndarray:
-    """2x2 outcome probabilities; rows = analyzer A port, cols = B port."""
+    """2x2 outcome probabilities; rows = analyzer A port, cols = B port.
+
+    The four operators P_i x P_j are one broadcast outer product of the
+    two projector stacks, each entry np.kron's product.  One matmul over
+    their stack and one trace take the same product and trace per pair as
+    four separate calls, with the same bits, as in correlation_matrix.
+    Negative rounding is clipped to 0 and the table normalised to sum 1.
+    """
     pa = _polarizer_projectors(_require_finite("angle_a", angle_a))
     pb = _polarizer_projectors(_require_finite("angle_b", angle_b))
-    probs = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            probs[i, j] = np.trace(rho.matrix @ np.kron(pa[i], pb[j])).real
+    # Axes (port a, port b, row a, row b, column a, column b).
+    ops = (pa[:, None, :, None, :, None]
+           * pb[None, :, None, :, None, :]).reshape(4, 4, 4)
+    probs = np.trace(rho.matrix @ ops, axis1=1, axis2=2).real.reshape(2, 2)
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 
@@ -199,7 +213,7 @@ def correlation(rho: TwoQubitDensityMatrix, angle_a: float,
 
 def chsh_value(rho: TwoQubitDensityMatrix, angles) -> float:
     """CHSH combination E(a,b) + E(a',b) + E(a,b') - E(a',b')."""
-    a, a2, b, b2 = angles
+    a, a2, b, b2 = _require_items("angles", angles, 4)
     return (correlation(rho, a, b) + correlation(rho, a2, b)
             + correlation(rho, a, b2) - correlation(rho, a2, b2))
 
@@ -240,7 +254,7 @@ def sample_coincidences(rho: TwoQubitDensityMatrix, basis_pair, n: int,
     """
     n = _require_count("n", n, 1)
     seed = _require_seed("seed", seed)
-    angle_a, angle_b = basis_pair
+    angle_a, angle_b = _require_items("basis_pair", basis_pair, 2)
     probs = born_probabilities(rho, angle_a, angle_b)
     rng = np.random.default_rng(seed)
     return rng.multinomial(n, probs.ravel()).reshape(2, 2)

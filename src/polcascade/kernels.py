@@ -220,54 +220,63 @@ def _dilog_table(w2, s, r):
     log w.  Only an entry that crosses the cut takes the two logs of its
     jump, log x and log w*.
 
-    The work runs on flat arrays: NumPy's loops over the real and
-    imaginary parts of a flat array cost less than over a table's axes.
+    The work runs on flat arrays, one row per window edge, and takes both
+    edges in one pass: NumPy's loops over the real and imaginary parts of
+    a flat array cost less than over a table's axes, and a one-point
+    table of 8 entries per edge costs mostly per-call overhead.  Each
+    element takes the same operations as it would alone, so the bits do
+    not depend on the batch.
     """
     d = r - s
     shape = d.shape
 
-    def flat(x):
-        """x spread over the table, as one flat array."""
-        out = np.empty(shape, x.dtype)
+    def flat(x, lead=()):
+        """x spread over the table, as one flat array (per index of lead)."""
+        out = np.empty(lead + shape, x.dtype)
         out[...] = x
-        return out.reshape(-1)
+        return out.reshape(lead + (-1,))
 
     d = d.reshape(-1)
-    s_flat, r_flat, w2_flat = flat(s), flat(r), flat(w2)
+    s_flat, r_flat = flat(s), flat(r)
+    # The window edges 0 and w2 on a leading axis; every array of the
+    # pass below has it.
+    edge = np.zeros((2,) + (1,) * (len(shape) - np.ndim(w2)) + np.shape(w2))
+    edge[1] = w2
+    edge_flat = flat(edge, (2,))
     degenerate = d == 0
     d = np.where(degenerate, 1.0, d)
     degenerate_at = degenerate.nonzero()[0]
-    # One window edge at a time, which halves the temporaries.
-    f, im, size = [], [], 0.0
-    for edge, edge_flat, side in ((0.0, 0.0, -d.imag), (w2, w2_flat, d.imag)):
-        z = (edge_flat - s_flat) / d
-        # Im z along the path runs with Im(1/d), of sign opposite to Im d.
-        z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
-        # log w takes one log per row s, not one per table entry.
-        log_w = flat(_log(edge - s))
-        log1p_minus_z = _log1p(-z)
-        # Near z = 1, as where the pole r lies on an edge, 1 - z rounded
-        # from z keeps only the digits of |1 - z|; (r - edge) / d keeps
-        # all.  It takes the side of the cut that z takes.
-        one_minus_z = (r_flat - edge_flat) / d
-        one_minus_z.imag = np.copysign(one_minus_z.imag, -z.imag)
-        near_one = ((np.abs(one_minus_z) < 0.5)
-                    & (one_minus_z != 0)).nonzero()[0]
-        log1p_minus_z[near_one] = _log(one_minus_z[near_one])
-        parts = (_mul(log_w, log1p_minus_z), _dilog(z, log1p_minus_z))
-        log_w0 = log_w[degenerate_at]
-        parts[0][degenerate_at] = 0.5 * _mul(log_w0, log_w0)
-        parts[1][degenerate_at] = 0.0
-        f.append(parts[0] + parts[1])
-        size = size + np.abs(parts[0]) + np.abs(parts[1])
-        im.append(z.imag.copy())
+    z = (edge_flat - s_flat) / d
+    # Im z along the path runs with Im(1/d), of sign opposite to Im d.
+    side = np.stack((-d.imag, d.imag))
+    z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
+    # log w takes one log per row s, not one per table entry.
+    log_w = flat(_log(edge - s), (2,))
+    log1p_minus_z = _log1p(-z)
+    # Near z = 1, as where the pole r lies on an edge, 1 - z rounded
+    # from z keeps only the digits of |1 - z|; (r - edge) / d keeps
+    # all.  It takes the side of the cut that z takes.
+    one_minus_z = (r_flat - edge_flat) / d
+    one_minus_z.imag = np.copysign(one_minus_z.imag, -z.imag)
+    near_one = ((np.abs(one_minus_z) < 0.5) & (one_minus_z != 0)).nonzero()
+    log1p_minus_z[near_one] = _log(one_minus_z[near_one])
+    product = _mul(log_w, log1p_minus_z)
+    dilog = _dilog(z.reshape(-1), log1p_minus_z.reshape(-1)).reshape(z.shape)
+    log_w0 = log_w[:, degenerate_at]
+    product[:, degenerate_at] = 0.5 * _mul(log_w0, log_w0)
+    dilog[:, degenerate_at] = 0.0
+    f = product + dilog
+    # Each entry's term sizes add in the edge loop's order: product, then
+    # dilog, at edge 0, then at w2.
+    size_product, size_dilog = np.abs(product), np.abs(dilog)
+    size = size_product[0] + size_dilog[0] + size_product[1] + size_dilog[1]
     j = f[1] - f[0]
     # The path crosses the real axis of z where Im z changes sign, at the
     # fraction t of the window; w* shares the path's Im w = -Im s.
-    im_lo, im_hi = im
+    im_lo, im_hi = z.imag
     crosses = (im_lo < 0) != (im_hi < 0)
     t = im_lo / np.where(crosses, im_lo - im_hi, 1.0)
-    w_cross = _join(t * w2_flat - s_flat.real, -s_flat.imag)
+    w_cross = _join(t * edge_flat[1] - s_flat.real, -s_flat.imag)
     x = (w_cross / d).real
     cut = (crosses & (x > 1) & ~degenerate).nonzero()[0]
     if cut.size:

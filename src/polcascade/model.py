@@ -8,8 +8,9 @@ The package's input rules, one per kind, are here; each raises a
 ValidationError naming the input, and none takes a bool as a number:
 _require_finite, _require_positive (inf passes), _require_count (an
 integer up to 2**63 - 1), _require_seed (such an integer from 0, or a
-non-empty list or tuple of them), _require_range (finite lo < hi) and
-_require_grid (a 1-d, finite, strictly increasing grid).
+non-empty list or tuple of them), _require_items (a fixed number of
+items, such as a tuple of analyzer angles), _require_range (finite
+lo < hi) and _require_grid (a 1-d, finite, strictly increasing grid).
 """
 from __future__ import annotations
 
@@ -79,6 +80,19 @@ def _require_seed(name: str, value):
     return [_require_count(f"{name}[{i}]", v, 0) for i, v in enumerate(value)]
 
 
+def _require_items(name: str, value, count: int) -> tuple:
+    """value as a tuple of exactly count items, taken from any iterable;
+    the items themselves are the caller's to check."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = ()
+    if len(items) != count:
+        raise ValidationError(
+            f"{name} must hold exactly {count} items, got {value!r}")
+    return items
+
+
 def _require_range(lo_name: str, hi_name: str, lo, hi) -> None:
     """lo and hi finite, with lo < hi; a failure names lo_name or hi_name."""
     _require_finite(lo_name, lo)
@@ -115,7 +129,7 @@ def _require_grid(name: str, values, least: int = 1) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemParams:
     """Dot and cavity parameters.
 

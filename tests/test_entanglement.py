@@ -260,6 +260,42 @@ def test_phi_plus_parallel_analyzers():
     assert_allclose(p, [[0.5, 0.0], [0.0, 0.5]], atol=1e-15)
 
 
+def loop_born_probabilities(rho, angle_a, angle_b):
+    """The pair-by-pair form: one np.kron, matmul and trace per outcome."""
+    def projectors(angle):
+        ket = np.array([math.cos(angle), math.sin(angle)], dtype=complex)
+        p0 = np.outer(ket, ket.conj())
+        return p0, np.eye(2, dtype=complex) - p0
+
+    pa, pb = projectors(angle_a), projectors(angle_b)
+    probs = np.empty((2, 2))
+    for i in range(2):
+        for j in range(2):
+            probs[i, j] = np.trace(rho.matrix @ np.kron(pa[i], pb[j])).real
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+def test_born_probabilities_equals_the_kron_loop(monkeypatch):
+    rng = np.random.default_rng(20261021)
+    states = random_x_states(rng, 300) + random_general_states(rng, 300)
+    # Random angles, and every fourth pair on multiples of pi/8, where
+    # an X state has outcomes of exactly zero probability.
+    angles = rng.uniform(-math.pi, math.pi, (len(states), 2))
+    angles[::4] = rng.integers(-8, 9, (len(angles[::4]), 2)) * math.pi / 8
+    want = [loop_born_probabilities(rho, a, b)
+            for rho, (a, b) in zip(states, angles)]
+
+    def no_kron(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    for rho, (a, b), p in zip(states, angles, want):
+        got = born_probabilities(rho, a, b)
+        assert got.dtype == np.float64 and got.shape == (2, 2)
+        assert got.tobytes() == p.tobytes()
+
+
 def test_correlation_from_counts():
     assert correlation_from_counts([[40, 10], [10, 40]]) == 0.6
     with pytest.raises(ValidationError):

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from polcascade.cascade import enumerate_channels, pl_spectrum
-from polcascade.entanglement import (born_probabilities, chsh_value,
+from polcascade.entanglement import (TwoQubitDensityMatrix,
+                                     born_probabilities, chsh_value,
                                      correlation, correlation_from_counts,
-                                     optimal_chsh_angles, sample_coincidences,
-                                     x_state)
+                                     optimal_chsh_angles, peres_test,
+                                     sample_coincidences, x_state)
 from polcascade.errors import ValidationError
 from polcascade.experiments import (optimize_detuning, spectrum_grid,
                                     tracked_window)
@@ -112,6 +113,29 @@ REFUSED = {
         "seed[1]", lambda: sample_coincidences(rho, (0, 0.3), 10, [0, False])),
     "sample seed list with a negative": (
         "seed[0]", lambda: sample_coincidences(rho, (0, 0.3), 10, [-1, 3])),
+    "density matrix text": (
+        "density matrix", lambda: TwoQubitDensityMatrix("abc")),
+    "density matrix ragged": (
+        "density matrix", lambda: TwoQubitDensityMatrix(
+            [[1, 0, 0, 0], [0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])),
+    "density matrix text entry": (
+        "density matrix", lambda: TwoQubitDensityMatrix(
+            [["a", 0, 0, 0]] + [[0, 0, 0, 0]] * 3)),
+    "peres_test ragged": ("density matrix", lambda: peres_test([[1], [0, 0]])),
+    "sample basis_pair one angle": (
+        "basis_pair", lambda: sample_coincidences(rho, (0.1,), 10, 1)),
+    "sample basis_pair scalar": (
+        "basis_pair", lambda: sample_coincidences(rho, 0.3, 10, 1)),
+    "sample basis_pair three angles": (
+        "basis_pair", lambda: sample_coincidences(rho, (0.1, 0.2, 0.3), 10, 1)),
+    "sample basis_pair None": (
+        "basis_pair", lambda: sample_coincidences(rho, None, 10, 1)),
+    "chsh angles three": (
+        "angles", lambda: chsh_value(rho, (0.0, 0.1, 0.2))),
+    "chsh angles five": (
+        "angles", lambda: chsh_value(rho, (0.0, 0.1, 0.2, 0.3, 0.4))),
+    "chsh angles scalar": ("angles", lambda: chsh_value(rho, 0.3)),
+    "chsh angles None": ("angles", lambda: chsh_value(rho, None)),
 }
 
 
@@ -146,6 +170,12 @@ def test_accepted_edges():
     assert (x_state(0.5, 0.5, np.complex128(0.3 - 0.1j)).gamma
             == x_state(0.5, 0.5, 0.3 - 0.1j).gamma)
     assert correlation_from_counts([[3, 0], [0, 1]]) == 1.0
+    # Angles come from any iterable of the right length.
+    angles = optimal_chsh_angles(0.3)
+    assert (chsh_value(rho, np.array(angles)) == chsh_value(rho, list(angles))
+            == chsh_value(rho, iter(angles)) == chsh_value(rho, angles))
+    assert np.array_equal(sample_coincidences(rho, [0.0, 0.3], 10, 1),
+                          sample_coincidences(rho, np.array([0.0, 0.3]), 10, 1))
 
 
 def test_rules_live_in_model():

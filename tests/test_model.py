@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 from numpy.testing import assert_allclose
@@ -139,3 +141,22 @@ def test_params_are_immutable():
     p = scheme_preset(1)
     with pytest.raises(Exception):
         p.rabi = 0.3
+
+
+def test_params_are_slotted_values():
+    # slots=True: no per-instance __dict__, and the frozen value still
+    # pickles, copies, replaces and hashes as before.
+    p = scheme_preset(3).with_detuning(0.125)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.rabi = 0.3
+    with pytest.raises((AttributeError, TypeError)):
+        p.extra = 1.0
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p),
+              p.replace()):
+        assert q == p and hash(q) == hash(p)
+        assert type(q) is SystemParams
+    q = p.replace(rabi=0.3)
+    assert q.rabi == 0.3 and q != p
+    assert dataclasses.astuple(q)[:4] == dataclasses.astuple(p)[:4]
+    assert len({p, pickle.loads(pickle.dumps(p)), q}) == 2
