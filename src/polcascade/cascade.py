@@ -150,6 +150,13 @@ def _lorentzian(grid: np.ndarray, center: float, halfwidth: float) -> np.ndarray
     return (halfwidth / np.pi) / (d * d + halfwidth * halfwidth)
 
 
+def _check_reference(reference) -> None:
+    """Refuse a spectrum energy reference other than the two known."""
+    if reference not in ("absolute", "relative_to_ex_mean"):
+        raise ValidationError(
+            f"reference must be 'absolute' or 'relative_to_ex_mean', got {reference!r}")
+
+
 def pl_spectrum(params: SystemParams, energy_grid,
                 reference: str = "absolute") -> Spectrum:
     """Luminescence spectrum of the full cascade.
@@ -159,9 +166,7 @@ def pl_spectrum(params: SystemParams, energy_grid,
     biexciton width and the polariton width, and the polariton line with
     the polariton width alone.
     """
-    if reference not in ("absolute", "relative_to_ex_mean"):
-        raise ValidationError(
-            f"reference must be 'absolute' or 'relative_to_ex_mean', got {reference!r}")
+    _check_reference(reference)
     grid = _require_grid("energy grid", energy_grid, least=2)
     if np.diff(grid).min() < 1e-12:
         raise ValidationError("energy grid points closer than 1e-12 meV")

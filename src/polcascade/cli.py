@@ -24,8 +24,8 @@ from . import __version__
 # pl_spectrum, write_spectrum_csv, anticrossing_sweep and line_plot are not
 # called here; they are imported only so that the benchmark tracer's cli
 # sites resolve, and patching them here changes nothing.
-from .cascade import (_write_rows_csv, channel_table,  # noqa: F401
-                      pl_spectrum, write_spectrum_csv)
+from .cascade import (_check_reference, _write_rows_csv,  # noqa: F401
+                      channel_table, pl_spectrum, write_spectrum_csv)
 from .entanglement import (born_probabilities, correlation_from_counts,
                            peres_test, projected_state, sample_coincidences)
 from .errors import ConvergenceError, ValidationError
@@ -190,10 +190,7 @@ def _validate_config(cfg: RunConfig) -> None:
     scheme_id(cfg.scheme)
     if (cfg.center1 is None) != (cfg.center2 is None):
         raise ValidationError("--center1 and --center2 must be given together")
-    if cfg.reference not in ("absolute", "relative_to_ex_mean"):
-        raise ValidationError(
-            f"reference must be absolute or relative_to_ex_mean, "
-            f"got {cfg.reference!r}")
+    _check_reference(cfg.reference)
     for name in ("width", "margin"):
         _require_positive(name, getattr(cfg, name))
     for name, least in (("points", 2), ("sweep_points", 1), ("n", 1)):

@@ -37,7 +37,8 @@ from .cascade import (STATE_ORDER, _write_rows_csv, channel_arrays,
                       enumerate_channels, pl_spectrum, write_spectrum_csv)
 from .errors import ConvergenceError, ValidationError
 from .model import (SystemParams, _require_count, _require_finite,
-                    _require_grid, _require_range, scheme_id, scheme_preset)
+                    _require_grid, _require_positive, _require_range,
+                    scheme_id, scheme_preset)
 # gamma_prime is not called here; it is imported only so that the
 # benchmark tracer's experiments site resolves.
 from .pairstate import (_GAMMA_BOUND, DetectorWindow,  # noqa: F401
@@ -83,25 +84,27 @@ def tracked_window(params: SystemParams, pairing: str,
     only while they are at most width apart; otherwise it holds neither.
     """
     center1, center2 = _tracked_windows(
-        params, channel_arrays(params, [params.cav_mean]), pairing, width)
+        channel_arrays(params, [params.cav_mean]), pairing, width)
     return DetectorWindow(center1=center1.item(), center2=center2.item(),
                           width=width)
 
 
-def _tracked_windows(params: SystemParams, channels, pairing: str, width):
+def _tracked_windows(channels, pairing: str, width):
     """The center1 and center2 arrays of the tracked window at every point
     of a channel array.
 
     center2 sits at the mean of the two paired polariton energies and
-    center1 at E_XX - center2.  The first point with vanished branching
-    weights or an invalid window raises, weights first.
+    center1 at E_XX - center2.  A bad width raises first; then the first
+    point with vanished weights or an invalid window raises, weights first.
     """
+    _require_positive("width", _require_finite("width", width))
     row_a, row_b = (STATE_ORDER.index(label)
                     for label in pairing_labels(pairing))
     energy = channels.states.energy
     center2 = 0.5 * (energy[row_a] + energy[row_b])
-    center1 = params.e_biexciton - center2
-    bad = channels.vanished | invalid_windows(center1, center2, width)
+    center1 = channels.e_biexciton - center2
+    bad = (channels.vanished | ~np.isfinite(center1) | ~np.isfinite(center2)
+           | invalid_windows(center1, center2, width))
     if bad.any():
         i = int(bad.argmax())
         channels.check(i)
@@ -142,8 +145,7 @@ class SweepCurve:
     abs_gamma: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if np.any(np.diff(self.deltas) <= 0):
-            raise ValidationError("sweep rows must be sorted by detuning")
+        _require_grid("deltas", self.deltas)
         object.__setattr__(self, "abs_gamma",
                            hypot(self.gamma.real, self.gamma.imag))
         if np.any(self.abs_gamma > _GAMMA_BOUND):
@@ -178,7 +180,7 @@ def _sweep_point(task):
     params, deltas, pairing, width, window = task
     channels = channel_arrays(params, params.ex_mean + deltas)
     if window is None:
-        center1, center2 = _tracked_windows(params, channels, pairing, width)
+        center1, center2 = _tracked_windows(channels, pairing, width)
     else:
         # Raises for the first point whose weights vanished, if any.
         channels.check(int(channels.vanished.argmax()))
@@ -262,6 +264,17 @@ def _provenance(figure: str, params: SystemParams, extra=()) -> list[str]:
     return lines
 
 
+def _plot_beside(csv_path: str, svg: bool, series, title: str, xlabel: str,
+                 ylabel: str) -> list[str]:
+    """[csv_path] and, with svg, the path of the line_plot of series that
+    it writes beside csv_path: the same name with .svg for its extension."""
+    if not svg:
+        return [csv_path]
+    svg_path = os.path.splitext(csv_path)[0] + ".svg"
+    line_plot(svg_path, series, title=title, xlabel=xlabel, ylabel=ylabel)
+    return [csv_path, svg_path]
+
+
 def write_anticrossing_files(csv_path: str, params: SystemParams, deltas,
                              header_lines, title: str,
                              svg: bool = True) -> tuple[list[str], PolaritonArrays]:
@@ -279,15 +292,10 @@ def write_anticrossing_files(csv_path: str, params: SystemParams, deltas,
         "delta_cx_mev": deltas,
         **{f"E_{p}_{b}": e for (p, b), e in energies.items()},
         **{f"xex2_{p}_{b}": x for (p, b), x in zip(STATE_ORDER, x_ex2)}})
-    paths = [csv_path]
-    if svg:
-        svg_path = os.path.splitext(csv_path)[0] + ".svg"
-        line_plot(svg_path, [(f"{p} {b}", deltas, e)
-                             for (p, b), e in energies.items()],
-                  title=title, xlabel="cavity-exciton detuning (meV)",
-                  ylabel="energy (meV)")
-        paths.append(svg_path)
-    return paths, states
+    return _plot_beside(csv_path, svg, [(f"{p} {b}", deltas, e)
+                                        for (p, b), e in energies.items()],
+                        title, "cavity-exciton detuning (meV)",
+                        "energy (meV)"), states
 
 
 def spectrum_grid(params: SystemParams, margin: float = _SPECTRUM_MARGIN,
@@ -309,16 +317,9 @@ def write_spectrum_files(csv_path: str, params: SystemParams, grid,
     it beside it.  Returns the written paths."""
     spectrum = pl_spectrum(params, grid, reference=reference)
     write_spectrum_csv(csv_path, spectrum, header_lines=header_lines)
-    paths = [csv_path]
-    if svg:
-        svg_path = os.path.splitext(csv_path)[0] + ".svg"
-        line_plot(svg_path, [
-            ("H", grid, spectrum.intensity_h),
-            ("V", grid, spectrum.intensity_v),
-        ], title=title, xlabel="photon energy (meV)",
-            ylabel="intensity (1/meV)")
-        paths.append(svg_path)
-    return paths
+    return _plot_beside(csv_path, svg, [("H", grid, spectrum.intensity_h),
+                                        ("V", grid, spectrum.intensity_v)],
+                        title, "photon energy (meV)", "intensity (1/meV)")
 
 
 def _scheme3_crossing() -> float:

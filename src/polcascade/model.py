@@ -11,6 +11,8 @@ integer up to 2**63 - 1), _require_seed (such an integer from 0, or a
 non-empty list or tuple of them), _require_items (a fixed number of
 items, such as a tuple of analyzer angles), _require_range (finite
 lo < hi) and _require_grid (a 1-d, finite, strictly increasing grid).
+Detector windows take the finite and positive rules (pairstate), and a
+SweepCurve's detunings the grid rule (experiments).
 """
 from __future__ import annotations
 

@@ -19,7 +19,8 @@ gives both sides of a point the cascade's one biexciton energy;
 gamma_prime and gamma_prime_from_channels through _pair_overlaps; and
 windowed_overlap, one box of two channel objects, through _overlap_boxes.
 The all-space overlaps of gamma_unprojected need no window: they are
-residue integrals in closed form.
+residue integrals in closed form.  A window's numbers go through model's
+rules, and invalid_windows refuses one that reaches k <= 0.
 """
 from __future__ import annotations
 
@@ -70,44 +71,30 @@ def pairing_channels(channels, pairing: str) -> tuple[CascadeChannel, CascadeCha
     return by_label[label_a], by_label[label_b]
 
 
-def _window_checks(center1, center2, width):
-    """The window-validity rule on numbers or arrays: each check (true
-    where it fails) with its message, in order of precedence.  A
-    non-number fails as non-finite (x - x is 0 exactly when x is finite),
-    and photon energies are positive, so a window reaching k <= 0 fails.
-    """
-    c1, c2, w = (v if isinstance(v, (int, float, np.ndarray)) else math.nan
-                 for v in (center1, center2, width))
-    return ((c1 - c1 != 0, "center1 must be finite, got {center1!r}"),
-            (c2 - c2 != 0, "center2 must be finite, got {center2!r}"),
-            (w - w != 0, "width must be finite, got {width!r}"),
-            (w <= 0, "width must be > 0, got {width!r}"),
-            ((c1 - w / 2 <= 0) | (c2 - w / 2 <= 0),
-             "window extends to non-positive photon energy"))
-
-
-def invalid_windows(center1, center2, width) -> np.ndarray:
-    """Where windows given as center and width arrays fail the rule."""
-    bad = False
-    with np.errstate(invalid="ignore"):
-        for failed, _ in _window_checks(center1, center2, width):
-            bad = bad | failed
-    return bad
+def invalid_windows(center1, center2, width):
+    """Where windows (numbers or arrays) reach k <= 0; NaN flags nothing."""
+    half = width / 2
+    return (center1 - half <= 0) | (center2 - half <= 0)
 
 
 @dataclass(frozen=True)
 class DetectorWindow:
-    """Square spectral acceptance window for the photon pair."""
+    """Square spectral acceptance window for the photon pair.  Fields are
+    stored as Python floats: under NumPy 2 a float32 width would keep the
+    interval bounds in float32."""
 
     center1: float  # first-photon window center, meV
     center2: float  # second-photon window center, meV
     width: float    # FULL width; acceptance is center +- width/2, meV
 
     def __post_init__(self):
-        for failed, message in _window_checks(self.center1, self.center2,
-                                              self.width):
-            if failed:
-                raise ValidationError(message.format(**vars(self)))
+        for name in ("center1", "center2", "width"):
+            value = _require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, float(value))
+        _require_positive("width", self.width)
+        if invalid_windows(self.center1, self.center2, self.width):
+            raise ValidationError(
+                "window extends to non-positive photon energy")
 
     @property
     def k1_interval(self) -> tuple[float, float]:
@@ -260,18 +247,26 @@ def gamma_prime_arrays(channels: ChannelArrays, pairing: str, center1,
                           center1 + half, center2 - half, center2 + half)
 
 
+def _pair_coherence(labels, overlaps, pairing: str) -> PairCoherence:
+    """The PairCoherence of a one-point (self_a, self_b, gamma) result;
+    labels are the (pol, branch) of sides a and b, in that key order."""
+    self_a, self_b, gamma = overlaps
+    return PairCoherence(
+        gamma=complex(gamma[0]),
+        channel_norms={f"{pol}:{branch}": float(norm[0])
+                       for (pol, branch), norm in zip(labels, (self_a, self_b))},
+        pairing=pairing)
+
+
 def gamma_prime_from_channels(ch_a: CascadeChannel, ch_b: CascadeChannel,
                               w: DetectorWindow,
                               pairing: str = "") -> PairCoherence:
     """Filtered coherence of two explicit channels (synthetic-state entry)."""
     bounds = ([b] for b in (*w.k1_interval, *w.k2_interval))
-    self_a, self_b, gamma = _pair_overlaps(_sides([ch_a]), _sides([ch_b]),
-                                           *bounds)
-    return PairCoherence(
-        gamma=complex(gamma[0]),
-        channel_norms={f"{ch_a.pol}:{ch_a.branch}": float(self_a[0]),
-                       f"{ch_b.pol}:{ch_b.branch}": float(self_b[0])},
-        pairing=pairing or f"{ch_a.branch}-{ch_b.branch}")
+    return _pair_coherence(
+        ((ch_a.pol, ch_a.branch), (ch_b.pol, ch_b.branch)),
+        _pair_overlaps(_sides([ch_a]), _sides([ch_b]), *bounds),
+        pairing or f"{ch_a.branch}-{ch_b.branch}")
 
 
 def gamma_prime(params: SystemParams, pairing: str,
@@ -284,13 +279,9 @@ def gamma_prime(params: SystemParams, pairing: str,
     key = normalize_pairing(pairing)
     channels = channel_arrays(params, [params.cav_mean])
     channels.check(0)
-    self_a, self_b, gamma = gamma_prime_arrays(
-        channels, key, np.array([w.center1]), np.array([w.center2]), w.width)
-    (pol_a, branch_a), (pol_b, branch_b) = pairing_labels(key)
-    return PairCoherence(gamma=complex(gamma[0]),
-                         channel_norms={f"{pol_a}:{branch_a}": float(self_a[0]),
-                                        f"{pol_b}:{branch_b}": float(self_b[0])},
-                         pairing=key)
+    return _pair_coherence(pairing_labels(key), gamma_prime_arrays(
+        channels, key, np.array([w.center1]), np.array([w.center2]), w.width),
+        key)
 
 
 def _norm(x_ex, x_ph):

@@ -87,7 +87,7 @@ def test_sweep_curve_validation():
         delta_cx=0.1, gamma=0.2j, pairing="LP-LP",
         window=DetectorWindow(center1=997.0, center2=1000.0, width=0.2))
     assert ok.peak() == ok.rows[1]
-    with pytest.raises(ValidationError, match="sorted"):
+    with pytest.raises(ValidationError, match="strictly increasing"):
         curve([0.0, -0.1], [0.1 + 0j, 0.1 + 0j])
     with pytest.raises(ValidationError, match="bound"):
         curve([0.0, 0.1], [0.1 + 0j, 0.52 + 0j])

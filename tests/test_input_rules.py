@@ -3,8 +3,9 @@
 Numbers, counts, seeds, ranges and grids are checked by model's
 _require_* rules.  Each refusal below is a ValidationError whose message
 names the argument; the accepted rows are inputs of those kinds that must
-pass.  An ast guard keeps the rules in one module: math.isfinite and the
-numbers module appear only in model.py.
+pass.  An ast guard keeps the rules in one module: math.isfinite, the
+numbers module and isinstance tests against int, float or complex appear
+only in model.py.
 """
 import ast
 import math
@@ -20,11 +21,13 @@ from polcascade.entanglement import (TwoQubitDensityMatrix,
                                      optimal_chsh_angles, peres_test,
                                      sample_coincidences, x_state)
 from polcascade.errors import ValidationError
-from polcascade.experiments import (optimize_detuning, spectrum_grid,
+from polcascade.experiments import (SweepCurve, optimize_detuning,
+                                    spectrum_grid, sweep_gamma,
                                     tracked_window)
 from polcascade.model import SystemParams, lifetime_to_linewidth, scheme_preset
-from polcascade.pairstate import (QuadratureSpec, amplitude,
-                                  brute_force_overlap, pairing_channels)
+from polcascade.pairstate import (DetectorWindow, QuadratureSpec, amplitude,
+                                  brute_force_overlap, gamma_prime,
+                                  pairing_channels)
 from polcascade.polariton import find_crossings, min_gap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -35,6 +38,16 @@ pair = (("H", "LP"), ("V", "LP"))
 rho = x_state(0.5, 0.5, 0.3)
 window = tracked_window(p, "LP-LP")
 ch_a, ch_b = pairing_channels(enumerate_channels(p), "LP-LP")
+
+
+def sweep_curve(deltas):
+    """A SweepCurve of the given detunings with valid other fields."""
+    shape = np.shape(deltas)
+    return SweepCurve(deltas=np.array(deltas), gamma=np.full(shape, 0.1j),
+                      center1=np.full(shape, 997.0),
+                      center2=np.full(shape, 1000.0),
+                      width=np.full(shape, 0.2), pairing="LP-LP")
+
 
 # (name the message must hold, call)
 REFUSED = {
@@ -136,6 +149,22 @@ REFUSED = {
         "angles", lambda: chsh_value(rho, (0.0, 0.1, 0.2, 0.3, 0.4))),
     "chsh angles scalar": ("angles", lambda: chsh_value(rho, 0.3)),
     "chsh angles None": ("angles", lambda: chsh_value(rho, None)),
+    "window center1 bool": (
+        "center1", lambda: DetectorWindow(True, 1000.0, 0.2)),
+    "window center2 bool": (
+        "center2", lambda: DetectorWindow(997.0, True, 0.2)),
+    "window width bool": ("width", lambda: DetectorWindow(997.0, 1000.0, True)),
+    "window width text": (
+        "width", lambda: DetectorWindow(997.0, 1000.0, "0.2")),
+    "tracked_window width bool": (
+        "width", lambda: tracked_window(p, "LP-LP", True)),
+    "sweep_gamma width bool": (
+        "width", lambda: sweep_gamma(p, "LP-LP", [0.0, 0.1], width=True)),
+    "optimize width bool": ("width", lambda: optimize_detuning(1, width=True)),
+    "SweepCurve deltas nan": ("deltas", lambda: sweep_curve([0.0, math.nan])),
+    "SweepCurve deltas inf": ("deltas", lambda: sweep_curve([0.0, math.inf])),
+    "SweepCurve deltas 2-d": (
+        "deltas", lambda: sweep_curve([[0.0, 0.1], [0.2, 0.3]])),
 }
 
 
@@ -178,6 +207,20 @@ def test_accepted_edges():
                           sample_coincidences(rho, np.array([0.0, 0.3]), 10, 1))
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.float32, np.float64])
+def test_numpy_scalar_windows_are_stored_as_floats(kind):
+    # 997, 1000 and 0.25 are exact in every kind; an integer width is 1.
+    width = 1 if kind is np.int64 else 0.25
+    plain = DetectorWindow(997.0, 1000.0, float(width))
+    w = DetectorWindow(kind(997), kind(1000), kind(width))
+    assert [type(v) for v in vars(w).values()] == [float] * 3
+    assert w == plain
+    assert (repr(gamma_prime(p, "LP-LP", w))
+            == repr(gamma_prime(p, "LP-LP", plain)))
+    assert (tracked_window(p, "LP-LP", kind(width))
+            == tracked_window(p, "LP-LP", float(width)))
+
+
 def test_rules_live_in_model():
     found = []
     for filename in sorted(os.listdir(PACKAGE)):
@@ -200,4 +243,11 @@ def test_rules_live_in_model():
                   and isinstance(node.value, ast.Name)
                   and node.value.id == "math"):
                 found.append(f"{where} uses math.isfinite")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                found += [f"{where} tests isinstance against {name.id}"
+                          for name in ast.walk(node.args[1])
+                          if isinstance(name, ast.Name)
+                          and name.id in ("int", "float", "complex")]
     assert not found, found
