@@ -3,7 +3,8 @@
 The cascade populates only the HH and VV amplitudes, so physical states
 are X-shaped: diagonal (pHH, 0, 0, pVV) with corner coherences.  General
 4x4 density matrices are still accepted so perturbed inputs can be
-analyzed; the X-form fast paths must agree with the general solvers.
+analyzed.  One eigenvalue rule, _eigenvalues, serves the state check and
+the Peres test: only non-X input reaches LAPACK's eigvalsh.
 
 Basis order is (HH, HV, VH, VV).  Analyzer angles are in radians.
 
@@ -39,6 +40,25 @@ _PAULI_PAIRS = np.array([np.kron(si, sj) for si in _PAULIS for sj in _PAULIS])
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
+def _is_x(m: np.ndarray) -> bool:
+    """Whether every entry of m off both diagonals is at most 1e-14."""
+    return bool(np.max(np.abs(m[_OFF_X])) <= 1e-14)
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian 4x4 matrix: where it is X-shaped,
+    the closed form of its 2x2 blocks (0, 3) and (1, 2); else eigvalsh."""
+    if not _is_x(m):
+        return np.linalg.eigvalsh(m)
+    out = []
+    for i, j in ((0, 3), (1, 2)):
+        a, d = m[i, i].real, m[j, j].real
+        r = hypot((a - d) / 2.0, hypot(m[i, j].real, m[i, j].imag))
+        mean = (a + d) / 2.0
+        out.extend((mean - r, mean + r))
+    return np.array(sorted(out))
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitDensityMatrix:
     """Validated 4x4 density matrix in the (HH, HV, VH, VV) basis."""
@@ -59,7 +79,7 @@ class TwoQubitDensityMatrix:
             raise ValidationError("density matrix is not Hermitian to 1e-12")
         if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
             raise ValidationError("density matrix trace differs from 1 by > 1e-12")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-10:
+        if _eigenvalues(m)[0] < -1e-10:
             raise ValidationError("density matrix has an eigenvalue below -1e-10")
         m = m.copy()
         m.setflags(write=False)
@@ -71,7 +91,7 @@ class TwoQubitDensityMatrix:
         return complex(self.matrix[0, 3])
 
     def is_x_form(self) -> bool:
-        return bool(np.max(np.abs(self.matrix[_OFF_X])) <= 1e-14)
+        return _is_x(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -106,30 +126,15 @@ def x_state(p_hh: float, p_vv: float, gamma: complex) -> TwoQubitDensityMatrix:
     if gamma2 > p_hh * p_vv + 1e-12:
         raise ValidationError(
             f"|gamma|^2 = {gamma2!r} exceeds pHH*pVV = {p_hh * p_vv!r}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = p_hh
-    m[3, 3] = p_vv
-    m[0, 3] = gamma
-    m[3, 0] = gamma.conjugate()
-    return TwoQubitDensityMatrix(m)
+    return TwoQubitDensityMatrix(np.array(
+        [[p_hh, 0, 0, gamma], [0, 0, 0, 0], [0, 0, 0, 0],
+         [gamma.conjugate(), 0, 0, p_vv]], dtype=complex))
 
 
 def partial_transpose(rho: TwoQubitDensityMatrix) -> np.ndarray:
     """Transpose over the second qubit; an involution preserving the trace."""
     m = rho.matrix.reshape(2, 2, 2, 2)
     return m.transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def _x_pt_eigenvalues(pt: np.ndarray) -> np.ndarray:
-    """Closed-form eigenvalues of an X-shaped Hermitian matrix."""
-    out = []
-    for i, j in ((0, 3), (1, 2)):
-        a = pt[i, i].real
-        d = pt[j, j].real
-        r = hypot((a - d) / 2.0, hypot(pt[i, j].real, pt[i, j].imag))
-        mean = (a + d) / 2.0
-        out.extend((mean - r, mean + r))
-    return np.array(sorted(out))
 
 
 def correlation_matrix(rho: TwoQubitDensityMatrix) -> np.ndarray:
@@ -154,17 +159,13 @@ def chsh_bound(rho: TwoQubitDensityMatrix) -> float:
 def peres_test(rho: TwoQubitDensityMatrix) -> EntanglementReport:
     """Partial-transpose separability test with negativity and CHSH bound.
 
-    X-shaped input takes the exact 2x2-block solve; anything else goes to
-    the Hermitian eigensolver.  For two qubits a negative partial
-    transpose is equivalent to entanglement.
+    A partial transpose keeps the X entries on the X, so it takes the
+    state's eigenvalue path.  For two qubits a negative partial transpose
+    is equivalent to entanglement.
     """
     if not isinstance(rho, TwoQubitDensityMatrix):
         rho = TwoQubitDensityMatrix(rho)
-    pt = partial_transpose(rho)
-    if rho.is_x_form():
-        eigs = _x_pt_eigenvalues(pt)
-    else:
-        eigs = np.linalg.eigvalsh(pt)
+    eigs = _eigenvalues(partial_transpose(rho))
     min_eig = float(eigs[0])
     negativity = float(-np.sum(eigs[eigs < 0.0])) if np.any(eigs < 0.0) else 0.0
     return EntanglementReport(
@@ -266,7 +267,6 @@ def projected_state(params, pairing: str, w, quad=None) -> TwoQubitDensityMatrix
     from .pairstate import gamma_prime
 
     coh = gamma_prime(params, pairing, w)
-    s_h = sum(v for k, v in coh.channel_norms.items() if k.startswith("H:"))
-    s_v = sum(v for k, v in coh.channel_norms.items() if k.startswith("V:"))
+    s_h, s_v = coh.channel_norms.values()      # H side first
     p_hh = s_h / (s_h + s_v)
     return x_state(p_hh, 1.0 - p_hh, coh.gamma)

@@ -146,6 +146,9 @@ class SweepCurve:
 
     def __post_init__(self):
         _require_grid("deltas", self.deltas)
+        for name in ("gamma", "center1", "center2", "width"):
+            if np.shape(getattr(self, name)) != np.shape(self.deltas):
+                raise ValidationError(f"{name} must have the shape of deltas")
         object.__setattr__(self, "abs_gamma",
                            hypot(self.gamma.real, self.gamma.imag))
         if np.any(self.abs_gamma > _GAMMA_BOUND):

@@ -70,10 +70,10 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -97,11 +97,8 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
                      f'text-anchor="end" fill="#333">{_fmt(t)}</text>')
     for idx, (lbl, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        # sx and sy on whole arrays, in the same operation order.
-        px = _MARGIN_L + (xs - x_lo) / (x_hi - x_lo) * plot_w
-        py = _MARGIN_T + (y_hi - ys) / (y_hi - y_lo) * plot_h
         pts = " ".join(map("%.2f,%.2f".__mod__,
-                           zip(px.tolist(), py.tolist())))
+                           zip(sx(xs).tolist(), sy(ys).tolist())))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = _MARGIN_T + 16 + 16 * idx

@@ -134,17 +134,74 @@ def test_x_fast_path_matches_general_eigensolver():
         assert abs(fast - dense) <= 1e-12
 
 
-def test_non_x_input_uses_general_path():
+def non_x_matrix():
     m = x_state(0.45, 0.55, 0.3).matrix.copy()
     m[0, 0] -= 0.02
     m[1, 1] += 0.01          # populate HV/VH: no longer X-form
     m[2, 2] += 0.01
     m[1, 0] = m[0, 1] = 0.005
-    rho = TwoQubitDensityMatrix(m)
+    return m
+
+
+def test_non_x_input_uses_general_path():
+    rho = TwoQubitDensityMatrix(non_x_matrix())
     assert not rho.is_x_form()
     rep = peres_test(rho)
     dense = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
     assert abs(rep.min_pt_eigenvalue - dense) <= 1e-12
+
+
+def record_eigensolver_shapes(monkeypatch):
+    """Wrap np.linalg.eigvalsh; the returned list gets each input's shape."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+def test_x_states_never_reach_the_eigensolver(monkeypatch):
+    shapes = record_eigensolver_shapes(monkeypatch)
+    for rho in random_x_states(np.random.default_rng(11), 300):
+        peres_test(rho)
+    # chsh_bound's 3x3 goes to eigvalsh; no 4x4 state or transpose does.
+    assert shapes and (4, 4) not in shapes
+    shapes.clear()
+    peres_test(TwoQubitDensityMatrix(non_x_matrix()))
+    assert (4, 4) in shapes
+
+
+def test_state_check_decides_as_the_eigensolver_at_its_edge(monkeypatch):
+    """X-shaped matrices whose least eigenvalue is within 1e-12 of the
+    check's -1e-10: the closed form accepts and refuses exactly as
+    eigvalsh would, without calling it."""
+    eigvalsh = np.linalg.eigvalsh
+    shapes = record_eigensolver_shapes(monkeypatch)
+    rng = np.random.default_rng(5)
+    decided = {True: 0, False: 0}
+    for _ in range(400):
+        least = -1e-10 + rng.uniform(-1e-12, 1e-12)
+        a, d = rng.uniform(0.1, 0.45, 2)
+        mean, half = (a + d) / 2.0, (a - d) / 2.0
+        gap = mean - least
+        corner = math.sqrt(gap * gap - half * half)
+        corner *= np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        rest = (1.0 - a - d) / 2.0
+        m = np.diag([a, rest, rest, d]).astype(complex)
+        m[0, 3], m[3, 0] = corner, np.conj(corner)
+        refused = bool(eigvalsh(m)[0] < -1e-10)
+        decided[refused] += 1
+        if refused:
+            with pytest.raises(ValidationError, match="eigenvalue"):
+                TwoQubitDensityMatrix(m)
+        else:
+            TwoQubitDensityMatrix(m)
+    assert decided[True] > 100 and decided[False] > 100
+    assert shapes == []
 
 
 def test_diagonal_state_classical_chsh():

@@ -40,13 +40,14 @@ window = tracked_window(p, "LP-LP")
 ch_a, ch_b = pairing_channels(enumerate_channels(p), "LP-LP")
 
 
-def sweep_curve(deltas):
-    """A SweepCurve of the given detunings with valid other fields."""
+def sweep_curve(deltas, **fields):
+    """A SweepCurve of the given detunings with valid other fields, save
+    those given as keywords."""
     shape = np.shape(deltas)
-    return SweepCurve(deltas=np.array(deltas), gamma=np.full(shape, 0.1j),
-                      center1=np.full(shape, 997.0),
-                      center2=np.full(shape, 1000.0),
-                      width=np.full(shape, 0.2), pairing="LP-LP")
+    fields = {"gamma": np.full(shape, 0.1j), "center1": np.full(shape, 997.0),
+              "center2": np.full(shape, 1000.0), "width": np.full(shape, 0.2),
+              **fields}
+    return SweepCurve(deltas=np.array(deltas), pairing="LP-LP", **fields)
 
 
 # (name the message must hold, call)
@@ -165,6 +166,14 @@ REFUSED = {
     "SweepCurve deltas inf": ("deltas", lambda: sweep_curve([0.0, math.inf])),
     "SweepCurve deltas 2-d": (
         "deltas", lambda: sweep_curve([[0.0, 0.1], [0.2, 0.3]])),
+    "SweepCurve gamma longer": ("gamma", lambda: sweep_curve(
+        [0.0, 0.1], gamma=np.array([0.1j, 0.2j, 0.45]))),
+    "SweepCurve center1 shorter": (
+        "center1", lambda: sweep_curve([0.0, 0.1], center1=np.full(1, 997.0))),
+    "SweepCurve center2 longer": (
+        "center2", lambda: sweep_curve([0.0, 0.1], center2=np.full(4, 1e3))),
+    "SweepCurve width 2-d": (
+        "width", lambda: sweep_curve([0.0, 0.1], width=np.full((2, 1), 0.2))),
 }
 
 

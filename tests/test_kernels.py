@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polcascade import kernels
+from polcascade.experiments import fig4_sweep
 
 # (k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, pref)
 CASES = [
@@ -101,3 +102,34 @@ def test_one_log_rule_in_the_kernels():
     # A real argument takes the complex log.
     x = np.array([0.5, 2.0, 1e300])
     assert kernels._log(x).tobytes() == np.log(x + 0j).tobytes()
+
+
+def nudged_log(rng):
+    """kernels._log with the real and the imaginary part of every result
+    moved one ulp, each toward -inf or +inf as rng draws."""
+    log = kernels._log
+
+    def nudged(z):
+        out = np.array(log(z))
+        for part in (out.real, out.imag):
+            part[...] = np.nextafter(
+                part, rng.choice((-np.inf, np.inf), size=part.shape))
+        return out
+
+    return nudged
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_ulp_log_moves_fig4_gamma_by_at_most_64_eps(monkeypatch, seed):
+    # A C library whose complex log differs from this one by an ulp moves
+    # no fig4 gamma' by more than 64 eps in either part (4.25 eps measured
+    # over these seeds); a 64-ulp nudge moves some by about 140-176 eps.
+    schemes = (1, 2, 3)
+    base = [fig4_sweep(s).gamma for s in schemes]
+    monkeypatch.setattr(kernels, "_log",
+                        nudged_log(np.random.default_rng(seed)))
+    bound = 64 * np.finfo(float).eps
+    for scheme, gamma in zip(schemes, base):
+        moved = fig4_sweep(scheme).gamma - gamma
+        assert np.abs(moved.real).max() <= bound, scheme
+        assert np.abs(moved.imag).max() <= bound, scheme
