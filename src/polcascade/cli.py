@@ -4,9 +4,10 @@ Commands: spectrum, sweep, gamma, entangle, optimize, sample, figures.
 Settings come from defaults, then an optional flat ``key = value`` config
 file, then flags, in that order of precedence.  Every run prints a
 single-line JSON summary (with the full effective config echoed) to
-stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 validation
-error, 2 numerical non-convergence: optimize found a flat objective, or
-a crossing search did not converge.
+stdout; diagnostics go to stderr.  A setting that the command does not
+read is refused by name (SETTINGS lists each key's readers).  Exit codes:
+0 success, 1 validation error, 2 numerical non-convergence: optimize
+found a flat objective, or a crossing search did not converge.
 """
 from __future__ import annotations
 
@@ -51,61 +52,71 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# Every setting, once: key -> (default, parser, help).  RunConfig's
+# Readers of each group of settings.  sweep moves the cavity along its grid
+# from ex_mean: it reads no cavity energy, lifetime, binding or delta_cx.
+_LEVELS = "spectrum sweep gamma entangle sample"
+_SYSTEM = "spectrum gamma entangle sample"
+_WINDOW = "gamma entangle optimize sample"
+
+# Every setting, once: key -> (default, parser, help, readers).  RunConfig's
 # fields, the config-file keys, the flags and their --help text all come
-# from this table, in this order.  A None default on a SystemParams field
-# defers to the scheme preset's value.
+# from this table, in this order.  readers names the commands that read
+# the key; any other command refuses it.
 SETTINGS = {
-    "scheme": (1, int, "level-matching scheme preset: 1, 2 or 3"),
-    "ex_mean": (None, float, "mean exciton energy, meV (preset override)"),
-    "delta_x": (None, float, "exciton H-V splitting, meV (preset override)"),
-    "cav_mean": (None, float, "mean cavity energy, meV (preset override)"),
-    "delta_c": (None, float, "cavity H-V splitting, meV (preset override)"),
-    "rabi": (None, float, "vacuum Rabi splitting, meV (preset override)"),
-    "tau_c": (None, float, "cavity photon lifetime, ps (preset override)"),
-    "tau_xx": (None, float,
-               "biexciton radiative lifetime, ps (preset override)"),
-    "binding": (None, float,
-                "biexciton binding energy, meV (preset override)"),
-    "delta_cx": (0.0, float,
-                 "cavity-exciton detuning applied to the preset, meV"),
+    "scheme": (1, int, "level-matching scheme preset: 1, 2 or 3",
+               "spectrum sweep gamma entangle optimize sample"),
+    # A None default defers to the scheme preset's value.
+    **{key: (None, float, f"{text} (preset override)", readers)
+       for key, text, readers in (
+           ("ex_mean", "mean exciton energy, meV", _LEVELS),
+           ("delta_x", "exciton H-V splitting, meV", _LEVELS),
+           ("cav_mean", "mean cavity energy, meV", _SYSTEM),
+           ("delta_c", "cavity H-V splitting, meV", _LEVELS),
+           ("rabi", "vacuum Rabi splitting, meV", _LEVELS),
+           ("tau_c", "cavity photon lifetime, ps", _SYSTEM),
+           ("tau_xx", "biexciton radiative lifetime, ps", _SYSTEM),
+           ("binding", "biexciton binding energy, meV", _SYSTEM))},
+    "delta_cx": (0.0, float, "cavity-exciton detuning applied to the "
+                             "preset, meV (not with --cav-mean)", _SYSTEM),
     "pairing": (None, str, "correlated branches: LP-LP, UP-UP or LP-UP "
-                           "(default: the scheme's pairing)"),
-    "width": (_WINDOW_WIDTH, float, "detector window full width, meV"),
-    "center1": (None, float, "fixed first-photon window center, meV "
-                             "(needs --center2; default: track the paired "
-                             "lines)"),
-    "center2": (None, float, "fixed second-photon window center, meV"),
-    "unprojected": (False, _as_bool,
-                    "gamma command: report the unfiltered coherence"),
+                "(default: the scheme's pairing)", "gamma entangle sample"),
+    "width": (_WINDOW_WIDTH, float, "detector window full width, meV",
+              _WINDOW),
+    "center1": (None, float, "fixed first-photon window center, meV (needs "
+                "--center2; default: track the paired lines)", _WINDOW),
+    "center2": (None, float, "fixed second-photon window center, meV",
+                _WINDOW),
+    "unprojected": (False, _as_bool, "report the unfiltered coherence, which "
+                    "reads no window or pairing", "gamma"),
     "reference": ("absolute", str, "spectrum energy reference: absolute or "
-                                   "relative_to_ex_mean"),
-    "points": (_SPECTRUM_POINTS, int, "spectrum grid points"),
-    "margin": (_SPECTRUM_MARGIN, float,
-               "spectrum grid margin beyond the outermost lines, meV"),
-    "sweep_lo": (_GRID_LO, float, "sweep grid start, meV"),
-    "sweep_hi": (_GRID_HI, float, "sweep grid end, meV"),
-    "sweep_points": (_GRID_POINTS, int, "sweep grid size"),
-    "lo": (_GRID_LO, float, "optimize search range start, meV"),
-    "hi": (_GRID_HI, float, "optimize search range end, meV"),
-    "angle_a": (0.0, float, "analyzer A angle, degrees from H"),
-    "angle_b": (22.5, float, "analyzer B angle, degrees from H"),
-    "n": (100000, int, "number of coincidence samples"),
-    "seed": (0, int, "random seed for sampling"),
-    # Accepted and ignored; kept because the benchmark's traced figures
-    # pass gives --workers 1.
-    "workers": (None, int, "ignored: sweeps run in one process"),
-    "out_dir": (".", str, "directory for output files"),
+                                   "relative_to_ex_mean", "spectrum"),
+    "points": (_SPECTRUM_POINTS, int, "spectrum grid points", "spectrum"),
+    "margin": (_SPECTRUM_MARGIN, float, "spectrum grid margin beyond the "
+               "outermost lines, meV", "spectrum"),
+    "sweep_lo": (_GRID_LO, float, "sweep grid start, meV", "sweep"),
+    "sweep_hi": (_GRID_HI, float, "sweep grid end, meV", "sweep"),
+    "sweep_points": (_GRID_POINTS, int, "sweep grid size", "sweep"),
+    "lo": (_GRID_LO, float, "optimize search range start, meV", "optimize"),
+    "hi": (_GRID_HI, float, "optimize search range end, meV", "optimize"),
+    "angle_a": (0.0, float, "analyzer A angle, degrees from H", "sample"),
+    "angle_b": (22.5, float, "analyzer B angle, degrees from H", "sample"),
+    "n": (100000, int, "number of coincidence samples", "sample"),
+    "seed": (0, int, "random seed for sampling", "sample"),
+    # Ignored; kept because the benchmark's traced figures pass gives it.
+    "workers": (None, int, "ignored: sweeps run in one process", "figures"),
+    "out_dir": (".", str, "directory for output files",
+                "spectrum sweep sample figures"),
     "figures": ("all", str, "comma-separated figure ids "
-                            f"({', '.join(FIGURE_IDS)}) or 'all'"),
-    "svg": (True, _as_bool, "also write SVG plots (--svg false to disable)"),
+                            f"({', '.join(FIGURE_IDS)}) or 'all'", "figures"),
+    "svg": (True, _as_bool, "also write SVG plots (--svg false to disable)",
+            "spectrum sweep figures"),
 }
 
 RunConfig = make_dataclass(
     "RunConfig",
     [("command", str, ""),
      *((key, bool if parse is _as_bool else parse, default)
-       for key, (default, parse, _) in SETTINGS.items())],
+       for key, (default, parse, *_) in SETTINGS.items())],
     namespace={"__doc__": "Effective settings for one CLI run.",
                "__module__": __name__})
 
@@ -149,7 +160,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="polcascade",
         description="Polariton-cascade photon pairs: spectra, coherence "
-                    "curves, entanglement tests, figure reproduction.")
+                    "curves, entanglement tests, figure reproduction.  "
+                    "[Brackets] name the commands that read a setting; any "
+                    "other command refuses it.")
     # argparse reads only -1 and -.5 as negative numbers, not -1e-2 or -inf;
     # no option string looks like a number, so every float form is a value.
     parser._negative_number_matcher = re.compile(
@@ -159,37 +172,52 @@ def _build_parser() -> _Parser:
     parser.add_argument("command", choices=_DISPATCH, help="what to run")
     parser.add_argument("--config", metavar="PATH",
                         help="flat key = value settings file")
-    for key, (_, parse, text) in SETTINGS.items():
-        extra = {}
-        if parse is _as_bool:
-            # Bare flag means true; an explicit true/false also works.
-            extra = {"nargs": "?", "const": True}
+    for key, (_, parse, text, readers) in SETTINGS.items():
+        # A bare boolean flag means true; an explicit true/false also works.
+        extra = {"nargs": "?", "const": True} if parse is _as_bool else {}
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
                             type=parse, default=argparse.SUPPRESS,
-                            metavar=key.upper(), help=text, **extra)
+                            metavar=key.upper(),
+                            help=f"{text} [{readers.replace(' ', ', ')}]",
+                            **extra)
     parser.add_argument("--all", dest="figures", action="store_const",
                         const="all", default=argparse.SUPPRESS,
-                        help="figures command: emit every figure")
+                        help="emit every figure [figures]")
     return parser
 
 
 def build_config(argv=None) -> RunConfig:
     """Defaults, then the config file, then flags."""
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    path = getattr(args, "config", None)
-    overrides = dict(parse_config_file(path)) if path else {}
-    overrides.update({k: v for k, v in vars(args).items()
-                      if k not in ("command", "config")})
-    cfg = replace(cfg, **overrides)
+    named = parse_config_file(args.config) if args.config else {}
+    named.update({k: v for k, v in vars(args).items()
+                  if k not in ("command", "config")})
+    _check_named(args.command, named)
+    cfg = replace(RunConfig(command=args.command), **named)
     _validate_config(cfg)
     return cfg
 
 
+def _check_named(command: str, named: dict) -> None:
+    """Refuse, each by name, the keys that a flag or config line names and
+    command does not read, and keys that exclude each other."""
+    unprojected = command == "gamma" and bool(named.get("unprojected"))
+    unread = [k for k in SETTINGS if k in named and (
+        command not in SETTINGS[k][3].split()
+        or unprojected and k in ("pairing", "width", "center1", "center2"))]
+    if unread:
+        label = "gamma --unprojected" if unprojected else command
+        raise ValidationError(f"{label} does not read {', '.join(unread)} "
+                              "(polcascade --help names each key's readers)")
+    if ("center1" in named) != ("center2" in named):
+        raise ValidationError("--center1 and --center2 must be given together")
+    if "cav_mean" in named and "delta_cx" in named:
+        raise ValidationError("--cav-mean and --delta-cx cannot be given "
+                              "together: delta_cx moves the cavity")
+
+
 def _validate_config(cfg: RunConfig) -> None:
     scheme_id(cfg.scheme)
-    if (cfg.center1 is None) != (cfg.center2 is None):
-        raise ValidationError("--center1 and --center2 must be given together")
     _check_reference(cfg.reference)
     for name in ("width", "margin"):
         _require_positive(name, getattr(cfg, name))
@@ -217,15 +245,10 @@ def _figure_ids(text: str) -> list[str]:
     return wanted
 
 
-def _param_overrides(cfg: RunConfig) -> dict:
-    """The SystemParams fields that cfg sets."""
-    return {f.name: getattr(cfg, f.name) for f in fields(SystemParams)
-            if getattr(cfg, f.name) is not None}
-
-
 def effective_params(cfg: RunConfig) -> SystemParams:
     base = scheme_preset(cfg.scheme)
-    overrides = _param_overrides(cfg)
+    overrides = {f.name: getattr(cfg, f.name) for f in fields(SystemParams)
+                 if getattr(cfg, f.name) is not None}
     if "ex_mean" in overrides and "cav_mean" not in overrides:
         # Presets tie the cavity to the exciton; keep them tied when only
         # the exciton is moved.
@@ -236,10 +259,6 @@ def effective_params(cfg: RunConfig) -> SystemParams:
     return params
 
 
-def effective_pairing(cfg: RunConfig) -> str:
-    return cfg.pairing if cfg.pairing is not None else SCHEME_PAIRING[cfg.scheme]
-
-
 def _fixed_window(cfg: RunConfig) -> DetectorWindow | None:
     """The window that center1, center2 and width fix; None if tracked."""
     if cfg.center1 is None:
@@ -247,9 +266,13 @@ def _fixed_window(cfg: RunConfig) -> DetectorWindow | None:
     return DetectorWindow(cfg.center1, cfg.center2, cfg.width)
 
 
-def effective_window(cfg: RunConfig, params: SystemParams) -> DetectorWindow:
-    return _fixed_window(cfg) or tracked_window(
-        params, effective_pairing(cfg), cfg.width)
+def _paired_system(cfg: RunConfig):
+    """The system, the pairing (cfg's, else the scheme's) and the window
+    (the one cfg fixes, else one tracking the paired lines) of a run."""
+    params = effective_params(cfg)
+    pairing = SCHEME_PAIRING[cfg.scheme] if cfg.pairing is None else cfg.pairing
+    return params, pairing, _fixed_window(cfg) or tracked_window(
+        params, pairing, cfg.width)
 
 
 def _output_header(cfg: RunConfig) -> list[str]:
@@ -287,12 +310,11 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
 
 
 def _cmd_gamma(cfg: RunConfig) -> dict:
-    params = effective_params(cfg)
     if cfg.unprojected:
-        g, rest = gamma_unprojected(params), {"projected": False}
+        g, rest = gamma_unprojected(effective_params(cfg)), {"projected": False}
     else:
-        w = effective_window(cfg, params)
-        coh = gamma_prime(params, effective_pairing(cfg), w)
+        params, pairing, w = _paired_system(cfg)
+        coh = gamma_prime(params, pairing, w)
         g, rest = coh.gamma, {"projected": True, "pairing": coh.pairing,
                               "window": asdict(w),
                               "channel_norms": dict(coh.channel_norms)}
@@ -301,27 +323,14 @@ def _cmd_gamma(cfg: RunConfig) -> dict:
 
 
 def _cmd_entangle(cfg: RunConfig) -> dict:
-    params = effective_params(cfg)
-    pairing = effective_pairing(cfg)
-    w = effective_window(cfg, params)
+    params, pairing, w = _paired_system(cfg)
     rho = projected_state(params, pairing, w)
-    report = peres_test(rho)
-    return {"report": report.as_dict(), "pairing": pairing,
+    return {"report": peres_test(rho).as_dict(), "pairing": pairing,
             "window": asdict(w)}
 
 
 def _cmd_optimize(cfg: RunConfig) -> dict:
-    # optimize searches delta_cx on the scheme preset with the scheme's
-    # pairing; refuse settings it would echo but not use.
-    ignored = list(_param_overrides(cfg))
-    if cfg.pairing is not None:
-        ignored.append("pairing")
-    if cfg.delta_cx != 0.0:
-        ignored.append("delta_cx")
-    if ignored:
-        raise ValidationError(
-            f"optimize uses the scheme {cfg.scheme} preset and pairing and "
-            f"cannot take {', '.join(ignored)}")
+    # optimize searches delta_cx on the scheme preset with its pairing.
     delta, value = optimize_detuning(cfg.scheme, cfg.lo, cfg.hi, cfg.width,
                                      window=_fixed_window(cfg))
     return {"delta_cx": delta, "abs_gamma": value,
@@ -329,9 +338,7 @@ def _cmd_optimize(cfg: RunConfig) -> dict:
 
 
 def _cmd_sample(cfg: RunConfig) -> dict:
-    params = effective_params(cfg)
-    pairing = effective_pairing(cfg)
-    w = effective_window(cfg, params)
+    params, pairing, w = _paired_system(cfg)
     rho = projected_state(params, pairing, w)
     angles = (math.radians(cfg.angle_a), math.radians(cfg.angle_b))
     counts = sample_coincidences(rho, angles, cfg.n, cfg.seed)
@@ -353,9 +360,8 @@ def _cmd_sample(cfg: RunConfig) -> dict:
 
 def _cmd_figures(cfg: RunConfig) -> dict:
     wanted = _figure_ids(cfg.figures)
-    outputs = []
-    for fig in wanted:
-        outputs.extend(reproduce_figure(fig, cfg.out_dir, svg=cfg.svg))
+    outputs = [path for fig in wanted
+               for path in reproduce_figure(fig, cfg.out_dir, svg=cfg.svg)]
     return {"figures": wanted, "outputs": outputs}
 
 
@@ -372,24 +378,18 @@ _DISPATCH = {
 
 def run(cfg: RunConfig) -> dict:
     """Execute one command; the payload is the JSON summary body."""
-    payload = {"command": cfg.command}
-    payload.update(_DISPATCH[cfg.command](cfg))
-    payload["config"] = asdict(cfg)
-    return payload
+    return {"command": cfg.command, **_DISPATCH[cfg.command](cfg),
+            "config": asdict(cfg)}
 
 
 def main(argv=None) -> int:
     try:
         cfg = build_config(argv)
         payload = run(cfg)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ValueError, OSError) as exc:
+        # ValidationError is a ValueError; a ConvergenceError exits 2.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        # ValidationError is a ValueError; parameter and config mistakes
-        # land here.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConvergenceError) else 1
     print(json.dumps(payload, separators=(",", ":")))
     return 0
 

@@ -145,9 +145,14 @@ class SweepCurve:
     abs_gamma: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        arrays = ("deltas", "gamma", "center1", "center2", "width")
+        for name in arrays:
+            if not isinstance(getattr(self, name), np.ndarray):
+                raise ValidationError(f"{name} must be a NumPy array, got "
+                                      f"{type(getattr(self, name)).__name__}")
         _require_grid("deltas", self.deltas)
-        for name in ("gamma", "center1", "center2", "width"):
-            if np.shape(getattr(self, name)) != np.shape(self.deltas):
+        for name in arrays[1:]:
+            if getattr(self, name).shape != self.deltas.shape:
                 raise ValidationError(f"{name} must have the shape of deltas")
         object.__setattr__(self, "abs_gamma",
                            hypot(self.gamma.real, self.gamma.imag))
@@ -249,11 +254,12 @@ def optimize_detuning(scheme: int | str, lo: float = _GRID_LO,
     xs = np.linspace(lo, hi, _SCAN_POINTS)
     vals = neg_abs_gamma(xs)
     if vals.max() - vals.min() < 1e-12:
-        raise ConvergenceError(
-            "|gamma'| is flat over the scan range; no detuning optimum exists")
+        raise ConvergenceError(f"|gamma'| is flat over lo = {lo!r}, "
+                               f"hi = {hi!r}; no detuning optimum exists")
     best = int(np.argmin(vals))
     delta, neg = _zoom_min(neg_abs_gamma, xs.item(max(best - 1, 0)),
-                           xs.item(min(best + 1, _SCAN_POINTS - 1)), xtol=1e-4)
+                           xs.item(min(best + 1, _SCAN_POINTS - 1)),
+                           xtol=1e-4, span=(lo, hi))
     return delta, -neg
 
 

@@ -161,8 +161,10 @@ class CrossingScan:
 
 _SCAN_POINTS = 401
 _MAX_BISECTIONS = 200
-# Points per pass of _zoom_min; each pass narrows the bracket fourfold.
+# Points per pass of _zoom_min; each pass narrows the bracket fourfold, so
+# 600 passes take any finite bracket (at most 2**1025 wide) below 1e-12.
 _ZOOM_POINTS = 9
+_MAX_ZOOMS = 600
 
 
 def _scan(params: SystemParams, pair: StatePair, lo: float, hi: float):
@@ -217,15 +219,18 @@ def _bisect(params: SystemParams, pair: StatePair, a: float, b: float,
         "iterations", last_estimates=(a, b))
 
 
-def _zoom_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
+def _zoom_min(f, a: float, b: float, xtol: float,
+              span: tuple[float, float]) -> tuple[float, float]:
     """Least value of f on [a, b] and where it lies: (x, f(x)).
 
     f maps an array of points to an array of values.  Each pass evaluates
     _ZOOM_POINTS evenly spaced points of the bracket and keeps the two
     steps about the least, until the bracket is at most xtol wide or
-    stops narrowing.  x is the best point evaluated."""
+    stops narrowing (a NaN bracket stops too).  x is the best point
+    evaluated.  No finite value, or _MAX_ZOOMS passes, raise a
+    ConvergenceError that names span, the caller's (lo, hi)."""
     best_x, best_f = a, math.inf
-    while True:
+    for _ in range(_MAX_ZOOMS):
         xs = np.linspace(a, b, _ZOOM_POINTS)
         fs = f(xs)
         i = int(np.argmin(fs))
@@ -233,8 +238,15 @@ def _zoom_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
             best_x, best_f = xs.item(i), fs.item(i)
         width = b - a
         a, b = xs.item(max(i - 1, 0)), xs.item(min(i + 1, _ZOOM_POINTS - 1))
-        if b - a <= xtol or b - a >= width:
-            return best_x, best_f
+        if not xtol < b - a < width:
+            if abs(best_f) < math.inf:
+                return best_x, best_f
+            break
+    lo, hi = span
+    raise ConvergenceError(
+        f"zoom found no finite least value within {_MAX_ZOOMS} passes for "
+        f"lo = {lo!r}, hi = {hi!r}",
+        last_estimates=(a, b))
 
 
 def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
@@ -251,7 +263,7 @@ def min_gap(params: SystemParams, pair: StatePair, lo: float, hi: float,
     i = int(np.argmin(np.abs(gs)))
     return _zoom_min(lambda d: np.abs(_gaps(params, pair, d)),
                      xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)],
-                     xtol=max(tol, 1e-12))
+                     xtol=max(tol, 1e-12), span=(lo, hi))
 
 
 def anticrossing_sweep(params: SystemParams, deltas) -> PolaritonArrays:

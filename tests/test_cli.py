@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from polcascade.cli import (SETTINGS, RunConfig, _as_bool, build_config,
-                            main, parse_config_file)
+from polcascade.cli import (_DISPATCH, SETTINGS, RunConfig, _as_bool,
+                            build_config, main, parse_config_file)
 from polcascade.errors import ValidationError
 from polcascade.experiments import (default_delta_grid, fig4_sweep,
                                     optimize_detuning, spectrum_grid,
@@ -101,21 +101,27 @@ def test_config_echo_round_trips_every_field(capsys):
 # A value for every key that differs from its default and passes
 # validation.  center1 and center2 are given with their partner.
 _SAMPLE_TEXT = {int: "3", float: "0.3", str: "sample"}
-_PARTNER = {"center1": "--center2", "center2": "--center1"}
+_PARTNER = {"center1": ("center2",), "center2": ("center1",)}
+
+
+def _text(key):
+    default, parse, *_ = SETTINGS[key]
+    if parse is _as_bool:
+        return "false" if default else "true"
+    return {"reference": "relative_to_ex_mean",
+            "figures": "2a,4"}.get(key, _SAMPLE_TEXT[parse])
+
+
+def _flags(*keys):
+    return [arg for key in keys
+            for arg in (f"--{key.replace('_', '-')}", _text(key))]
 
 
 @pytest.mark.parametrize("key", list(SETTINGS))
 def test_flag_and_config_line_give_equal_configs(tmp_path, key):
-    default, parse, _ = SETTINGS[key]
-    if parse is _as_bool:
-        text = "false" if default else "true"
-    elif key == "reference":
-        text = "relative_to_ex_mean"
-    elif key == "figures":
-        text = "2a,4"
-    else:
-        text = _SAMPLE_TEXT[parse]
-    base = ["gamma", *((_PARTNER[key], "0.4") if key in _PARTNER else ())]
+    default, parse, _, readers = SETTINGS[key]
+    text = _text(key)
+    base = [readers.split()[0], *_flags(*_PARTNER.get(key, ()))]
     path = tmp_path / "run.cfg"
     path.write_text(f"{key} = {text}\n")
     from_file = build_config([*base, "--config", str(path)])
@@ -127,10 +133,94 @@ def test_flag_and_config_line_give_equal_configs(tmp_path, key):
 def test_flag_overrides_file_overrides_default(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("width = 0.3\nseed = 11  # trailing comment\n")
-    data = payload(capsys, "gamma", "--config", str(cfg), "--width", "0.4")
+    data = payload(capsys, "sample", "--config", str(cfg), "--width", "0.4",
+                   "--out-dir", str(tmp_path))
     assert data["config"]["width"] == 0.4     # flag beats file
     assert data["config"]["seed"] == 11       # file beats default
     assert data["config"]["points"] == 4001   # untouched default
+
+
+# The keys each command reads, counted from what its code uses; the
+# settings table must say the same.
+READ_COUNTS = {"spectrum": 15, "sweep": 10, "gamma": 15, "entangle": 14,
+               "optimize": 6, "sample": 19, "figures": 4}
+PAIRS = [(command, key) for command in READ_COUNTS for key in SETTINGS]
+
+
+def test_settings_table_reads_83_of_217_pairs():
+    reads = {command: [key for key in SETTINGS
+                       if command in SETTINGS[key][3].split()]
+             for command in READ_COUNTS}
+    assert {command: len(keys) for command, keys in reads.items()} == (
+        READ_COUNTS)
+    assert (sum(READ_COUNTS.values()), len(PAIRS)) == (83, 217)
+    assert set(READ_COUNTS) == set(_DISPATCH)
+
+
+@pytest.mark.parametrize("command, key", PAIRS,
+                         ids=[f"{command}-{key}" for command, key in PAIRS])
+def test_each_command_refuses_every_key_it_does_not_read(
+        capsys, monkeypatch, tmp_path, command, key):
+    monkeypatch.chdir(tmp_path)
+    keys = [k for k in SETTINGS if k == key or k in _PARTNER.get(key, ())]
+    if command not in SETTINGS[key][3].split():
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {_text(k)}\n" for k in keys))
+        for source in (_flags(*keys), ["--config", str(path)]):
+            code, out, err = run_cli(capsys, command, *source)
+            assert (code, out) == (1, "")
+            assert f"{command} does not read {', '.join(keys)} " in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+    else:
+        cfg = build_config([command, *_flags(*keys)])
+        assert getattr(cfg, key) == SETTINGS[key][1](_text(key))
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("figures", "--figures", "2a", "--tau-xx", "1", "--pairing", "UP-UP"),
+     "tau_xx, pairing"),
+    (("figures", "--scheme", "3"), "scheme"),
+    (("spectrum", "--pairing", "abc"), "pairing"),
+    (("spectrum", "--workers", "4"), "workers"),
+    (("sample", "--svg", "false"), "svg"),
+    (("sample", "--sweep-lo", "5", "--sweep-hi", "1"), "sweep_lo, sweep_hi"),
+    (("sweep", "--cav-mean", "1001", "--tau-c", "9", "--tau-xx", "90",
+      "--binding", "3", "--delta-cx", "0.2"),
+     "cav_mean, tau_c, tau_xx, binding, delta_cx"),
+    (("optimize", "--delta-cx", "0"), "delta_cx"),
+    (("gamma", "--all"), "figures"),
+    (("gamma", "--unprojected", "--width", "0.01", "--center1", "997",
+      "--center2", "1000"), "width, center1, center2"),
+    (("gamma", "--unprojected", "true", "--pairing", "UP-UP", "--lo", "0"),
+     "pairing, lo"),
+])
+def test_refusal_names_every_unread_key(capsys, monkeypatch, tmp_path, argv,
+                                        keys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"does not read {keys} " in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_unprojected_false_reads_the_window_keys(capsys):
+    data = payload(capsys, "gamma", "--unprojected", "false", "--width",
+                   "0.3", "--pairing", "LP-LP")
+    assert data["projected"] is True
+    assert data["window"]["width"] == 0.3
+
+
+def test_cav_mean_and_delta_cx_are_refused_together(capsys, tmp_path):
+    # delta_cx sets the cavity from ex_mean, so a cav_mean beside it would
+    # be echoed and overwritten.
+    path = tmp_path / "run.cfg"
+    path.write_text("cav_mean = 1001\n")
+    for argv in (("--cav-mean", "1001", "--delta-cx", "0.1"),
+                 ("--config", str(path), "--delta-cx", "0"),
+                 ("--delta-cx", "0.1", "--cav-mean", "999.9")):
+        code, out, err = run_cli(capsys, "gamma", *argv)
+        assert (code, out) == (1, "")
+        assert "cav-mean" in err and "delta-cx" in err
 
 
 def test_unknown_config_key_named_in_error(capsys, tmp_path):
@@ -177,7 +267,7 @@ def test_bad_config_value_exits_one(capsys, tmp_path):
     ("gamma", "--scheme", "7"),
     ("gamma", "--tau-c", "-5"),
     ("gamma", "--center1", "997.0"),             # center2 missing
-    ("gamma", "--reference", "sideways"),
+    ("spectrum", "--reference", "sideways"),
     ("sweep", "--sweep-lo", "0.4", "--sweep-hi", "-0.4"),
     ("sample", "--n", "0"),
     ("sample", "--angle-a", "nan"),

@@ -47,7 +47,7 @@ COMMANDS = (
     ("spectrum", "--scheme", "2", "--out-dir", "spectrum"),
     ("sweep", "--scheme", "2", "--out-dir", "sweep"),
     # Writes no file; its JSON carries the Peres report at full precision.
-    ("entangle", "--scheme", "1", "--out-dir", "entangle"),
+    ("entangle", "--scheme", "1"),
 )
 
 PROBE = """

@@ -174,6 +174,13 @@ REFUSED = {
         "center2", lambda: sweep_curve([0.0, 0.1], center2=np.full(4, 1e3))),
     "SweepCurve width 2-d": (
         "width", lambda: sweep_curve([0.0, 0.1], width=np.full((2, 1), 0.2))),
+    "SweepCurve gamma list": (
+        "gamma", lambda: sweep_curve([0.0, 0.1], gamma=[0.1j, 0.2j])),
+    "SweepCurve width tuple": (
+        "width", lambda: sweep_curve([0.0, 0.1], width=(0.2, 0.2))),
+    "SweepCurve deltas list": ("deltas", lambda: SweepCurve(
+        [0.0, 0.1], *(np.full(2, v) for v in (0.1j, 997.0, 1e3, 0.2)),
+        "LP-LP")),
 }
 
 

@@ -1,11 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from _corpus import golden_min
-from polcascade.errors import ValidationError
+from polcascade.errors import ConvergenceError, ValidationError
+from polcascade.experiments import optimize_detuning
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
-from polcascade.polariton import (STATE_ORDER, anticrossing_sweep,
+from polcascade.polariton import (STATE_ORDER, _zoom_min, anticrossing_sweep,
                                   find_crossings, min_gap, solve_polaritons)
 
 # find_crossings on the scheme-3 LP pair, frozen from a scipy.brentq run
@@ -250,6 +253,45 @@ def test_min_gap_ends_where_the_bracket_cannot_narrow():
     # The gap only grows with the detuning here, so the search ends at lo.
     energy = anticrossing_sweep(p, [1e6]).energy[:, 0]
     assert (delta, gap) == (1e6, abs(energy[0] - energy[3]))
+
+
+# Ranges at the edges of the doubles: scan steps that overflow, brackets
+# too narrow to split, and detunings where every gap is rounding.
+EXTREME_RANGES = [(-1.0, 1e308), (-1.7e308, 1.7e308), (1e300, 1e301),
+                  (-1e200, -1e199), (-5e-324, 5e-324), (0.0, 5e-324),
+                  (1e15, 1e15 + 1.0), (1e18, 1e18 + 1e6), (-1e-300, 1e-300)]
+SEARCHES = {
+    "min_gap cross": lambda lo, hi: min_gap(
+        scheme_preset(2), (("H", "LP"), ("V", "UP")), lo, hi),
+    "min_gap same": lambda lo, hi: min_gap(
+        scheme_preset(1), (("H", "LP"), ("V", "LP")), lo, hi),
+    "optimize": lambda lo, hi: optimize_detuning(1, lo, hi),
+}
+
+
+@pytest.mark.parametrize("lo, hi", EXTREME_RANGES)
+@pytest.mark.parametrize("search", list(SEARCHES))
+def test_searches_over_extreme_ranges_return_or_raise(search, lo, hi):
+    start = time.perf_counter()
+    with np.errstate(all="ignore"):
+        try:
+            delta, value = SEARCHES[search](lo, hi)
+        except ConvergenceError as exc:
+            assert f"lo = {lo!r}, hi = {hi!r}" in str(exc)
+        except ValidationError:
+            pass
+        else:
+            assert lo <= delta <= hi
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("f", [lambda x: np.full(x.shape, np.nan),
+                               lambda x: np.full(x.shape, np.inf),
+                               lambda x: np.full(x.shape, -np.inf)],
+                         ids=["nan", "inf", "-inf"])
+def test_zoom_without_a_finite_value_raises_naming_the_range(f):
+    with pytest.raises(ConvergenceError, match=r"lo = -1\.0, hi = 2\.0"):
+        _zoom_min(f, -1.0, 2.0, 1e-12, span=(-1.0, 2.0))
 
 
 def test_anticrossing_sweep_rows_match_point_solutions():
