@@ -55,13 +55,14 @@ def _paired_photon_energies(e_xx: float, e_pol: np.ndarray):
 class ChannelArrays:
     """The four cascade channels at many cavity-mode energies.
 
-    Each field has one row per channel, in the (H,LP), (H,UP), (V,LP),
-    (V,UP) order of STATE_ORDER, and one column per point.  vanished
-    flags the points where every branching weight is zero; their amp
-    entries are NaN.  e_biexciton is the biexciton energy of every point,
-    the one u-pole energy that the channels of a pair share: where a
-    photon energy is not positive, photon1 + photon2 of two rows can
-    differ from it, and from each other, by an ulp.
+    Each per-channel field has one row per channel, in the (H,LP),
+    (H,UP), (V,LP), (V,UP) order of STATE_ORDER, and one column per
+    point.  vanished flags the points where every branching weight is
+    zero; their amp entries are NaN.  The biexciton pole that all four
+    channels share is stored once: xx_total_width holds its width, one
+    value per point, and e_biexciton its energy, the same at every
+    point.  Where a photon energy is not positive, photon1 + photon2 of
+    two rows can differ from e_biexciton, and from each other, by an ulp.
     """
 
     states: PolaritonArrays
@@ -81,15 +82,15 @@ class ChannelArrays:
 
     def channels(self, i: int) -> list[CascadeChannel]:
         """The CascadeChannel list of point i."""
+        total = self.xx_total_width[i].item()
         columns = zip(STATE_ORDER, self.states.states(i),
                       self.photon1[:, i].tolist(), self.photon2[:, i].tolist(),
-                      self.amp[:, i], self.xx_channel_width[:, i].tolist(),
-                      self.xx_total_width[:, i].tolist())
+                      self.amp[:, i], self.xx_channel_width[:, i].tolist())
         return [CascadeChannel(pol=pol, branch=branch, intermediate=s,
                                photon1=p1, photon2=p2, amp=amp,
                                xx_channel_width=own, xx_total_width=total,
                                e_xx=self.e_biexciton)
-                for (pol, branch), s, p1, p2, amp, own, total in columns]
+                for (pol, branch), s, p1, p2, amp, own in columns]
 
 
 def channel_arrays(params: SystemParams, cav_mean) -> ChannelArrays:
@@ -111,13 +112,11 @@ def channel_arrays(params: SystemParams, cav_mean) -> ChannelArrays:
     total, xx_total = pairs[:, 0] + pairs[:, 1]
     p1, p2 = _paired_photon_energies(params.e_biexciton, states.energy)
     vanished = total <= 0
-    total_width = np.empty_like(widths)
-    total_width[:] = xx_total
     return ChannelArrays(
         states=states, photon1=p1, photon2=p2,
         # NaN where the weights vanished, without a 0/0 warning.
         amp=np.sqrt(raw / np.where(vanished, np.nan, total)),
-        xx_channel_width=widths, xx_total_width=total_width,
+        xx_channel_width=widths, xx_total_width=xx_total,
         vanished=vanished, e_biexciton=params.e_biexciton)
 
 

@@ -10,16 +10,17 @@ with the conjugated factor's poles in the upper half plane
 (p = exx_a + i gxx_a along u, pa = e_a + i g_a along v) and the direct
 factor's in the lower half plane (q = exx_b - i gxx_b, pb = e_b - i g_b).
 Integrating one pair of poles over a segment gives logs (_pair_integral);
-overlap_integrand is the v-integrand the u-integral leaves.
-midpoint_overlap is the brute-force 2-d midpoint rule over the original
-(k1, k2) box, used as a cross check.
+overlap_integrand is the v-integrand the u-integral leaves, for any p
+and q.  midpoint_overlap is the brute-force 2-d midpoint rule over the
+original (k1, k2) box, used as a cross check, for a pair that shares
+its biexciton pole: q = conj p.
 
 window_overlaps integrates the boxes of a batch of channel pairs
 exactly: for each point, the self overlaps of both channels and their
 cross overlap over one window.  Both photons of a pair come from one
-biexciton decay, so the two channels of a point share their u-pole p;
-a pair whose u-poles differ is refused.  Partial fractions in u and v
-turn a box into eight integrals J(s, r) = int log(v - s) / (v - r) dv,
+biexciton decay, so the two channels of a point share their u-pole p,
+which window_overlaps takes once per point.  Partial fractions in u and
+v turn a box into eight integrals J(s, r) = int log(v - s) / (v - r) dv,
 each a difference of complex dilogarithms ('t Hooft and Veltman, Nucl.
 Phys. B153 (1979) 365): _dilog_form, which takes every tracked window.
 A point's three boxes share terms, and a term whose s is a
@@ -58,8 +59,6 @@ import math
 from functools import cache
 
 import numpy as np
-
-from .errors import ValidationError
 
 # Kept for callers that record which implementation ran; NumPy is the only one.
 BACKEND = "python"
@@ -454,29 +453,22 @@ def _exact_overlaps(w1, w2, p, pa, depth=0):
     return self_, cross
 
 
-def window_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
+def window_overlaps(exx, gxx, side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     """The self and cross overlaps of channel pairs, integrated exactly
     over their boxes.
 
     Point i pairs two channels over the box [k1_lo[i], k1_hi[i]] x
-    [k2_lo[i], k2_hi[i]].  Column i of side_a holds the rows exx, gxx, e,
-    g, pref of channel a, whose amplitude is pref / ((k1 + k2 - exx +
-    i gxx)(k2 - e + i g)); side_b holds channel b's.  Both photons of a
-    pair come from one biexciton decay, so the two channels of a point
-    must share their biexciton pole (exx, gxx); a point whose channels do
-    not raises ValidationError.  Returns self_a and self_b, the real
-    integrals of each channel's |amplitude|^2, and cross, that of
-    conj(amplitude_a) * amplitude_b: all 0 for an empty box, and a value
-    is 0 where an amplitude in it vanishes.
+    [k2_lo[i], k2_hi[i]].  Both photons of a pair come from one biexciton
+    decay, so the two channels of a point share one biexciton pole: exx
+    and gxx, numbers or one value per point.  Column i of side_a holds
+    the rows e, g, pref of channel a, whose amplitude is pref / ((k1 + k2
+    - exx + i gxx)(k2 - e + i g)); side_b holds channel b's.  Returns
+    self_a and self_b, the real integrals of each channel's
+    |amplitude|^2, and cross, that of conj(amplitude_a) * amplitude_b:
+    all 0 for an empty box, and a value is 0 where an amplitude in it
+    vanishes.
     """
-    exx, gxx, e, g, pref = np.array([side_a, side_b]).swapaxes(0, 1)
-    split = ((exx[0] != exx[1]) | (gxx[0] != gxx[1])).nonzero()[0]
-    if split.size:
-        poles = [(exx[k, split[0]].item(), gxx[k, split[0]].item())
-                 for k in (0, 1)]
-        raise ValidationError(
-            "the two channels of a pair must share one biexciton pole, got "
-            "(exx, gxx) = {!r} and {!r}".format(*poles))
+    e, g, pref = np.array([side_a, side_b]).swapaxes(0, 1)
     k1_lo, k1_hi, k2_lo, k2_hi = np.array([k1_lo, k1_hi, k2_lo, k2_hi],
                                           dtype=float)
     w1 = k1_hi - k1_lo
@@ -484,10 +476,10 @@ def window_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     # Each difference of two nearby energies is exact, but exx - k1_lo
     # rounds where exx is more than twice k1_lo: its rounding error
     # (Knuth's two-sum) is added back after k2_lo, near it, is taken off.
-    head = exx[0] - k1_lo
-    minus_k1 = head - exx[0]
-    error = (exx[0] - (head - minus_k1)) - (k1_lo + minus_k1)
-    p = _join((head - k2_lo) + error, gxx[0])
+    head = exx - k1_lo
+    minus_k1 = head - exx
+    error = (exx - (head - minus_k1)) - (k1_lo + minus_k1)
+    p = _join((head - k2_lo) + error, gxx)
     pa = _join(e - k2_lo, g)
     live = ((w1 > 0) & (w2 > 0)).nonzero()[0]
     self_ = np.zeros(pa.shape)
@@ -501,28 +493,24 @@ def window_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     return self_[0], self_[1], np.where(pref_ab != 0, cross * pref_ab, 0)
 
 
-def midpoint_overlap(side_a, side_b, k1_lo, k1_hi, n1, k2_lo, k2_hi, n2):
+def midpoint_overlap(exx, gxx, side_a, side_b, k1_lo, k1_hi, n1, k2_lo, k2_hi,
+                     n2):
     """Midpoint-rule value of the window integral of conj(amplitude_a) *
-    amplitude_b on an n1 x n2 grid.  side_a and side_b are one column
-    each of window_overlaps' sides: exx, gxx, e, g, pref."""
-    exx_a, gxx_a, e_a, g_a, pref_a = side_a
-    exx_b, gxx_b, e_b, g_b, pref_b = side_b
+    amplitude_b on an n1 x n2 grid.  exx and gxx are the biexciton pole
+    that both channels share, and side_a and side_b one column each of
+    window_overlaps' sides: e, g, pref."""
+    e_a, g_a, pref_a = side_a
+    e_b, g_b, pref_b = side_b
     h1 = (k1_hi - k1_lo) / n1
     h2 = (k2_hi - k2_lo) / n2
     k1 = k1_lo + (np.arange(n1) + 0.5) * h1
-    same = exx_a == exx_b and gxx_a == gxx_b
-    p = exx_a + 1j * gxx_a
-    q = exx_b - 1j * gxx_b
     pa = e_a + 1j * g_a
     pb = e_b - 1j * g_b
     total = 0.0 + 0.0j
     for j0 in range(0, n2, 256):
         k2 = k2_lo + (np.arange(j0, min(j0 + 256, n2)) + 0.5) * h2
         u = k1[:, None] + k2[None, :]
-        if same:
-            fu = 1.0 / ((u - exx_a) ** 2 + gxx_a * gxx_a)
-        else:
-            fu = 1.0 / ((u - p) * (u - q))
+        fu = 1.0 / ((u - exx) ** 2 + gxx * gxx)
         gv = 1.0 / ((k2 - pa) * (k2 - pb))
         total += np.sum(fu * gv[None, :])
     return pref_a * pref_b * h1 * h2 * total

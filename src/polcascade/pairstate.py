@@ -7,20 +7,21 @@ over a detector window for the spectrally filtered one.
 
 Window integrals are exact to roundoff: kernels.window_overlaps has no
 tolerance, and each value depends only on its own point.  It takes
-channel pairs, not single boxes: each point gives the _side rows of two
-channels (the H and V sides of gamma') and one window, and gets back both
-self overlaps and the cross overlap.  Both photons of a pair come from
-one biexciton decay, so the two channels share their biexciton pole, and
-the 24 dilogarithm terms of a point are the entries of one 8-term table
-or their conjugates (see kernels); a pair whose poles differ is the one
-input it refuses.  Every caller takes that one path: detuning sweeps
-through gamma_prime_arrays, straight from cascade.channel_arrays, which
-gives both sides of a point the cascade's one biexciton energy;
-gamma_prime and gamma_prime_from_channels through _pair_overlaps; and
-windowed_overlap, one box of two channel objects, through _overlap_boxes.
-The all-space overlaps of gamma_unprojected need no window: they are
-residue integrals in closed form.  A window's numbers go through model's
-rules, and invalid_windows refuses one that reaches k <= 0.
+channel pairs, not single boxes: each point gives one biexciton pole,
+the _side rows of two channels (the H and V sides of gamma') and one
+window, and gets back both self overlaps and the cross overlap.  Both
+photons of a pair come from one biexciton decay, so the two channels
+share that pole, and the 24 dilogarithm terms of a point are the entries
+of one 8-term table or their conjugates (see kernels).  Every caller
+takes that one path: detuning sweeps through gamma_prime_arrays,
+straight from cascade.channel_arrays, which holds the cascade's pole;
+gamma_prime_from_channels and windowed_overlap (through _overlap_box)
+from two channel objects, paired by _pair.  _pair also serves
+brute_force_overlap, and it is the one place that refuses a pair whose
+poles differ.  The all-space overlaps of gamma_unprojected need no window:
+they are residue integrals in closed form.  A window's numbers go
+through model's rules, and invalid_windows refuses one that reaches
+k <= 0.
 """
 from __future__ import annotations
 
@@ -144,42 +145,48 @@ def amplitude(ch: CascadeChannel, k1: float, k2: float) -> complex:
     """Two-photon amplitude of one channel at photon energies (k1, k2)."""
     for name, k in (("k1", k1), ("k2", k2)):
         _require_positive(name, _require_finite(name, k))
-    exx, gxx, e, g, pref = _sides([ch])[:, 0].tolist()
+    exx, gxx = ch.e_xx, ch.xx_total_width
+    e, g, pref = _sides([ch])[:, 0].tolist()
     if pref == 0.0:
         return 0j
     return pref / ((k1 + k2 - (exx - 1j * gxx)) * (k2 - (e - 1j * g)))
 
 
-def _side(e_xx, xx_total_width, energy, linewidth, x_ex, x_ph):
-    """The amplitude parameters of channels, one row each: e_xx,
-    xx_total_width, the intermediate state's energy and linewidth, and
-    the amplitude prefactor."""
-    return np.array([e_xx, xx_total_width, energy, linewidth,
+def _side(xx_total_width, energy, linewidth, x_ex, x_ph):
+    """The amplitude parameters of channels, one row each: the
+    intermediate state's energy and linewidth, and the amplitude
+    prefactor."""
+    return np.array([energy, linewidth,
                      _prefactor(x_ex, x_ph, xx_total_width, linewidth)])
 
 
 def _sides(channels):
     """The _side rows of channel objects."""
     return _side(*np.array([
-        (ch.e_xx, ch.xx_total_width, ch.intermediate.energy,
-         ch.intermediate.linewidth, ch.intermediate.x_ex, ch.intermediate.x_ph)
-        for ch in channels]).T)
+        (ch.xx_total_width, ch.intermediate.energy, ch.intermediate.linewidth,
+         ch.intermediate.x_ex, ch.intermediate.x_ph) for ch in channels]).T)
 
 
-def _overlap_boxes(boxes) -> list:
-    """Exact overlaps of boxes (ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi),
-    one complex value per box: the real self overlap where both channels
-    are the same, else the cross overlap."""
-    chans_a, chans_b, *bounds = zip(*boxes)
-    side_a, side_b = _sides(chans_a), _sides(chans_b)
-    self_a, _, cross = kernels.window_overlaps(side_a, side_b, *bounds)
-    same = (side_a == side_b).all(axis=0)
-    return np.where(same, self_a, cross).tolist()
+def _pair(ch_a, ch_b):
+    """The biexciton pole (e_xx, xx_total_width) that two channel objects
+    share, and the _side rows of each; a pair whose poles differ is
+    refused, with both poles named."""
+    poles = [(float(ch.e_xx), float(ch.xx_total_width)) for ch in (ch_a, ch_b)]
+    if any(x != y for x, y in zip(*poles)):
+        raise ValidationError(
+            "the two channels of a pair must share one biexciton pole, got "
+            "(exx, gxx) = {!r} and {!r}".format(*poles))
+    return (*poles[0], *_sides([ch_a, ch_b]).T)
 
 
 def _overlap_box(ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi) -> complex:
-    """conj(amplitude_a) * amplitude_b integrated over an open box."""
-    return _overlap_boxes([(ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi)])[0]
+    """conj(amplitude_a) * amplitude_b integrated over an open box; the
+    real self overlap where both sides are the same."""
+    exx, gxx, side_a, side_b = _pair(ch_a, ch_b)
+    self_a, _, cross = kernels.window_overlaps(
+        exx, gxx, side_a[:, None], side_b[:, None], [k1_lo], [k1_hi],
+        [k2_lo], [k2_hi])
+    return complex((self_a if (side_a == side_b).all() else cross)[0])
 
 
 def windowed_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
@@ -192,26 +199,27 @@ def brute_force_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
                         w: DetectorWindow, n: int = 4000) -> complex:
     """Midpoint-rule cross check of windowed_overlap on an n x n grid."""
     n = _require_count("n", n, 2)
-    side_a, side_b = _sides([ch_a, ch_b]).T.tolist()
-    if side_a[4] * side_b[4] == 0.0:
+    exx, gxx, side_a, side_b = _pair(ch_a, ch_b)
+    if side_a[2] * side_b[2] == 0.0:
         return 0j
-    return complex(kernels.midpoint_overlap(side_a, side_b, *w.k1_interval, n,
-                                            *w.k2_interval, n))
+    return complex(kernels.midpoint_overlap(
+        exx, gxx, side_a.tolist(), side_b.tolist(), *w.k1_interval, n,
+        *w.k2_interval, n))
 
 
-def _pair_overlaps(side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
+def _pair_overlaps(exx, gxx, side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     """Self overlaps and gamma' of many points, as arrays.
 
-    side_a and side_b hold the _side rows of the channel on each side of
-    every point.  Point i's window is the box (k1_lo[i], k1_hi[i]) x
-    (k2_lo[i], k2_hi[i]).  The self_a, self_b and cross overlaps of all
+    exx and gxx are the biexciton pole, side_a and side_b the _side rows
+    of the channel on each side, of every point.  Point i's window is
+    the box (k1_lo[i], k1_hi[i]) x (k2_lo[i], k2_hi[i]).  The self_a, self_b and cross overlaps of all
     points come from one kernels.window_overlaps call.  Raises
     EmptyWindowError if a window holds no emission.  Returns (self_a,
     self_b, gamma); the |gamma'| <= 1/2 bound is checked where the result
     is built, by PairCoherence or SweepCurve.
     """
-    self_a, self_b, cross = kernels.window_overlaps(side_a, side_b, k1_lo,
-                                                    k1_hi, k2_lo, k2_hi)
+    self_a, self_b, cross = kernels.window_overlaps(
+        exx, gxx, side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi)
     norm = self_a + self_b
     if (norm < 1e-300).any():
         raise EmptyWindowError(
@@ -227,24 +235,25 @@ def gamma_prime_arrays(channels: ChannelArrays, pairing: str, center1,
 
     Point i's window has centers center1[i], center2[i] and full width
     width, one number for all points or an array of one per point.
-    Both sides of a point take the cascade's biexciton energy as the
-    energy of their shared u-pole.  Returns the self_a, self_b and gamma
-    arrays, raising as _pair_overlaps does; the caller's SweepCurve or
-    PairCoherence checks the 1/2 bound.
+    Both sides of a point take the cascade's one biexciton pole.
+    Returns the self_a, self_b and gamma arrays, raising as
+    _pair_overlaps does; the caller's SweepCurve or PairCoherence checks
+    the 1/2 bound.
     """
-    e_xx = np.full(channels.vanished.shape, channels.e_biexciton)
+    gxx = channels.xx_total_width
 
     def side(row):
         """The _side rows of one channel at every point."""
         s = channels.states
-        return _side(e_xx, channels.xx_total_width[row], s.energy[row],
-                     s.linewidth[row], s.x_ex[row], s.x_ph[row])
+        return _side(gxx, s.energy[row], s.linewidth[row], s.x_ex[row],
+                     s.x_ph[row])
 
     row_a, row_b = (STATE_ORDER.index(label)
                     for label in pairing_labels(pairing))
     half = np.divide(width, 2)
-    return _pair_overlaps(side(row_a), side(row_b), center1 - half,
-                          center1 + half, center2 - half, center2 + half)
+    return _pair_overlaps(channels.e_biexciton, gxx, side(row_a), side(row_b),
+                          center1 - half, center1 + half, center2 - half,
+                          center2 + half)
 
 
 def _pair_coherence(labels, overlaps, pairing: str) -> PairCoherence:
@@ -262,10 +271,11 @@ def gamma_prime_from_channels(ch_a: CascadeChannel, ch_b: CascadeChannel,
                               w: DetectorWindow,
                               pairing: str = "") -> PairCoherence:
     """Filtered coherence of two explicit channels (synthetic-state entry)."""
+    exx, gxx, side_a, side_b = _pair(ch_a, ch_b)
     bounds = ([b] for b in (*w.k1_interval, *w.k2_interval))
     return _pair_coherence(
         ((ch_a.pol, ch_a.branch), (ch_b.pol, ch_b.branch)),
-        _pair_overlaps(_sides([ch_a]), _sides([ch_b]), *bounds),
+        _pair_overlaps(exx, gxx, side_a[:, None], side_b[:, None], *bounds),
         pairing or f"{ch_a.branch}-{ch_b.branch}")
 
 

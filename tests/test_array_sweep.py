@@ -120,10 +120,13 @@ def positive_photon_params(draw):
 def test_the_four_channels_share_one_biexciton_pole(params):
     # Both photons of a pair come from one biexciton decay: with positive
     # photon energies, each row's photon1 + photon2 is the biexciton energy
-    # exactly, and every row carries the same total width.
+    # exactly, and every channel carries the point's one total width.
     arrays = channel_arrays(params, [params.cav_mean])
     assert (arrays.photon1 + arrays.photon2 == params.e_biexciton).all()
-    assert (arrays.xx_total_width == arrays.xx_total_width[0]).all()
+    assert arrays.xx_total_width.shape == (1,)
+    assert all(ch.xx_total_width == arrays.xx_total_width[0]
+               and ch.e_xx == params.e_biexciton
+               for ch in arrays.channels(0))
 
 
 def test_squares_are_products():

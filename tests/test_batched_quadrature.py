@@ -58,6 +58,19 @@ def boxes_for(params, width, offset=(0, 0)):
     return boxes
 
 
+def batched(boxes):
+    """The _overlap_box value of every box (ch_a, ch_b, k1_lo, k1_hi,
+    k2_lo, k2_hi), from one kernels.window_overlaps call: the real self
+    overlap where both sides are the same, else the cross overlap."""
+    exx, gxx, side_a, side_b = (
+        np.array(column) for column in zip(*(pairstate._pair(x, y)
+                                             for x, y, *_ in boxes)))
+    bounds = np.array([box[2:] for box in boxes]).T
+    self_a, _, cross = kernels.window_overlaps(exx, gxx, side_a.T, side_b.T,
+                                               *bounds)
+    return np.where((side_a == side_b).all(axis=1), self_a, cross).tolist()
+
+
 def forms_used(boxes):
     """The kernels form whose value each box keeps on its own: a rule
     where one ran, else the dilogarithm form, which every box starts in."""
@@ -67,7 +80,7 @@ def forms_used(boxes):
                                wraps=kernels._ridge_rule) as ridge, \
                 mock.patch.object(kernels, "_sheared_rule",
                                   wraps=kernels._sheared_rule) as sheared:
-            pairstate._overlap_boxes([box])
+            pairstate._overlap_box(*box)
         used.append("_ridge_rule" if ridge.called else
                     "_sheared_rule" if sheared.called else "_dilog_form")
     return used
@@ -136,8 +149,8 @@ def test_default_grid_is_one_chunk(monkeypatch):
 def test_mixed_batch_matches_single_boxes(params, width, narrow, offset):
     boxes = (boxes_for(params, width) + boxes_for(params, narrow)
              + boxes_for(params, width, offset))
-    alone = [pairstate._overlap_boxes([box])[0] for box in boxes]
-    assert pairstate._overlap_boxes(boxes) == alone
+    alone = [pairstate._overlap_box(*box) for box in boxes]
+    assert batched(boxes) == alone
 
 
 def test_mixed_batch_covers_every_form():
@@ -150,33 +163,35 @@ def test_mixed_batch_covers_every_form():
              + boxes_for(p, 0.1, offset=(-0.5, 0.5)))
     assert set(forms_used(boxes)) == {"_ridge_rule", "_sheared_rule",
                                       "_dilog_form"}
-    alone = [pairstate._overlap_boxes([box])[0] for box in boxes]
-    assert pairstate._overlap_boxes(boxes) == alone
-    assert pairstate._overlap_boxes(boxes[::-1]) == alone[::-1]
+    alone = [pairstate._overlap_box(*box) for box in boxes]
+    assert batched(boxes) == alone
+    assert batched(boxes[::-1]) == alone[::-1]
 
 
 def test_batch_skips_empty_boxes():
     ch = enumerate_channels(scheme_preset(1))[0]
     box = (ch, ch, 996.9, 997.1, 999.9, 1000.1)
     empty = (ch, ch, 996.9, 996.9, 999.9, 1000.1)
-    values = pairstate._overlap_boxes([empty, box, empty])
+    values = batched([empty, box, empty])
     assert values[0] == values[2] == 0j
-    assert values[1] == pairstate._overlap_boxes([box])[0]
+    assert values[1] == pairstate._overlap_box(*box)
 
 
 def pair_points(params, width, offset=(0, 0)):
     """The window_overlaps arguments of every pairing's channel pair on
     its tracked window moved by offset (meV along k1, k2), one point
-    each."""
+    each: the poles (exx, gxx), the sides (a, b) and the bounds."""
     chans = enumerate_channels(params)
-    sides, bounds = [], []
+    poles, sides, bounds = [], [], []
     for pairing in PAIRINGS:
-        pair = pairing_channels(chans, pairing)
+        exx, gxx, side_a, side_b = pairstate._pair(
+            *pairing_channels(chans, pairing))
         w = tracked_window(params, pairing, width)
-        sides.append(pairstate._sides(pair))
+        poles.append((exx, gxx))
+        sides.append((side_a, side_b))
         bounds.append([k + offset[0] for k in w.k1_interval]
                       + [k + offset[1] for k in w.k2_interval])
-    return np.array(sides), np.array(bounds)
+    return np.array(poles), np.array(sides), np.array(bounds)
 
 
 def test_pair_values_equal_alone_and_in_a_batch_in_either_order():
@@ -185,12 +200,12 @@ def test_pair_values_equal_alone_and_in_a_batch_in_either_order():
     p = scheme_preset(2).with_detuning(0.05)
     parts = [pair_points(p, 0.2), pair_points(p, 2e-4),
              pair_points(p, 0.1, (0.5, 0.5)), pair_points(p, 0.1, (-0.5, 0.5))]
-    sides = np.concatenate([s for s, _ in parts])
-    bounds = np.concatenate([b for _, b in parts])
+    poles, sides, bounds = (np.concatenate(arrays) for arrays in zip(*parts))
 
     def values(order):
         return np.array(kernels.window_overlaps(
-            sides[order, :, 0].T, sides[order, :, 1].T, *bounds[order].T))
+            *poles[order].T, *sides[order].transpose(1, 2, 0),
+            *bounds[order].T))
 
     everything = np.arange(len(bounds))
     with mock.patch.object(kernels, "_ridge_rule",
@@ -342,7 +357,8 @@ def test_sweep_checks_weights_before_the_window_of_each_point(
 
 def test_self_kernel_is_real_and_matches_complex_form():
     ch = enumerate_channels(scheme_preset(1))[0]
-    exx, gxx, e, g, pref_one = pairstate._sides([ch])[:, 0].tolist()
+    exx, gxx, side, _ = pairstate._pair(ch, ch)
+    e, g, pref_one = side.tolist()
     pref = pref_one * pref_one
     v = np.linspace(ch.intermediate.energy - 0.1,
                     ch.intermediate.energy + 0.1, 257)

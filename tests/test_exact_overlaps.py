@@ -25,15 +25,17 @@ from polcascade.model import SystemParams
 DPS = 30
 
 
-def oracle(side_a, side_b, k1, k2):
+def oracle(exx, gxx, side_a, side_b, k1, k2):
     """The integral of conj(amplitude_a) * amplitude_b over the box k1 x k2
-    at DPS digits, from the window_overlaps rows of each side."""
+    at DPS digits, from the biexciton pole (exx, gxx) that both channels
+    share and the window_overlaps rows of each side."""
     with mpmath.workdps(DPS):
-        exx_a, gxx_a, e_a, g_a, pref_a = map(mpmath.mpf, side_a)
-        exx_b, gxx_b, e_b, g_b, pref_b = map(mpmath.mpf, side_b)
+        exx, gxx = mpmath.mpf(exx), mpmath.mpf(gxx)
+        e_a, g_a, pref_a = map(mpmath.mpf, side_a)
+        e_b, g_b, pref_b = map(mpmath.mpf, side_b)
         k1_lo, k1_hi, k2_lo, k2_hi = map(mpmath.mpf, (*k1, *k2))
-        p = mpmath.mpc(exx_a, gxx_a)
-        q = mpmath.mpc(exx_b, -gxx_b)
+        p = mpmath.mpc(exx, gxx)
+        q = mpmath.mpc(exx, -gxx)
         pa = mpmath.mpc(e_a, g_a)
         pb = mpmath.mpc(e_b, -g_b)
 
@@ -44,24 +46,24 @@ def oracle(side_a, side_b, k1, k2):
 
         cuts = {k2_lo, k2_hi}
         for center, scale in ((e_a, g_a), (e_b, g_b),
-                              (exx_a - k1_lo, gxx_a), (exx_a - k1_hi, gxx_a),
-                              (exx_b - k1_lo, gxx_b), (exx_b - k1_hi, gxx_b)):
+                              (exx - k1_lo, gxx), (exx - k1_hi, gxx)):
             for step in (0, 1, 10):
                 cuts.update((center - step * scale, center + step * scale))
         cuts = sorted(c for c in cuts if k2_lo <= c <= k2_hi)
         return complex(pref_a * pref_b * mpmath.quad(integrand, cuts))
 
 
-def overlaps(side_a, side_b, k1, k2):
+def overlaps(exx, gxx, side_a, side_b, k1, k2):
     """The self_a, self_b and cross overlaps of one box."""
-    got = kernels.window_overlaps(np.array([side_a]).T, np.array([side_b]).T,
-                                  [k1[0]], [k1[1]], [k2[0]], [k2[1]])
+    got = kernels.window_overlaps(exx, gxx, np.array([side_a]).T,
+                                  np.array([side_b]).T, [k1[0]], [k1[1]],
+                                  [k2[0]], [k2[1]])
     return [value[0] for value in got]
 
 
-def expected(side_a, side_b, k1, k2):
+def expected(exx, gxx, side_a, side_b, k1, k2):
     """The oracle's self_a, self_b and cross overlaps of one box."""
-    return [oracle(x, y, k1, k2)
+    return [oracle(exx, gxx, x, y, k1, k2)
             for x, y in ((side_a, side_a), (side_b, side_b), (side_a, side_b))]
 
 
@@ -90,9 +92,9 @@ def windows(draw):
 @given(windows())
 def test_overlaps_match_30_digit_quadrature(window):
     (ch_a, ch_b), k1, k2 = window
-    side_a, side_b = pairstate._sides([ch_a, ch_b]).T
-    got = overlaps(side_a, side_b, k1, k2)
-    want = expected(side_a, side_b, k1, k2)
+    pair = pairstate._pair(ch_a, ch_b)
+    got = overlaps(*pair, k1, k2)
+    want = expected(*pair, k1, k2)
     # The cross overlap is measured against its Cauchy-Schwarz bound; a
     # self overlap far larger than that bound, against itself.
     scale = math.sqrt(want[0].real * want[1].real)
@@ -112,10 +114,10 @@ GXX = 0.0078125
 
 
 def degenerate_sides(e_a, g_a, e_b=1000.0, g_b=0.03125):
-    """The window_overlaps rows of two channels with biexciton energy EXX
-    and width GXX, the first with polariton energy e_a and linewidth g_a,
-    the second with e_b and g_b."""
-    return (EXX, GXX, e_a, g_a, 1e-2), (EXX, GXX, e_b, g_b, 1e-2)
+    """The window_overlaps pole and rows of two channels with biexciton
+    energy EXX and width GXX, the first with polariton energy e_a and
+    linewidth g_a, the second with e_b and g_b."""
+    return EXX, GXX, (e_a, g_a, 1e-2), (e_b, g_b, 1e-2)
 
 
 @pytest.mark.parametrize("e_a, g_a", [
@@ -155,8 +157,7 @@ def test_narrow_line_on_a_window_edge(edge):
     # of the window, puts z = w/d within 3e-5 of 1 there: 1 - z rounded
     # from z keeps five digits fewer than its log needs.
     k1, k2 = (896.0, 898.0), (900.0, 902.0)
-    sides = ((1797.0, 2 ** -6, edge, 2 ** -15, 1e-3),
-             (1797.0, 2 ** -6, edge, 2 ** -14, 1e-3))
+    sides = (1797.0, 2 ** -6, (edge, 2 ** -15, 1e-3), (edge, 2 ** -14, 1e-3))
     for g, w in zip(overlaps(*sides, k1, k2), expected(*sides, k1, k2)):
         assert abs(g - w) <= 1e-12 * abs(w), (g, w)
 
@@ -165,8 +166,8 @@ def test_ridge_of_a_biexciton_more_than_twice_k1():
     # exx - k1_lo = 1028.3125 - 2^-43 has no float: it rounds by 2^-43
     # meV, which moves a ridge 2^-9 meV wide by 3e-11 of the self overlap.
     k1, k2 = (1021.75 + 2 ** -43, 1022.0625), (1028.25, 1028.5625)
-    sides = ((2050.0625, 2 ** -9, 1027.0, 2 ** -10, 1e-3),
-             (2050.0625, 2 ** -9, 1028.4375, 2 ** -6, 1e-3))
+    sides = (2050.0625, 2 ** -9, (1027.0, 2 ** -10, 1e-3),
+             (1028.4375, 2 ** -6, 1e-3))
     got, want = overlaps(*sides, k1, k2), expected(*sides, k1, k2)
     scale = math.sqrt(want[0].real * want[1].real)
     for g, w in zip(got, want):
@@ -179,14 +180,14 @@ def test_box_beside_a_narrow_ridge_edge():
     # by 3.6e4 (2.4e-12 relative error); the rule over u takes the box.
     e, g, gxx = 903.0206906325745, 0.1307468231779825, 4.477841010087558e-05
     exx = 893.9793093674255 + e
-    side = (exx, gxx, e, g, 1e-2)
+    box = (exx, gxx, (e, g, 1e-2), (e, g, 1e-2))
     k1 = (893.4793093674255, 894.4793093674255)
     k2 = (903.5206906325745, 904.5206906325745)
     with mock.patch.object(kernels, "_sheared_rule",
                            wraps=kernels._sheared_rule) as rule:
-        got = overlaps(side, side, k1, k2)[0]
+        got = overlaps(*box, k1, k2)[0]
     assert rule.called
-    want = oracle(side, side, k1, k2)
+    want = oracle(*box, k1, k2)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -205,11 +206,14 @@ def halvings(call):
 
 
 def halved_box_matches_oracle(side, k1, k2):
-    """Check a self box against the oracle, and that it was halved."""
+    """Check a self box against the oracle, and that it was halved; side
+    holds the pole and the channel's rows: exx, gxx, e, g, pref."""
+    exx, gxx, *own = side
+    box = (exx, gxx, own, own)
     got = []
-    depths = halvings(lambda: got.append(overlaps(side, side, k1, k2)[0]))
+    depths = halvings(lambda: got.append(overlaps(*box, k1, k2)[0]))
     assert 0 < max(depths) < kernels._MAX_DEPTH
-    want = oracle(side, side, k1, k2)
+    want = oracle(*box, k1, k2)
     assert abs(got[0] - want) <= 1e-12 * abs(want)
 
 
@@ -250,10 +254,10 @@ def test_box_with_a_line_inside_and_the_ridge_apart_is_halved(side, k1, k2):
 
 def seeded_windows(count, seed):
     """count windows drawn as windows() draws them, from NumPy's seeded
-    generator: the window_overlaps sides and box bounds, one column per
-    window."""
+    generator: the window_overlaps poles, sides and box bounds, one column
+    per window."""
     rng = np.random.default_rng(seed)
-    sides, bounds = [], []
+    pairs, bounds = [], []
     for _ in range(count):
         ex_mean = rng.uniform(900.0, 1100.0)
         params = SystemParams(
@@ -265,11 +269,13 @@ def seeded_windows(count, seed):
         pairing = ("LP-LP", "UP-UP", "LP-UP")[rng.integers(3)]
         tracked = tracked_window(params, pairing, rng.uniform(0.005, 2.0))
         off1, off2 = rng.uniform(-1.0, 1.0, 2)
-        sides.append(pairstate._sides(
-            pairstate.pairing_channels(enumerate_channels(params), pairing)))
+        pairs.append(pairstate._pair(
+            *pairstate.pairing_channels(enumerate_channels(params), pairing)))
         bounds.append([k + off1 for k in tracked.k1_interval]
                       + [k + off2 for k in tracked.k2_interval])
-    return np.array(sides).transpose(2, 1, 0), np.array(bounds).T
+    exx, gxx, side_a, side_b = zip(*pairs)
+    return (np.array(exx), np.array(gxx), np.array(side_a).T,
+            np.array(side_b).T), np.array(bounds).T
 
 
 def test_every_cancelling_box_takes_a_rule():
@@ -277,8 +283,8 @@ def test_every_cancelling_box_takes_a_rule():
     # one point in ten holds a box that no rule takes whole, so its halves
     # are taken at depth 1.  Halving stops before _MAX_DEPTH only once
     # every piece that cancels takes a rule.
-    sides, bounds = seeded_windows(4000, 0)
-    depths = halvings(lambda: kernels.window_overlaps(*sides, *bounds))
+    pairs, bounds = seeded_windows(4000, 0)
+    depths = halvings(lambda: kernels.window_overlaps(*pairs, *bounds))
     assert depths.count(1) > 2 * 200
     assert max(depths) < kernels._MAX_DEPTH
 

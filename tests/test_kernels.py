@@ -9,13 +9,13 @@ from polcascade.experiments import fig4_sweep
 
 # (k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b, e_a, g_a, e_b, g_b, pref)
 CASES = [
-    # equal biexciton poles: arctan path; the first shares every pole
-    # (a self overlap, evaluated in real arithmetic)
+    # one biexciton pole per pair, as the cascade gives; the first shares
+    # every pole (a self overlap)
     (996.9, 997.1, 1997.0, 0.0026, 1997.0, 0.0026,
      999.95, 0.007, 999.95, 0.007, 0.0032),
     (996.5, 997.5, 1997.0, 0.0026, 1997.0, 0.0026,
      999.9, 0.012, 1000.1, 0.031, 1.7e-3),
-    # distinct biexciton poles: complex-log path
+    # distinct biexciton poles, which overlap_integrand takes as well
     (996.9, 997.1, 1997.0, 0.0026, 1996.998, 0.0021,
      999.95, 0.007, 1000.05, 0.02, 0.0032),
     (990.0, 1005.0, 1997.0, 0.004, 1997.3, 0.0009,
@@ -52,7 +52,8 @@ def test_midpoint_matches_amplitude_product_sum():
     # Same sum assembled from the raw amplitude definition
     # A = 1 / ((k1 + k2 - (E_XX - i G_XX)) (k2 - (E - i G))).
     (k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
-     e_a, g_a, e_b, g_b, pref) = CASES[2]
+     e_a, g_a, e_b, g_b, pref) = CASES[1]
+    assert (exx_a, gxx_a) == (exx_b, gxx_b)
     n1, n2 = 37, 41
     k2_lo, k2_hi = e_a - 0.3, e_b + 0.3
     h1 = (k1_hi - k1_lo) / n1
@@ -65,8 +66,8 @@ def test_midpoint_matches_amplitude_product_sum():
     amp_b = 1.0 / ((kk1 + kk2 - (exx_b - 1j * gxx_b))
                    * (kk2 - (e_b - 1j * g_b)))
     expected = pref * h1 * h2 * np.sum(np.conj(amp_a) * amp_b)
-    got = kernels.midpoint_overlap((exx_a, gxx_a, e_a, g_a, pref),
-                                   (exx_b, gxx_b, e_b, g_b, 1.0),
+    got = kernels.midpoint_overlap(exx_a, gxx_a, (e_a, g_a, pref),
+                                   (e_b, g_b, 1.0),
                                    k1_lo, k1_hi, n1, k2_lo, k2_hi, n2)
     assert_allclose(got, expected, rtol=1e-12)
 

@@ -310,7 +310,8 @@ def test_pairs_with_distinct_biexciton_poles_are_refused(field):
     a, b = pairing_channels(enumerate_channels(p), "LP-UP")
     b = dataclasses.replace(b, **{field: getattr(b, field) * (1 + 1e-6)})
     w = tracked_window(p, "LP-UP", 0.2)
-    for call in (windowed_overlap, gamma_prime_from_channels):
+    for call in (windowed_overlap, gamma_prime_from_channels,
+                 brute_force_overlap):
         with pytest.raises(ValidationError) as exc:
             call(a, b, w)
         message = str(exc.value)
@@ -646,16 +647,58 @@ def test_self_overlaps_are_real_and_grow_with_the_window(
     tracked = tracked_window(params, pairing, 0.2)
     center1, center2 = tracked.center1 + off1, tracked.center2 + off2
     widths = width * np.cumprod([1.0] + growth)
-    pair = pairing_channels(enumerate_channels(params), pairing)
-    side_a, side_b = (np.repeat(kernel_side, widths.size, axis=1)
-                      for kernel_side in (pairstate._sides([ch]) for ch in pair))
+    exx, gxx, *sides = pairstate._pair(
+        *pairing_channels(enumerate_channels(params), pairing))
+    side_a, side_b = (np.repeat(side[:, None], widths.size, axis=1)
+                      for side in sides)
     self_a, self_b, _ = kernels.window_overlaps(
-        side_a, side_b, center1 - widths / 2, center1 + widths / 2,
+        exx, gxx, side_a, side_b, center1 - widths / 2, center1 + widths / 2,
         center2 - widths / 2, center2 + widths / 2)
     for values in (self_a, self_b):
         assert values.dtype == np.float64
         assert np.all(values >= 0)
         assert np.all(np.diff(values) >= 0), values
+
+
+def test_overlaps_add_over_the_two_parts_of_a_cut_box():
+    # Window additivity: the overlaps over a box are the sums over the two
+    # boxes that a cut at k1 = m or at k2 = m makes, on tracked windows of
+    # points drawn like the benchmark's study points, cut from 5% to 95%
+    # across.  The parts are not square, which DetectorWindow never gives
+    # the kernel.  A self overlap is measured against itself, and the
+    # cross overlap against its Cauchy-Schwarz bound sqrt(self_a self_b).
+    # Over eleven draws of 2,000 points the worst was 181 eps, a self
+    # overlap; no cross overlap missed by more than 3 eps.
+    rng = np.random.default_rng(23)
+    pairs, boxes = [], []
+    for i, params in enumerate(study_points(2000, seed=23)):
+        pairing = ("LP-LP", "UP-UP", "LP-UP")[i % 3]
+        w = tracked_window(params, pairing, rng.uniform(0.05, 0.5))
+        pairs.append(pairstate._pair(
+            *pairing_channels(enumerate_channels(params), pairing)))
+        boxes.append((*w.k1_interval, *w.k2_interval))
+    exx, gxx, side_a, side_b = (np.array(column) for column in zip(*pairs))
+    k1_lo, k1_hi, k2_lo, k2_hi = np.array(boxes).T
+
+    def overlaps(*box):
+        """The self_a, self_b and cross overlaps of every point's box."""
+        return np.array(kernels.window_overlaps(exx, gxx, side_a.T, side_b.T,
+                                                *box))
+
+    whole = overlaps(k1_lo, k1_hi, k2_lo, k2_hi)
+    scale = np.abs(whole)
+    scale[2] = np.sqrt(whole[0].real * whole[1].real)
+    m1, m2 = (lo + rng.uniform(0.05, 0.95, lo.size) * (hi - lo)
+              for lo, hi in ((k1_lo, k1_hi), (k2_lo, k2_hi)))
+    cuts = {"k1": overlaps(k1_lo, m1, k2_lo, k2_hi)
+            + overlaps(m1, k1_hi, k2_lo, k2_hi),
+            "k2": overlaps(k1_lo, k1_hi, k2_lo, m2)
+            + overlaps(k1_lo, k1_hi, m2, k2_hi)}
+    for axis, halves in cuts.items():
+        error = np.abs(halves - whole) / scale
+        worst = np.unravel_index(error.argmax(), error.shape)
+        assert error[worst] <= 1024 * np.finfo(float).eps, (axis, worst,
+                                                            error[worst])
 
 
 # The midpoint oracle of the fig4 benchmark: n x n cells, and its bound
@@ -676,9 +719,9 @@ def test_overlaps_and_gamma_prime_match_the_midpoint_oracle(
     # which one cell reaches twice as far.  The window is moved by up to
     # its width from the tracked centers.
     ch_a, ch_b = pairing_channels(enumerate_channels(params), pairing)
-    (_, gxx_a, _, g_a, _), (_, gxx_b, _, g_b, _) = (
-        pairstate._sides([ch_a, ch_b]).T.tolist())
-    width = cells * min(gxx_a / 2, gxx_b / 2, g_a, g_b) * ORACLE_N / 10
+    _, gxx, side_a, side_b = pairstate._pair(ch_a, ch_b)
+    (_, g_a, _), (_, g_b, _) = side_a.tolist(), side_b.tolist()
+    width = cells * min(gxx / 2, g_a, g_b) * ORACLE_N / 10
     tracked = tracked_window(params, pairing, width)
     w = DetectorWindow(center1=tracked.center1 + off1 * width,
                        center2=tracked.center2 + off2 * width, width=width)

@@ -11,6 +11,8 @@ import inspect
 import os
 import sys
 
+from polcascade import cascade, experiments, model, pairstate
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -60,3 +62,23 @@ def test_every_import_is_used_or_traced():
         unused += [f"{module}.{name}" for name in imported_names(tree)
                    if name not in used and (module, name) not in traced]
     assert not unused, unused
+
+
+def test_windowed_overlap_reaches_the_traced_overlap_box_once(monkeypatch):
+    # The benchmark's pairstate.overlap_box span wraps _overlap_box on the
+    # pairstate module, so windowed_overlap must look it up there.
+    calls = []
+    overlap_box = pairstate._overlap_box
+
+    def counted(*args):
+        calls.append(args)
+        return overlap_box(*args)
+
+    monkeypatch.setattr(pairstate, "_overlap_box", counted)
+    params = model.scheme_preset(1)
+    a, b = pairstate.pairing_channels(cascade.enumerate_channels(params),
+                                      "LP-LP")
+    w = experiments.tracked_window(params, "LP-LP")
+    value = pairstate.windowed_overlap(a, b, w)
+    assert len(calls) == 1
+    assert value == overlap_box(*calls[0])
