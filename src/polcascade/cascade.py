@@ -6,6 +6,7 @@ photon, then the polariton-to-ground photon.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,13 +214,15 @@ def _write_rows_csv(path, header_lines, columns) -> None:
 
     columns maps each name to a column, in file order.  A column of str is
     written as it is, any other as the repr of each value's float; the
-    choice is made once per column.
+    choice is made once per column.  path's directory is made here, by the
+    first file of every output set, so a refused run leaves none behind.
     """
     cells = [column if isinstance(next(iter(column), None), str)
              else list(map(repr, np.asarray(column, dtype=float).tolist()))
              for column in columns.values()]
     lines = [*(f"# {line}" for line in header_lines), ",".join(columns),
              *map(",".join, zip(*cells))]
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -5,7 +5,9 @@ Settings come from defaults, then an optional flat ``key = value`` config
 file, then flags, in that order of precedence.  Every run prints a
 single-line JSON summary (with the full effective config echoed) to
 stdout; diagnostics go to stderr.  A setting that the command does not
-read is refused by name (SETTINGS lists each key's readers).  Exit codes:
+read is refused by name (SETTINGS lists each key's readers); one that it
+reads is checked once, before any file is written, by the code that
+reads it: the library, or _cmd_sweep for the sweep grid.  Exit codes:
 0 success, 1 validation error, 2 numerical non-convergence: optimize
 found a flat objective, or a crossing search did not converge.
 """
@@ -25,8 +27,8 @@ from . import __version__
 # pl_spectrum, write_spectrum_csv, anticrossing_sweep and line_plot are not
 # called here; they are imported only so that the benchmark tracer's cli
 # sites resolve, and patching them here changes nothing.
-from .cascade import (_check_reference, _write_rows_csv,  # noqa: F401
-                      channel_table, pl_spectrum, write_spectrum_csv)
+from .cascade import (_write_rows_csv, channel_table,  # noqa: F401
+                      pl_spectrum, write_spectrum_csv)
 from .entanglement import (born_probabilities, correlation_from_counts,
                            peres_test, projected_state, sample_coincidences)
 from .errors import ConvergenceError, ValidationError
@@ -35,9 +37,8 @@ from .experiments import (_GRID_HI, _GRID_LO, _GRID_POINTS, _SPECTRUM_MARGIN,
                           SCHEME_PAIRING, optimize_detuning, reproduce_figure,
                           spectrum_grid, tracked_window,
                           write_anticrossing_files, write_spectrum_files)
-from .model import (SystemParams, _require_count, _require_finite,
-                    _require_positive, _require_range, _require_seed,
-                    scheme_id, scheme_preset)
+from .model import (SystemParams, _require_count, _require_range,
+                    scheme_preset)
 from .pairstate import DetectorWindow, gamma_prime, gamma_unprojected
 from .polariton import anticrossing_sweep, hypot  # noqa: F401
 from .svg import line_plot  # noqa: F401
@@ -193,9 +194,7 @@ def build_config(argv=None) -> RunConfig:
     named.update({k: v for k, v in vars(args).items()
                   if k not in ("command", "config")})
     _check_named(args.command, named)
-    cfg = replace(RunConfig(command=args.command), **named)
-    _validate_config(cfg)
-    return cfg
+    return replace(RunConfig(command=args.command), **named)
 
 
 def _check_named(command: str, named: dict) -> None:
@@ -214,21 +213,6 @@ def _check_named(command: str, named: dict) -> None:
     if "cav_mean" in named and "delta_cx" in named:
         raise ValidationError("--cav-mean and --delta-cx cannot be given "
                               "together: delta_cx moves the cavity")
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    scheme_id(cfg.scheme)
-    _check_reference(cfg.reference)
-    for name in ("width", "margin"):
-        _require_positive(name, getattr(cfg, name))
-    for name, least in (("points", 2), ("sweep_points", 1), ("n", 1)):
-        _require_count(name, getattr(cfg, name), least)
-    _require_seed("seed", cfg.seed)
-    for name in ("angle_a", "angle_b"):
-        _require_finite(name, getattr(cfg, name))
-    for lo, hi in (("sweep_lo", "sweep_hi"), ("lo", "hi")):
-        _require_range(lo, hi, getattr(cfg, lo), getattr(cfg, hi))
-    _figure_ids(cfg.figures)
 
 
 def _figure_ids(text: str) -> list[str]:
@@ -289,7 +273,6 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
     grid = spectrum_grid(params, margin=cfg.margin, points=cfg.points)
     if cfg.reference == "relative_to_ex_mean":
         grid = grid - params.ex_mean
-    os.makedirs(cfg.out_dir, exist_ok=True)
     outputs = write_spectrum_files(
         os.path.join(cfg.out_dir, "spectrum.csv"), params, grid,
         _output_header(cfg), "Emission spectrum", cfg.svg,
@@ -299,8 +282,10 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
 
 def _cmd_sweep(cfg: RunConfig) -> dict:
     params = effective_params(cfg)
-    deltas = np.linspace(cfg.sweep_lo, cfg.sweep_hi, cfg.sweep_points)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    # The sweep grid is read here alone, so its keys are checked here.
+    _require_range("sweep_lo", "sweep_hi", cfg.sweep_lo, cfg.sweep_hi)
+    points = _require_count("sweep_points", cfg.sweep_points, 1)
+    deltas = np.linspace(cfg.sweep_lo, cfg.sweep_hi, points)
     outputs, states = write_anticrossing_files(
         os.path.join(cfg.out_dir, "anticrossing.csv"), params, deltas,
         _output_header(cfg), "Polariton levels", cfg.svg)
@@ -343,7 +328,6 @@ def _cmd_sample(cfg: RunConfig) -> dict:
     angles = (math.radians(cfg.angle_a), math.radians(cfg.angle_b))
     counts = sample_coincidences(rho, angles, cfg.n, cfg.seed)
     probs = born_probabilities(rho, *angles)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "counts.csv")
     # counts[a, b] in row-major order: ports (0, 0), (0, 1), (1, 0), (1, 1).
     _write_rows_csv(csv_path, _output_header(cfg),

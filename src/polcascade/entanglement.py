@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import (_require_count, _require_finite, _require_items,
-                    _require_seed)
+from .model import (_require_complex, _require_count, _require_finite,
+                    _require_items, _require_seed)
 from .polariton import hypot
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,8 +112,7 @@ def x_state(p_hh: float, p_vv: float, gamma: complex) -> TwoQubitDensityMatrix:
     """The cascade's state family: HH/VV populations with corner coherence."""
     _require_finite("p_hh", p_hh)
     _require_finite("p_vv", p_vv)
-    gamma = complex(*(_require_finite("gamma", part) for part in (
-        getattr(gamma, "real", gamma), getattr(gamma, "imag", 0.0))))
+    gamma = _require_complex("gamma", gamma)
     if p_hh < 0 or p_vv < 0:
         raise ValidationError(f"populations must be >= 0, got {(p_hh, p_vv)!r}")
     if abs(p_hh + p_vv - 1.0) > 1e-12:

@@ -41,9 +41,9 @@ from .model import (SystemParams, _require_count, _require_finite,
                     scheme_id, scheme_preset)
 # gamma_prime is not called here; it is imported only so that the
 # benchmark tracer's experiments site resolves.
-from .pairstate import (_GAMMA_BOUND, DetectorWindow,  # noqa: F401
-                        gamma_prime, gamma_prime_arrays, invalid_windows,
-                        normalize_pairing, pairing_labels)
+from .pairstate import (_GAMMA_BOUND, _PAIRINGS,  # noqa: F401
+                        DetectorWindow, gamma_prime, gamma_prime_arrays,
+                        invalid_windows, normalize_pairing)
 from .polariton import (PolaritonArrays, _zoom_min, anticrossing_sweep,
                         find_crossings, hypot)
 from .svg import line_plot
@@ -84,22 +84,22 @@ def tracked_window(params: SystemParams, pairing: str,
     only while they are at most width apart; otherwise it holds neither.
     """
     center1, center2 = _tracked_windows(
-        channel_arrays(params, [params.cav_mean]), pairing, width)
+        channel_arrays(params, [params.cav_mean]),
+        _PAIRINGS[normalize_pairing(pairing)], width)
     return DetectorWindow(center1=center1.item(), center2=center2.item(),
                           width=width)
 
 
-def _tracked_windows(channels, pairing: str, width):
+def _tracked_windows(channels, rows, width):
     """The center1 and center2 arrays of the tracked window at every point
-    of a channel array.
+    of a channel array; rows are the pairing's two STATE_ORDER rows.
 
     center2 sits at the mean of the two paired polariton energies and
     center1 at E_XX - center2.  A bad width raises first; then the first
     point with vanished weights or an invalid window raises, weights first.
     """
     _require_positive("width", _require_finite("width", width))
-    row_a, row_b = (STATE_ORDER.index(label)
-                    for label in pairing_labels(pairing))
+    row_a, row_b = rows
     energy = channels.states.energy
     center2 = 0.5 * (energy[row_a] + energy[row_b])
     center1 = channels.e_biexciton - center2
@@ -156,7 +156,8 @@ class SweepCurve:
                 raise ValidationError(f"{name} must have the shape of deltas")
         object.__setattr__(self, "abs_gamma",
                            hypot(self.gamma.real, self.gamma.imag))
-        if np.any(self.abs_gamma > _GAMMA_BOUND):
+        # NaN fails the bound.
+        if not np.all(self.abs_gamma <= _GAMMA_BOUND):
             raise ValidationError("a sweep row violates the |gamma'| <= 1/2 bound")
 
     @property
@@ -186,17 +187,17 @@ def _sweep_point(task):
     deltas and pairing from the task tuple.
     """
     params, deltas, pairing, width, window = task
+    rows = _PAIRINGS[pairing]
     channels = channel_arrays(params, params.ex_mean + deltas)
     if window is None:
-        center1, center2 = _tracked_windows(channels, pairing, width)
+        center1, center2 = _tracked_windows(channels, rows, width)
     else:
         # Raises for the first point whose weights vanished, if any.
         channels.check(int(channels.vanished.argmax()))
         center1, center2 = (np.full(len(deltas), c)
                             for c in (window.center1, window.center2))
         width = window.width
-    _, _, gamma = gamma_prime_arrays(channels, pairing, center1, center2,
-                                     width)
+    _, _, gamma = gamma_prime_arrays(channels, rows, center1, center2, width)
     return gamma, center1, center2, np.broadcast_to(width, gamma.shape)
 
 
@@ -310,8 +311,8 @@ def write_anticrossing_files(csv_path: str, params: SystemParams, deltas,
 def spectrum_grid(params: SystemParams, margin: float = _SPECTRUM_MARGIN,
                   points: int = _SPECTRUM_POINTS) -> np.ndarray:
     """Energy grid from margin meV below the lowest line to above the
-    highest."""
-    _require_finite("margin", margin)
+    highest; margin must be finite and positive."""
+    _require_positive("margin", _require_finite("margin", margin))
     points = _require_count("points", points, 2)
     lines = []
     for ch in enumerate_channels(params):
@@ -382,7 +383,6 @@ def reproduce_figure(fig: str, out_dir: str = ".",
     if fig not in FIGURE_IDS:
         raise ValidationError(
             f"unknown figure {fig!r}; expected one of {', '.join(FIGURE_IDS)}")
-    os.makedirs(out_dir, exist_ok=True)
     try:
         if fig == "4":
             return _figure_gamma_curves(out_dir, svg)

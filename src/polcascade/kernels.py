@@ -154,10 +154,18 @@ def overlap_integrand(v, k1_lo, k1_hi, exx_a, gxx_a, exx_b, gxx_b,
     """
     v = np.asarray(v, dtype=float)
     p, q = exx_a + 1j * gxx_a, exx_b - 1j * gxx_b
-    lo = k1_lo + v
-    fu = _pair_integral(lo - p, lo - q, k1_hi - k1_lo, p - q)
+    fu = _smooth(v, (k1_lo, 1.0, k1_hi, 1.0), p, q)
     fu = fu / (v - (e_a + 1j * g_a)) / (v - (e_b - 1j * g_b))
     return (fu * pref)[()]
+
+
+def _smooth(x, inner, s1, s2):
+    """The _pair_integral with poles s1, s2 from off_a + slope_a x to
+    off_b + slope_b x, inner = (off_a, slope_a, off_b, slope_b)."""
+    off_a, slope_a, off_b, slope_b = inner
+    a = off_a + slope_a * x
+    width = (off_b - off_a) + (slope_b - slope_a) * x
+    return _pair_integral(a - s1, a - s2, width, s1 - s2)
 
 
 def _dilog(z, log1p_minus_z):
@@ -344,35 +352,27 @@ def _gauss_legendre():
 
 
 def _pole_rule(lo, hi, inner, r1, r2, s1, s2):
-    """int F(x) / ((x - r1)(x - r2)) dx over [lo, hi].  F(x) is the
-    _pair_integral with poles s1, s2 from off_a + slope_a x to off_b +
-    slope_b x, inner = (off_a, slope_a, off_b, slope_b), and must be
-    analytic within _MARGIN (hi - lo) of [lo, hi].
+    """int F(x) / ((x - r1)(x - r2)) dx over [lo, hi].  F(x) is
+    _smooth(x, inner, s1, s2), and must be analytic within
+    _MARGIN (hi - lo) of [lo, hi].
 
     A pole r within that margin is subtracted with its residue
     c = F(r) / (r - other) and integrated in closed form,
     c log((hi - r) / (lo - r)); the rest goes to the Gauss-Legendre rule,
     summed node by node in a fixed order.
     """
-    off_a, slope_a, off_b, slope_b = inner
-
-    def smooth(x):
-        a = off_a + slope_a * x
-        width = (off_b - off_a) + (slope_b - slope_a) * x
-        return _pair_integral(a - s1, a - s2, width, s1 - s2)
-
     half = 0.5 * (hi - lo)
     center = 0.5 * (lo + hi)
     nodes, weights = (rule.reshape((-1,) + (1,) * np.ndim(half))
                       for rule in _gauss_legendre())
     x = center + half * nodes
-    f = smooth(x) / (x - r1) / (x - r2)
+    f = _smooth(x, inner, s1, s2) / (x - r1) / (x - r2)
     total = 0j
     for r, other in ((r1, r2), (r2, r1)):
         near = _gap(r.real, r.real, lo, hi) < _MARGIN * (hi - lo)
         if near.any():
-            c = np.where(near, smooth(np.where(near, r, center)) / (r - other),
-                         0)
+            c = _smooth(np.where(near, r, center), inner, s1, s2) / (r - other)
+            c = np.where(near, c, 0)
             f -= c / (x - r)
             total = total + _mul(c, _log((hi - r) / (lo - r)))
     # accumulate adds the nodes' terms one after another.

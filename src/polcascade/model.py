@@ -6,11 +6,12 @@ cavity mode doublet; polarization-resolved levels are derived on access.
 
 The package's input rules, one per kind, are here; each raises a
 ValidationError naming the input, and none takes a bool as a number:
-_require_finite, _require_positive (inf passes), _require_count (an
-integer up to 2**63 - 1), _require_seed (such an integer from 0, or a
-non-empty list or tuple of them), _require_items (a fixed number of
-items, such as a tuple of analyzer angles), _require_range (finite
-lo < hi) and _require_grid (a 1-d, finite, strictly increasing grid).
+_require_finite, _require_complex (finite parts), _require_positive
+(inf passes), _require_count (an integer up to 2**63 - 1), _require_seed
+(such an integer from 0, or a non-empty list or tuple of them),
+_require_items (a fixed number of items, such as a tuple of analyzer
+angles), _require_range (finite lo < hi) and _require_grid (a 1-d,
+finite, strictly increasing grid).
 Detector windows take the finite and positive rules (pairstate), and a
 SweepCurve's detunings the grid rule (experiments).
 """
@@ -53,6 +54,16 @@ def _require_finite(name: str, value):
     if not math.isfinite(_require_real(name, value)):
         raise ValidationError(f"{name} must be finite, got {value}")
     return value
+
+
+def _require_complex(name: str, value) -> complex:
+    """value as a complex: a real number by the finite rule, or a complex
+    number whose two parts pass it."""
+    if (isinstance(value, numbers.Real)
+            or not isinstance(value, numbers.Complex)):
+        return complex(_require_finite(name, value))
+    return complex(_require_finite(name, value.real),
+                   _require_finite(name, value.imag))
 
 
 def _require_positive(name: str, value):

@@ -21,7 +21,8 @@ brute_force_overlap, and it is the one place that refuses a pair whose
 poles differ.  The all-space overlaps of gamma_unprojected need no window:
 they are residue integrals in closed form.  A window's numbers go
 through model's rules, and invalid_windows refuses one that reaches
-k <= 0.
+k <= 0.  gamma_prime, tracked_window and sweep_gamma normalize a pairing
+once; the helpers behind them take its two STATE_ORDER rows (_PAIRINGS).
 """
 from __future__ import annotations
 
@@ -31,7 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .cascade import (STATE_ORDER, CascadeChannel, ChannelArrays,
+# enumerate_channels is not called here; it is imported only so that the
+# benchmark tracer's (pairstate, "enumerate_channels") site resolves.
+from .cascade import (STATE_ORDER, CascadeChannel, ChannelArrays,  # noqa: F401
                       channel_arrays, enumerate_channels)
 from .errors import EmptyWindowError, ValidationError
 from .model import (SystemParams, _require_count, _require_finite,
@@ -42,13 +45,9 @@ TWO_PI = 2.0 * math.pi
 # |gamma'| <= 1/2 by Cauchy-Schwarz and AM-GM, plus a roundoff allowance.
 _GAMMA_BOUND = 0.5 + 1e-9
 
-# (pol, branch) labels correlated by each pairing; the LP-UP pairing takes
-# the upper branch on the V side.
-_PAIRINGS = {
-    "LP-LP": (("H", "LP"), ("V", "LP")),
-    "UP-UP": (("H", "UP"), ("V", "UP")),
-    "LP-UP": (("H", "LP"), ("V", "UP")),
-}
+# The STATE_ORDER rows of the H-side and V-side channels correlated by each
+# pairing; the LP-UP pairing takes the upper branch on the V side.
+_PAIRINGS = {"LP-LP": (0, 2), "UP-UP": (1, 3), "LP-UP": (0, 3)}
 
 
 def normalize_pairing(pairing: str) -> str:
@@ -62,7 +61,8 @@ def normalize_pairing(pairing: str) -> str:
 
 def pairing_labels(pairing: str) -> tuple[tuple[str, str], tuple[str, str]]:
     """The (pol, branch) labels of the H-side and V-side channels."""
-    return _PAIRINGS[normalize_pairing(pairing)]
+    rows = _PAIRINGS[normalize_pairing(pairing)]
+    return tuple(STATE_ORDER[row] for row in rows)
 
 
 def pairing_channels(channels, pairing: str) -> tuple[CascadeChannel, CascadeChannel]:
@@ -127,13 +127,15 @@ class PairCoherence:
     pairing: str = ""
 
     def __post_init__(self):
+        # Each check is written so that NaN fails it.
         magnitude = hypot(self.gamma.real, self.gamma.imag)
-        if magnitude > _GAMMA_BOUND:
+        if not magnitude <= _GAMMA_BOUND:
             raise ValidationError(
                 f"|gamma| = {magnitude!r} exceeds the 1/2 bound")
         for label, norm in self.channel_norms.items():
-            if norm < 0:
-                raise ValidationError(f"negative channel norm for {label}")
+            if not norm >= 0:
+                raise ValidationError(
+                    f"channel norm for {label} must be >= 0, got {norm!r}")
 
 
 def _prefactor(x_ex, x_ph, gxx, g):
@@ -228,10 +230,10 @@ def _pair_overlaps(exx, gxx, side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
     return self_a, self_b, kernels._join(cross.real / norm, cross.imag / norm)
 
 
-def gamma_prime_arrays(channels: ChannelArrays, pairing: str, center1,
-                       center2, width):
+def gamma_prime_arrays(channels: ChannelArrays, rows, center1, center2,
+                       width):
     """Self overlaps and gamma' of a pairing at every point of a channel
-    array.
+    array; rows are the pairing's two STATE_ORDER rows (_PAIRINGS).
 
     Point i's window has centers center1[i], center2[i] and full width
     width, one number for all points or an array of one per point.
@@ -248,8 +250,7 @@ def gamma_prime_arrays(channels: ChannelArrays, pairing: str, center1,
         return _side(gxx, s.energy[row], s.linewidth[row], s.x_ex[row],
                      s.x_ph[row])
 
-    row_a, row_b = (STATE_ORDER.index(label)
-                    for label in pairing_labels(pairing))
+    row_a, row_b = rows
     half = np.divide(width, 2)
     return _pair_overlaps(channels.e_biexciton, gxx, side(row_a), side(row_b),
                           center1 - half, center1 + half, center2 - half,
@@ -287,11 +288,12 @@ def gamma_prime(params: SystemParams, pairing: str,
     for bit.
     """
     key = normalize_pairing(pairing)
+    rows = _PAIRINGS[key]
     channels = channel_arrays(params, [params.cav_mean])
     channels.check(0)
-    return _pair_coherence(pairing_labels(key), gamma_prime_arrays(
-        channels, key, np.array([w.center1]), np.array([w.center2]), w.width),
-        key)
+    overlaps = gamma_prime_arrays(channels, rows, np.array([w.center1]),
+                                  np.array([w.center2]), w.width)
+    return _pair_coherence([STATE_ORDER[row] for row in rows], overlaps, key)
 
 
 def _norm(x_ex, x_ph):
@@ -348,8 +350,7 @@ def gamma_unprojected(params: SystemParams,
         row[:, 0].tolist() for row in (s.energy, s.linewidth, s.x_ex, s.x_ph))
     norms = [_norm(*amplitudes) for amplitudes in zip(x_ex, x_ph)]
     cross, total = 0j, 0.0
-    for branch in ("LP", "UP"):
-        a, b = (STATE_ORDER.index((pol, branch)) for pol in ("H", "V"))
+    for a, b in (_PAIRINGS["LP-LP"], _PAIRINGS["UP-UP"]):
         total += norms[a] + norms[b]
         pair = math.sqrt(norms[a] * norms[b])
         if pair > 0:

@@ -106,8 +106,8 @@ def polariton_arrays(params: SystemParams, cav_mean) -> PolaritonArrays:
     delta = e_exc - e_cav
     r = hypot(delta, params.rabi)
     # LP photon fraction grows as the cavity mode dives below the exciton.
-    x_ph2, x_ex2 = np.minimum(1.0, np.maximum(
-        0.0, 0.5 * (1.0 + _FRACTION_SIGN * (delta / r))))
+    # r >= |delta| after rounding, so each fraction lies in [0, 1].
+    x_ph2, x_ex2 = 0.5 * (1.0 + _FRACTION_SIGN * (delta / r))
     # LP sits half the splitting below the mean and UP above it:
     # mean - (-half) equals mean + half.
     energy = mean - _FRACTION_SIGN[0] * (0.5 * r)

@@ -263,7 +263,9 @@ def test_bad_config_value_exits_one(capsys, tmp_path):
     assert "points" in err
 
 
-@pytest.mark.parametrize("argv", [
+# Each row is refused by the command or library function that reads its
+# key; no other code checks it.
+REFUSED_ARGV = [
     ("gamma", "--scheme", "7"),
     ("gamma", "--tau-c", "-5"),
     ("gamma", "--center1", "997.0"),             # center2 missing
@@ -283,7 +285,14 @@ def test_bad_config_value_exits_one(capsys, tmp_path):
     ("sample", "--n", "9223372036854775808"),   # 2**63: beyond NumPy's C long
     ("sample", "--seed", "9223372036854775808"),  # counts stop at 2**63 - 1
     ("sweep", "--sweep-lo", "-inf"),
-])
+    ("spectrum", "--margin", "0"),
+    ("spectrum", "--margin", "-1"),
+    ("sweep", "--sweep-points", "0"),
+    ("gamma", "--width", "nan"),
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGV)
 def test_validation_failures_exit_one(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
@@ -292,6 +301,26 @@ def test_validation_failures_exit_one(capsys, monkeypatch, tmp_path, argv):
     # The message names the key that caused it.
     assert argv[1].removeprefix("--").replace("-", "_") in err
     # The whole input is checked before any file is written.
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    argv for argv in REFUSED_ARGV if argv[0] in SETTINGS["out_dir"][3].split()])
+def test_refused_run_makes_no_out_dir(capsys, monkeypatch, tmp_path, argv):
+    # spectrum --reference is refused by pl_spectrum, after the grid is
+    # built: the output directory must not exist by then.
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv, "--out-dir", "new")
+    assert code == 1
+    assert argv[1].removeprefix("--").replace("-", "_") in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_margin_nan_is_refused_as_not_finite(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "spectrum", "--margin", "nan",
+                           "--out-dir", str(tmp_path / "new"))
+    assert code == 1
+    assert err == "error: margin must be finite, got nan\n"
     assert os.listdir(tmp_path) == []
 
 

@@ -25,7 +25,8 @@ from polcascade.experiments import (SweepCurve, optimize_detuning,
                                     spectrum_grid, sweep_gamma,
                                     tracked_window)
 from polcascade.model import SystemParams, lifetime_to_linewidth, scheme_preset
-from polcascade.pairstate import (DetectorWindow, QuadratureSpec, amplitude,
+from polcascade.pairstate import (DetectorWindow, PairCoherence,
+                                  QuadratureSpec, amplitude,
                                   brute_force_overlap, gamma_prime,
                                   pairing_channels)
 from polcascade.polariton import find_crossings, min_gap
@@ -75,6 +76,10 @@ REFUSED = {
     "spectrum_grid points one": ("points", lambda: spectrum_grid(p, points=1)),
     "spectrum_grid margin nan": (
         "margin", lambda: spectrum_grid(p, margin=math.nan)),
+    "spectrum_grid margin negative": (
+        "margin", lambda: spectrum_grid(p, margin=-1)),
+    "spectrum_grid margin zero": (
+        "margin", lambda: spectrum_grid(p, margin=0.0)),
     "sample n bool": (
         "n", lambda: sample_coincidences(rho, (0, 0.3), True, 1)),
     "brute_force n bool": (
@@ -104,6 +109,18 @@ REFUSED = {
     "params rabi bool": ("rabi", lambda: SystemParams(rabi=True)),
     "lifetime bool": ("tau_ps", lambda: lifetime_to_linewidth(True)),
     "x_state population bool": ("p_hh", lambda: x_state(True, False, 0)),
+    # A bool gamma is refused as such, not read as the number 0 or 1.
+    "x_state gamma False": (
+        "gamma must be a real number", lambda: x_state(0.5, 0.5, False)),
+    "x_state gamma True": (
+        "gamma must be a real number", lambda: x_state(0.5, 0.5, True)),
+    # NaN fails the 1/2 bound and the norm sign checks.
+    "PairCoherence gamma nan": (
+        "1/2 bound", lambda: PairCoherence(gamma=complex("nan"))),
+    "PairCoherence norm nan": ("H:LP", lambda: PairCoherence(
+        gamma=0.1, channel_norms={"H:LP": math.nan})),
+    "SweepCurve gamma nan": ("1/2 bound", lambda: sweep_curve(
+        [0.0, 0.1], gamma=np.array([0.1j, complex("nan")]))),
     "amplitude k1 nan": ("k1", lambda: amplitude(ch_a, math.nan, 999.0)),
     "amplitude k1 inf": ("k1", lambda: amplitude(ch_a, math.inf, 999.0)),
     "amplitude k1 text": ("k1", lambda: amplitude(ch_a, "1", 2)),
