@@ -16,8 +16,7 @@ from .cascade import (CascadeChannel, Spectrum, channel_table,
 from .kernels import BACKEND
 from .pairstate import (DetectorWindow, PairCoherence, QuadratureSpec,
                         amplitude, brute_force_overlap, channel_norm,
-                        gamma_prime, gamma_prime_from_channels,
-                        gamma_unprojected, normalize_pairing,
+                        gamma_prime, gamma_unprojected, normalize_pairing,
                         pairing_channels, windowed_overlap)
 from .entanglement import (EntanglementReport, TwoQubitDensityMatrix,
                            born_probabilities, chsh_bound, chsh_value,
@@ -43,9 +42,8 @@ __all__ = [
     "channel_norm", "channel_table", "chsh_bound", "chsh_value",
     "correlation", "correlation_from_counts", "correlation_matrix",
     "default_delta_grid", "enumerate_channels", "fig4_sweep",
-    "find_crossings", "gamma_prime", "gamma_prime_from_channels",
-    "gamma_unprojected", "lifetime_to_linewidth", "min_gap",
-    "normalize_pairing",
+    "find_crossings", "gamma_prime", "gamma_unprojected",
+    "lifetime_to_linewidth", "min_gap", "normalize_pairing",
     "optimal_chsh_angles", "optimize_detuning", "pairing_channels",
     "partial_transpose", "peres_test", "pl_spectrum", "projected_state",
     "reproduce_all", "reproduce_figure", "sample_coincidences",

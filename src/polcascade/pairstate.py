@@ -12,15 +12,14 @@ the _side rows of two channels (the H and V sides of gamma') and one
 window, and gets back both self overlaps and the cross overlap.  Both
 photons of a pair come from one biexciton decay, so the two channels
 share that pole, and the 24 dilogarithm terms of a point are the entries
-of one 8-term table or their conjugates (see kernels).  Every caller
-takes that one path: detuning sweeps through gamma_prime_arrays,
-straight from cascade.channel_arrays, which holds the cascade's pole;
-gamma_prime_from_channels and windowed_overlap (through _overlap_box)
-from two channel objects, paired by _pair.  _pair also serves
-brute_force_overlap, and it is the one place that refuses a pair whose
-poles differ.  The all-space overlaps of gamma_unprojected need no window:
-they are residue integrals in closed form.  A window's numbers go
-through model's rules, and invalid_windows refuses one that reaches
+of one 8-term table or their conjugates (see kernels).  gamma' has one
+implementation, gamma_prime_arrays, on cascade.channel_arrays with the
+cascade's pole: sweeps call it on many points, gamma_prime on one.
+windowed_overlap (through _overlap_box) and brute_force_overlap take two
+channel objects, paired by _pair, the one place that refuses a pair
+whose poles differ.  The all-space overlaps of gamma_unprojected need no
+window: they are residue integrals in closed form.  A window's numbers
+go through model's rules, and invalid_windows refuses one that reaches
 k <= 0.  gamma_prime, tracked_window and sweep_gamma normalize a pairing
 once; the helpers behind them take its two STATE_ORDER rows (_PAIRINGS).
 """
@@ -209,38 +208,19 @@ def brute_force_overlap(ch_a: CascadeChannel, ch_b: CascadeChannel,
         *w.k2_interval, n))
 
 
-def _pair_overlaps(exx, gxx, side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi):
-    """Self overlaps and gamma' of many points, as arrays.
-
-    exx and gxx are the biexciton pole, side_a and side_b the _side rows
-    of the channel on each side, of every point.  Point i's window is
-    the box (k1_lo[i], k1_hi[i]) x (k2_lo[i], k2_hi[i]).  The self_a, self_b and cross overlaps of all
-    points come from one kernels.window_overlaps call.  Raises
-    EmptyWindowError if a window holds no emission.  Returns (self_a,
-    self_b, gamma); the |gamma'| <= 1/2 bound is checked where the result
-    is built, by PairCoherence or SweepCurve.
-    """
-    self_a, self_b, cross = kernels.window_overlaps(
-        exx, gxx, side_a, side_b, k1_lo, k1_hi, k2_lo, k2_hi)
-    norm = self_a + self_b
-    if (norm < 1e-300).any():
-        raise EmptyWindowError(
-            "empty window: no emission inside the acceptance")
-    # Divides each part by the real norm.
-    return self_a, self_b, kernels._join(cross.real / norm, cross.imag / norm)
-
-
 def gamma_prime_arrays(channels: ChannelArrays, rows, center1, center2,
                        width):
     """Self overlaps and gamma' of a pairing at every point of a channel
     array; rows are the pairing's two STATE_ORDER rows (_PAIRINGS).
 
-    Point i's window has centers center1[i], center2[i] and full width
-    width, one number for all points or an array of one per point.
-    Both sides of a point take the cascade's one biexciton pole.
-    Returns the self_a, self_b and gamma arrays, raising as
-    _pair_overlaps does; the caller's SweepCurve or PairCoherence checks
-    the 1/2 bound.
+    This is the one place where window overlaps become gamma'.  Point i's
+    window has centers center1[i], center2[i] and full width width, one
+    number for all points or an array of one per point.  Both sides of a
+    point take the cascade's one biexciton pole, and the self_a, self_b
+    and cross overlaps of all points come from one
+    kernels.window_overlaps call.  Returns the self_a, self_b and gamma
+    arrays, raising EmptyWindowError if a window holds no emission; the
+    caller's SweepCurve or PairCoherence checks the 1/2 bound.
     """
     gxx = channels.xx_total_width
 
@@ -252,32 +232,15 @@ def gamma_prime_arrays(channels: ChannelArrays, rows, center1, center2,
 
     row_a, row_b = rows
     half = np.divide(width, 2)
-    return _pair_overlaps(channels.e_biexciton, gxx, side(row_a), side(row_b),
-                          center1 - half, center1 + half, center2 - half,
-                          center2 + half)
-
-
-def _pair_coherence(labels, overlaps, pairing: str) -> PairCoherence:
-    """The PairCoherence of a one-point (self_a, self_b, gamma) result;
-    labels are the (pol, branch) of sides a and b, in that key order."""
-    self_a, self_b, gamma = overlaps
-    return PairCoherence(
-        gamma=complex(gamma[0]),
-        channel_norms={f"{pol}:{branch}": float(norm[0])
-                       for (pol, branch), norm in zip(labels, (self_a, self_b))},
-        pairing=pairing)
-
-
-def gamma_prime_from_channels(ch_a: CascadeChannel, ch_b: CascadeChannel,
-                              w: DetectorWindow,
-                              pairing: str = "") -> PairCoherence:
-    """Filtered coherence of two explicit channels (synthetic-state entry)."""
-    exx, gxx, side_a, side_b = _pair(ch_a, ch_b)
-    bounds = ([b] for b in (*w.k1_interval, *w.k2_interval))
-    return _pair_coherence(
-        ((ch_a.pol, ch_a.branch), (ch_b.pol, ch_b.branch)),
-        _pair_overlaps(exx, gxx, side_a[:, None], side_b[:, None], *bounds),
-        pairing or f"{ch_a.branch}-{ch_b.branch}")
+    self_a, self_b, cross = kernels.window_overlaps(
+        channels.e_biexciton, gxx, side(row_a), side(row_b), center1 - half,
+        center1 + half, center2 - half, center2 + half)
+    norm = self_a + self_b
+    if (norm < 1e-300).any():
+        raise EmptyWindowError(
+            "empty window: no emission inside the acceptance")
+    # Divides each part by the real norm.
+    return self_a, self_b, kernels._join(cross.real / norm, cross.imag / norm)
 
 
 def gamma_prime(params: SystemParams, pairing: str,
@@ -291,9 +254,13 @@ def gamma_prime(params: SystemParams, pairing: str,
     rows = _PAIRINGS[key]
     channels = channel_arrays(params, [params.cav_mean])
     channels.check(0)
-    overlaps = gamma_prime_arrays(channels, rows, np.array([w.center1]),
-                                  np.array([w.center2]), w.width)
-    return _pair_coherence([STATE_ORDER[row] for row in rows], overlaps, key)
+    self_a, self_b, gamma = gamma_prime_arrays(
+        channels, rows, np.array([w.center1]), np.array([w.center2]), w.width)
+    return PairCoherence(
+        gamma=complex(gamma[0]),
+        channel_norms={"{}:{}".format(*STATE_ORDER[row]): float(norm[0])
+                       for row, norm in zip(rows, (self_a, self_b))},
+        pairing=key)
 
 
 def _norm(x_ex, x_ph):

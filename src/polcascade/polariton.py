@@ -79,7 +79,10 @@ def hypot(x, y):
     """CPython's math.hypot, per element where x or y is an array: the one
     modulus rule, correctly rounded where the C library's may not be."""
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.asarray(np.frompyfunc(math.hypot, 2, 1)(x, y), dtype=float)
+        # A NaN element gives NaN, silently, as math.hypot does.
+        with np.errstate(invalid="ignore"):
+            return np.asarray(np.frompyfunc(math.hypot, 2, 1)(x, y),
+                              dtype=float)
     return math.hypot(x, y)
 
 

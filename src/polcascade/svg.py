@@ -35,6 +35,8 @@ def _ticks(lo: float, hi: float) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         out.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # step is under half an ulp of t
+            break
         t += step
     return out
 
@@ -60,10 +62,11 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
     x_hi = max(xs.max() for _, xs, _ in series if xs.size).item()
     y_lo = min(ys.min() for _, _, ys in series if ys.size).item()
     y_hi = max(ys.max() for _, _, ys in series if ys.size).item()
+    # A flat range widens by 1, or by an ulp where adding 1 changes nothing.
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

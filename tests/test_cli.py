@@ -540,6 +540,21 @@ def test_module_entry_point_runs():
     assert_allclose(data["gamma"]["abs"], 0.15507402637173892, atol=1e-6)
 
 
+@pytest.mark.parametrize("ex_mean", ["3e15", "1e16", "1e18", "1e23"])
+def test_sweep_plots_levels_of_any_magnitude(tmp_path, ex_mean):
+    # At 3e15 the tick loop never ended once a step fell under half an ulp;
+    # from 1e16 a flat level range widened by 1.0 stayed flat, and the plot
+    # divided by zero after writing the CSV.
+    proc = subprocess.run(
+        [sys.executable, "-m", "polcascade", "sweep", "--ex-mean", ex_mean,
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["outputs"] == [
+        str(tmp_path / "anticrossing.csv"), str(tmp_path / "anticrossing.svg")]
+
+
 def test_console_script_on_path():
     tomllib = pytest.importorskip("tomllib")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -16,7 +16,7 @@ from polcascade.model import SystemParams, scheme_preset
 from polcascade.pairstate import (DetectorWindow, PairCoherence,
                                   QuadratureSpec, amplitude,
                                   brute_force_overlap, channel_norm,
-                                  gamma_prime, gamma_prime_from_channels,
+                                  gamma_prime, gamma_prime_arrays,
                                   gamma_unprojected, normalize_pairing,
                                   pairing_channels, windowed_overlap)
 
@@ -231,10 +231,20 @@ def test_brute_force_rejects_bad_n():
 # ---------------------------------------------------------- gamma_prime
 
 def test_identical_channels_reach_one_half():
-    ch = channels_by_key(scheme_preset(2))[("H", "LP")]
+    p = scheme_preset(2)
+    ch = channels_by_key(p)[("H", "LP")]
     w = DetectorWindow(center1=ch.photon1, center2=ch.photon2, width=0.2)
-    coh = gamma_prime_from_channels(ch, ch, w)
-    assert abs(coh.gamma - 0.5) <= 1e-12
+    # A channel's overlap with itself is real: its self overlap.
+    self_overlap = windowed_overlap(ch, ch, w)
+    assert self_overlap.imag == 0.0 and self_overlap.real > 0
+    # The same channel on both sides of gamma': its cross overlap equals
+    # each self overlap, so gamma' is 1/2.
+    row = cascade.STATE_ORDER.index(("H", "LP"))
+    self_a, self_b, gamma = gamma_prime_arrays(
+        channel_arrays(p, [p.cav_mean]), (row, row), np.array([w.center1]),
+        np.array([w.center2]), w.width)
+    assert self_a[0] == self_b[0] == self_overlap.real
+    assert abs(gamma[0] - 0.5) <= 1e-12
 
 
 def test_scheme1_gamma_prime_frozen_value():
@@ -294,10 +304,9 @@ def test_gamma_prime_gives_a_pair_one_pole_where_photon_sums_differ(pairing):
         want = 0.48105309907337324 - 0.0012344809017742274j
         assert abs(coh.gamma - want) <= 1e-15
     # Channel objects carry the cascade's biexciton energy, so the
-    # object entry points take the same pole and give the same bits.
+    # object entry point takes the same pole and gives the same bits.
     a, b = pairing_channels(enumerate_channels(BELOW_ZERO), pairing)
     assert a.e_xx == b.e_xx == BELOW_ZERO.e_biexciton
-    assert gamma_prime_from_channels(a, b, w, coh.pairing) == coh
     cross = windowed_overlap(a, b, w)
     assert cross / sum(coh.channel_norms.values()) == coh.gamma
 
@@ -310,8 +319,7 @@ def test_pairs_with_distinct_biexciton_poles_are_refused(field):
     a, b = pairing_channels(enumerate_channels(p), "LP-UP")
     b = dataclasses.replace(b, **{field: getattr(b, field) * (1 + 1e-6)})
     w = tracked_window(p, "LP-UP", 0.2)
-    for call in (windowed_overlap, gamma_prime_from_channels,
-                 brute_force_overlap):
+    for call in (windowed_overlap, brute_force_overlap):
         with pytest.raises(ValidationError) as exc:
             call(a, b, w)
         message = str(exc.value)
@@ -733,7 +741,7 @@ def test_overlaps_and_gamma_prime_match_the_midpoint_oracle(
     for k in pairs:
         assert abs(exact[k] - oracle[k]) <= ORACLE_TOL * scale, k
     try:
-        coh = gamma_prime_from_channels(ch_a, ch_b, w, pairing)
+        coh = gamma_prime(params, pairing, w)
     except EmptyWindowError:
         assert scale == 0
         return

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from polcascade.errors import ValidationError
-from polcascade.svg import line_plot
+from polcascade.svg import _ticks, line_plot
 
 
 def test_line_plot_writes_valid_svg(tmp_path):
@@ -46,6 +48,18 @@ def test_line_plot_flat_and_single_point_series(tmp_path):
                      ("dot", [0.5], [2.0])])
     text = path.read_text()
     assert "NaN" not in text and "nan" not in text
+
+
+@pytest.mark.parametrize("level", [3e15, 1e16, 1e23, -1e300])
+def test_line_plot_levels_of_any_magnitude(tmp_path, level):
+    # From 2**53 on a flat range stays flat under + 1.0, and a tick step
+    # under half an ulp of the tick left the tick loop where it was.
+    two_ulps = math.nextafter(math.nextafter(level, math.inf), math.inf)
+    assert _ticks(level, two_ulps)
+    for top in (level, two_ulps):
+        path = tmp_path / "levels.svg"
+        line_plot(path, [("s", [0.0, 1.0], [level, top])])
+        assert "nan" not in path.read_text().lower()
 
 
 @pytest.mark.parametrize("series", [
