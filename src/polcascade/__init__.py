@@ -15,9 +15,8 @@ from .cascade import (CascadeChannel, Spectrum, channel_table,
                       enumerate_channels, pl_spectrum, write_spectrum_csv)
 from .kernels import BACKEND
 from .pairstate import (DetectorWindow, PairCoherence, QuadratureSpec,
-                        amplitude, brute_force_overlap, channel_norm,
-                        gamma_prime, gamma_unprojected, normalize_pairing,
-                        pairing_channels, windowed_overlap)
+                        brute_force_overlap, gamma_prime, gamma_unprojected,
+                        normalize_pairing, pairing_channels, windowed_overlap)
 from .entanglement import (EntanglementReport, TwoQubitDensityMatrix,
                            born_probabilities, chsh_bound, chsh_value,
                            correlation, correlation_from_counts,
@@ -37,9 +36,9 @@ __all__ = [
     "HBAR_MEV_PS", "PRESET_EX_MEAN", "PairCoherence", "PolaritonSet",
     "PolaritonState",
     "QuadratureSpec", "SCHEME_PAIRING", "Spectrum", "SweepCurve", "SweepRow",
-    "SystemParams", "TwoQubitDensityMatrix", "ValidationError", "amplitude",
+    "SystemParams", "TwoQubitDensityMatrix", "ValidationError",
     "anticrossing_sweep", "born_probabilities", "brute_force_overlap",
-    "channel_norm", "channel_table", "chsh_bound", "chsh_value",
+    "channel_table", "chsh_bound", "chsh_value",
     "correlation", "correlation_from_counts", "correlation_matrix",
     "default_delta_grid", "enumerate_channels", "fig4_sweep",
     "find_crossings", "gamma_prime", "gamma_unprojected",

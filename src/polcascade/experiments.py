@@ -168,14 +168,6 @@ class SweepCurve:
         return tuple(map(SweepRow, self.deltas.tolist(), self.gamma.tolist(),
                          windows, [self.pairing] * self.deltas.size))
 
-    def peak(self) -> SweepRow:
-        """Row with the largest |gamma'|; builds only that row."""
-        i = int(self.abs_gamma.argmax())
-        window = DetectorWindow(self.center1.item(i), self.center2.item(i),
-                                self.width.item(i))
-        return SweepRow(self.deltas.item(i), self.gamma.item(i), window,
-                        self.pairing)
-
 
 def _sweep_point(task):
     """The gamma', center1, center2 and width arrays of one contiguous

@@ -259,14 +259,16 @@ def _dilog_table(w2, s, r):
     z.imag = np.where(z.imag == 0, np.copysign(1e-300, side), z.imag)
     # log w takes one log per row s, not one per table entry.
     log_w = flat(_log(edge - s), (2,))
-    log1p_minus_z = _log1p(-z)
     # Near z = 1, as where the pole r lies on an edge, 1 - z rounded
     # from z keeps only the digits of |1 - z|; (r - edge) / d keeps
-    # all.  It takes the side of the cut that z takes.
+    # all.  It takes the side of the cut that z takes.  Each entry takes
+    # one of the two logs, not both.
     one_minus_z = (r_flat - edge_flat) / d
     one_minus_z.imag = np.copysign(one_minus_z.imag, -z.imag)
-    near_one = ((np.abs(one_minus_z) < 0.5) & (one_minus_z != 0)).nonzero()
+    near_one = (np.abs(one_minus_z) < 0.5) & (one_minus_z != 0)
+    log1p_minus_z = np.empty_like(z)
     log1p_minus_z[near_one] = _log(one_minus_z[near_one])
+    log1p_minus_z[~near_one] = _log1p(-z[~near_one])
     product = _mul(log_w, log1p_minus_z)
     dilog = _dilog(z.reshape(-1), log1p_minus_z.reshape(-1)).reshape(z.shape)
     log_w0 = log_w[:, degenerate_at]

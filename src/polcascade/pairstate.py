@@ -1,7 +1,8 @@
 """Two-photon wave packets, windowed overlaps, and polarization coherence.
 
-Each cascade channel emits a two-photon packet whose amplitude is a double
-Lorentzian in (k1 + k2, k2).  The degree of polarization entanglement is a
+Each cascade channel emits a two-photon packet whose amplitude,
+pref / ((k1 + k2 - E + iG) (k2 - e + ig)), is a double Lorentzian in
+(k1 + k2, k2).  The degree of polarization entanglement is a
 ratio of packet overlaps: over all space for the unprojected coherence, or
 over a detector window for the spectrally filtered one.
 
@@ -22,6 +23,8 @@ window: they are residue integrals in closed form.  A window's numbers
 go through model's rules, and invalid_windows refuses one that reaches
 k <= 0.  gamma_prime, tracked_window and sweep_gamma normalize a pairing
 once; the helpers behind them take its two STATE_ORDER rows (_PAIRINGS).
+The amplitude itself is never evaluated here: it and a packet's
+all-space norm x_ex^2 x_ph^2 / 4 are references in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -58,17 +61,11 @@ def normalize_pairing(pairing: str) -> str:
     return key
 
 
-def pairing_labels(pairing: str) -> tuple[tuple[str, str], tuple[str, str]]:
-    """The (pol, branch) labels of the H-side and V-side channels."""
-    rows = _PAIRINGS[normalize_pairing(pairing)]
-    return tuple(STATE_ORDER[row] for row in rows)
-
-
 def pairing_channels(channels, pairing: str) -> tuple[CascadeChannel, CascadeChannel]:
     """The (H-side, V-side) channels correlated by a pairing."""
     by_label = {(c.pol, c.branch): c for c in channels}
-    label_a, label_b = pairing_labels(pairing)
-    return by_label[label_a], by_label[label_b]
+    return tuple(by_label[STATE_ORDER[row]]
+                 for row in _PAIRINGS[normalize_pairing(pairing)])
 
 
 def invalid_windows(center1, center2, width):
@@ -137,35 +134,12 @@ class PairCoherence:
                     f"channel norm for {label} must be >= 0, got {norm!r}")
 
 
-def _prefactor(x_ex, x_ph, gxx, g):
-    """Amplitude prefactor x_ex x_ph sqrt(gxx g) / 2pi, on floats or arrays."""
-    return x_ex * x_ph * np.sqrt(gxx * g) / TWO_PI
-
-
-def amplitude(ch: CascadeChannel, k1: float, k2: float) -> complex:
-    """Two-photon amplitude of one channel at photon energies (k1, k2)."""
-    for name, k in (("k1", k1), ("k2", k2)):
-        _require_positive(name, _require_finite(name, k))
-    exx, gxx = ch.e_xx, ch.xx_total_width
-    e, g, pref = _sides([ch])[:, 0].tolist()
-    if pref == 0.0:
-        return 0j
-    return pref / ((k1 + k2 - (exx - 1j * gxx)) * (k2 - (e - 1j * g)))
-
-
 def _side(xx_total_width, energy, linewidth, x_ex, x_ph):
     """The amplitude parameters of channels, one row each: the
     intermediate state's energy and linewidth, and the amplitude
-    prefactor."""
-    return np.array([energy, linewidth,
-                     _prefactor(x_ex, x_ph, xx_total_width, linewidth)])
-
-
-def _sides(channels):
-    """The _side rows of channel objects."""
-    return _side(*np.array([
-        (ch.xx_total_width, ch.intermediate.energy, ch.intermediate.linewidth,
-         ch.intermediate.x_ex, ch.intermediate.x_ph) for ch in channels]).T)
+    prefactor x_ex x_ph sqrt(xx_total_width linewidth) / 2pi."""
+    pref = x_ex * x_ph * np.sqrt(xx_total_width * linewidth) / TWO_PI
+    return np.array([energy, linewidth, pref])
 
 
 def _pair(ch_a, ch_b):
@@ -177,7 +151,11 @@ def _pair(ch_a, ch_b):
         raise ValidationError(
             "the two channels of a pair must share one biexciton pole, got "
             "(exx, gxx) = {!r} and {!r}".format(*poles))
-    return (*poles[0], *_sides([ch_a, ch_b]).T)
+    sides = _side(*np.array([
+        (ch.xx_total_width, ch.intermediate.energy, ch.intermediate.linewidth,
+         ch.intermediate.x_ex, ch.intermediate.x_ph)
+        for ch in (ch_a, ch_b)]).T)
+    return (*poles[0], *sides.T)
 
 
 def _overlap_box(ch_a, ch_b, k1_lo, k1_hi, k2_lo, k2_hi) -> complex:
@@ -263,16 +241,6 @@ def gamma_prime(params: SystemParams, pairing: str,
         pairing=key)
 
 
-def _norm(x_ex, x_ph):
-    """All-space norm of a channel's packet from its Hopfield amplitudes."""
-    return (x_ex * x_ex * (x_ph * x_ph)) / 4.0
-
-
-def channel_norm(ch: CascadeChannel) -> float:
-    """All-space norm of one channel's packet, x_ex^2 x_ph^2 / 4."""
-    return _norm(ch.intermediate.x_ex, ch.intermediate.x_ph)
-
-
 def _residue(g_a, g_b, e_a, e_b) -> complex:
     """2 sqrt(g_a g_b) / ((g_a + g_b) - i (e_a - e_b)), of modulus <= 1.
 
@@ -315,7 +283,8 @@ def gamma_unprojected(params: SystemParams,
     s = arrays.states
     energy, linewidth, x_ex, x_ph = (
         row[:, 0].tolist() for row in (s.energy, s.linewidth, s.x_ex, s.x_ph))
-    norms = [_norm(*amplitudes) for amplitudes in zip(x_ex, x_ph)]
+    # A channel's all-space norm is x_ex^2 x_ph^2 / 4.
+    norms = [(a * a * (b * b)) / 4.0 for a, b in zip(x_ex, x_ph)]
     cross, total = 0j, 0.0
     for a, b in (_PAIRINGS["LP-LP"], _PAIRINGS["UP-UP"]):
         total += norms[a] + norms[b]

@@ -275,7 +275,16 @@ def anticrossing_sweep(params: SystemParams, deltas) -> PolaritonArrays:
     The grid must pass model._require_grid.  One array solve covers it: the
     result has one row per state in STATE_ORDER and one column per
     detuning, and column i equals solve_polaritons at deltas[i] bit for
-    bit.
+    bit.  A grid where a level overflows, as for ex_mean near the float
+    range, is refused, naming ex_mean and the first such detuning.
     """
-    return polariton_arrays(
-        params, params.ex_mean + _require_grid("detuning grid", deltas))
+    deltas = _require_grid("detuning grid", deltas)
+    # Overflow is refused below, not warned of; only this caller hides it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = polariton_arrays(params, params.ex_mean + deltas)
+    bad = ~np.isfinite(states.energy).all(axis=0)
+    if bad.any():
+        raise ValidationError(
+            f"ex_mean = {params.ex_mean!r} gives a non-finite polariton "
+            f"level at detuning {deltas.item(bad.argmax())!r}")
+    return states

@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from _corpus import overlap_corpus
+from oracles import channel_norm
 from polcascade.cascade import enumerate_channels, pl_spectrum
 from polcascade.entanglement import (born_probabilities, chsh_value,
                                      peres_test, projected_state,
@@ -21,7 +22,7 @@ from polcascade.entanglement import (born_probabilities, chsh_value,
 from polcascade.experiments import reproduce_all, tracked_window
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
 from polcascade.pairstate import (DetectorWindow, brute_force_overlap,
-                                  channel_norm, gamma_prime, windowed_overlap)
+                                  gamma_prime, windowed_overlap)
 from polcascade.polariton import find_crossings, min_gap, solve_polaritons
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")

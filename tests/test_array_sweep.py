@@ -16,11 +16,11 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 import polcascade
+from oracles import channel_norm
 from polcascade.cascade import channel_arrays, enumerate_channels
 from polcascade.experiments import tracked_window
 from polcascade.model import HBAR_MEV_PS, SystemParams, scheme_preset
-from polcascade.pairstate import (channel_norm, pairing_channels,
-                                  windowed_overlap)
+from polcascade.pairstate import pairing_channels, windowed_overlap
 
 PAIRINGS = ("LP-LP", "UP-UP", "LP-UP")
 

@@ -262,18 +262,19 @@ class LogCounter:
         return np.log(x, *args, **kwargs)
 
 
-def test_fig4_sweeps_take_at_most_42_complex_logs_per_point():
+def test_fig4_sweeps_take_at_most_40_complex_logs_per_point():
     # Per point and window edge: 2 logs of w and 8 of 1 - z for the shared
-    # biexciton pole's table, then a log of the mapped 1 - z, of -z or of
-    # the reflected argument only for the entries each map moves, and the
-    # cut logs only for entries that cross the cut: 39.6 per point.
+    # biexciton pole's table, each entry's taken once, from z or, near
+    # z = 1, from (r - edge) / d; then a log of the mapped 1 - z, of -z or
+    # of the reflected argument only for the entries each map moves, and
+    # the cut logs only for entries that cross the cut: 39.6 per point.
     counter = LogCounter()
     points = 0
     with mock.patch.object(kernels, "np", counter):
         for scheme in (1, 2, 3):
             points += experiments.fig4_sweep(scheme).gamma.size
     assert points == 3 * 161
-    assert counter.elements <= 42 * points
+    assert counter.elements <= 40 * points
 
 
 # ------------------------------------------------------------- failures

@@ -555,6 +555,22 @@ def test_sweep_plots_levels_of_any_magnitude(tmp_path, ex_mean):
         str(tmp_path / "anticrossing.csv"), str(tmp_path / "anticrossing.svg")]
 
 
+@pytest.mark.parametrize("ex_mean", ["1e308", "-1e308"])
+def test_sweep_refuses_levels_that_overflow(tmp_path, ex_mean):
+    # The mean of exciton and cavity energies overflows to inf here; the
+    # solve once warned, wrote a CSV of non-finite levels and then failed
+    # in the plot on a message that named no input.
+    proc = subprocess.run(
+        [sys.executable, "-m", "polcascade", "sweep", "--ex-mean", ex_mean,
+         "--out-dir", str(tmp_path / "new")],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ex_mean")
+    assert proc.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_console_script_on_path():
     tomllib = pytest.importorskip("tomllib")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -71,7 +71,8 @@ def test_sweep_rows_sorted_and_bounded():
     curve = sweep_gamma(scheme_preset(1), "LP-LP", deltas=small_grid())
     assert np.all(np.diff(curve.deltas) > 0)
     assert np.all(curve.abs_gamma <= 0.5 + 1e-9)
-    assert curve.peak().abs_gamma == curve.abs_gamma.max()
+    peak = curve.rows[int(curve.abs_gamma.argmax())]
+    assert peak.abs_gamma == curve.abs_gamma.max()
 
 
 def test_sweep_curve_validation():
@@ -86,7 +87,7 @@ def test_sweep_curve_validation():
     assert ok.rows[1] == SweepRow(
         delta_cx=0.1, gamma=0.2j, pairing="LP-LP",
         window=DetectorWindow(center1=997.0, center2=1000.0, width=0.2))
-    assert ok.peak() == ok.rows[1]
+    assert ok.rows[int(ok.abs_gamma.argmax())] == ok.rows[1]
     with pytest.raises(ValidationError, match="strictly increasing"):
         curve([0.0, -0.1], [0.1 + 0j, 0.1 + 0j])
     with pytest.raises(ValidationError, match="bound"):
@@ -160,7 +161,7 @@ def test_fig4_scheme_pairings():
 
 def test_scheme1_curve_peaks_near_zero():
     curve = fig4_sweep(1, deltas=small_grid())
-    peak = curve.peak()
+    peak = curve.rows[int(curve.abs_gamma.argmax())]
     assert peak.abs_gamma >= 0.45
     assert abs(peak.delta_cx) <= 0.05
 
@@ -210,7 +211,7 @@ def test_optimize_scheme3_default_range_matches_sweep_peak():
     # sits left of the crossing; the sweep maximum is the oracle.
     delta, val = optimize_detuning(3)
     curve = fig4_sweep(3, deltas=np.linspace(-0.25, -0.12, 27))
-    peak = curve.peak()
+    peak = curve.rows[int(curve.abs_gamma.argmax())]
     assert abs(delta - peak.delta_cx) <= 0.005 + 1e-4
     assert val >= peak.abs_gamma - 1e-9
 

@@ -26,9 +26,8 @@ from polcascade.experiments import (SweepCurve, optimize_detuning,
                                     tracked_window)
 from polcascade.model import SystemParams, lifetime_to_linewidth, scheme_preset
 from polcascade.pairstate import (DetectorWindow, PairCoherence,
-                                  QuadratureSpec, amplitude,
-                                  brute_force_overlap, gamma_prime,
-                                  pairing_channels)
+                                  QuadratureSpec, brute_force_overlap,
+                                  gamma_prime, pairing_channels)
 from polcascade.polariton import find_crossings, min_gap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -121,10 +120,6 @@ REFUSED = {
         gamma=0.1, channel_norms={"H:LP": math.nan})),
     "SweepCurve gamma nan": ("1/2 bound", lambda: sweep_curve(
         [0.0, 0.1], gamma=np.array([0.1j, complex("nan")]))),
-    "amplitude k1 nan": ("k1", lambda: amplitude(ch_a, math.nan, 999.0)),
-    "amplitude k1 inf": ("k1", lambda: amplitude(ch_a, math.inf, 999.0)),
-    "amplitude k1 text": ("k1", lambda: amplitude(ch_a, "1", 2)),
-    "amplitude k2 bool": ("k2", lambda: amplitude(ch_a, 997.0, True)),
     "chsh angles gamma nan": ("gamma", lambda: optimal_chsh_angles(math.nan)),
     "sample seed None": (
         "seed", lambda: sample_coincidences(rho, (0, 0.3), 10, None)),

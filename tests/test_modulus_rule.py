@@ -90,7 +90,7 @@ def test_each_curve_takes_one_modulus_pass(monkeypatch, tmp_path):
                         deltas=np.linspace(-0.1, 0.1, 5))
     assert curve.abs_gamma.tolist() == hypot(curve.gamma.real,
                                              curve.gamma.imag).tolist()
-    curve.peak()
+    curve.rows[int(curve.abs_gamma.argmax())]
     assert calls == [(5,)]
     # The bound check, the fig4 CSV and the fig4 SVG read one pass each.
     calls.clear()
